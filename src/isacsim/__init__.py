@@ -27,7 +27,6 @@ from .analytic import (
     LagCorrelation,
     bussgang_af_decompose,
     clip_probabilities,
-    estimate_rho,
     expected_zero_doppler_bussgang,
     joint_below_prob,
     lag_correlation,
@@ -63,7 +62,6 @@ from .radar import Periodogram, division_filter, periodogram, snr_per
 from .signaling import (
     BasisKind,
     ConstellationSpec,
-    Frame,
     FrameConfig,
     Scheme,
     SignalingBasis,
@@ -72,6 +70,5 @@ from .signaling import (
     draw_symbols,
     parse_basis,
     parse_constellation,
-    remove_cp,
     synthesize,
 )

@@ -131,14 +131,6 @@ class LagCorrelation:
         return float(self.values[abs(int(lag))])
 
 
-@dataclass(frozen=True)
-class RhoEstimate:
-    """Single-lag result of :func:`estimate_rho`."""
-
-    value: float
-    degenerate: bool
-
-
 def _envelope_autocov(power: np.ndarray) -> np.ndarray:
     """Circular autocovariance of per-sample power, averaged over rows."""
     centered = power - power.mean()
@@ -182,25 +174,6 @@ def lag_correlation(
     values[1:n] = np.clip(rho[1:n], 0.0, 1.0)
     values[n] = 0.0
     return LagCorrelation(values=values, degenerate=False)
-
-
-def estimate_rho(
-    constellation: ConstellationSpec,
-    basis: SignalingBasis,
-    n: int,
-    lag: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> RhoEstimate:
-    """Squared-envelope correlation at a single lag."""
-    if not 0 <= lag <= n:
-        raise ConfigError(f"lag must be in [0, {n}], got {lag}")
-    if lag == 0:
-        return RhoEstimate(value=1.0, degenerate=False)
-    full = lag_correlation(constellation, basis, n, trials, rng)
-    if full.degenerate:
-        return RhoEstimate(value=0.0, degenerate=True)
-    return RhoEstimate(value=full.at(lag), degenerate=False)
 
 
 @dataclass

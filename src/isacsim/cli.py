@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .ambiguity import AfMode, average_af, to_db
-from .channel import ChannelConfig, Target, apply_channel
+from .channel import Target
 from .detect import CfarConfig, PdPipeline, calibrate_cfar, pd_experiment
 from .errors import ConfigError, NumericError
 from .experiments import (
@@ -22,20 +22,12 @@ from .experiments import (
     _tx_generator,
     _write_csv,
     list_scenarios,
+    periodogram_table,
     run_scenario,
 )
-from .pa import PaConfig, limiter_compression_power, sel_amplify
-from .radar import division_filter, periodogram
+from .pa import PaConfig, limiter_compression_power
 from .seeding import derive_rng
-from .signaling import (
-    Frame,
-    FrameConfig,
-    add_cp,
-    draw_symbols,
-    parse_basis,
-    parse_constellation,
-    synthesize,
-)
+from .signaling import FrameConfig, parse_basis, parse_constellation
 
 
 def _cmd_list(args) -> int:
@@ -112,19 +104,17 @@ def _default_cli_targets() -> tuple[Target, ...]:
 def _cmd_pd_curve(args) -> int:
     const = parse_constellation(args.constellation)
     fc = FrameConfig(n=args.n, m=args.m, cp_len=args.cp)
-    cfar = CfarConfig()
     rng = derive_rng(args.seed, "cli/pd-curve")
     if args.factor is not None:
         factor = args.factor
     else:
-        factor = calibrate_cfar(cfar, 4_000_000, derive_rng(args.seed, "cli/pd-curve/cal"))
-    cfar = CfarConfig(window=cfar.window, guard=cfar.guard, p_fa=cfar.p_fa, factor=factor)
+        factor = calibrate_cfar(CfarConfig(), 4_000_000, derive_rng(args.seed, "cli/pd-curve/cal"))
     pipeline = PdPipeline(
         constellation=const,
         basis=parse_basis("ofdm", args.n),
         frame=fc,
         pa=_pa_from_args(args),
-        cfar=cfar,
+        cfar=CfarConfig(factor=factor),
         targets=_default_cli_targets(),
         linear=args.linear,
         distortion_limited=args.distortion_limited,
@@ -142,25 +132,19 @@ def _cmd_pd_curve(args) -> int:
 
 
 def _cmd_periodogram(args) -> int:
-    const = parse_constellation(args.constellation)
-    fc = FrameConfig(n=args.n, m=args.m, cp_len=args.cp)
-    basis = parse_basis("ofdm", args.n)
-    pa = _pa_from_args(args)
+    pipeline = PdPipeline(
+        constellation=parse_constellation(args.constellation),
+        basis=parse_basis("ofdm", args.n),
+        frame=FrameConfig(n=args.n, m=args.m, cp_len=args.cp),
+        pa=_pa_from_args(args),
+        cfar=CfarConfig(),
+        targets=_default_cli_targets(),
+        linear=args.linear,
+        n_per=args.n_per,
+        m_per=args.m_per,
+    )
     rng = derive_rng(args.seed, "cli/periodogram")
-    sym = draw_symbols(const, (fc.m, fc.n), rng)
-    x = synthesize(basis, sym)
-    tx = pa.g * pa.alpha * x if args.linear else sel_amplify(x, pa)
-    frame = Frame(add_cp(tx, fc.cp_len), fc, has_cp=fc.cp_len > 0)
-    noise_var = (abs(pa.g) * pa.alpha) ** 2 / 10.0 ** (args.snr_db / 10.0)
-    chan = ChannelConfig(targets=_default_cli_targets(), noise_var=noise_var)
-    rx = apply_channel(frame, chan, rng)
-    per = periodogram(division_filter(rx, sym), args.n_per, args.m_per)
-    dgrid, kgrid = np.meshgrid(per.delay_bins, per.doppler_bins, indexing="ij")
-    _write_csv(Path(args.out), [
-        ("delay_bin", dgrid.ravel()),
-        ("doppler_bin", kgrid.ravel()),
-        ("power_db", to_db(per.values / per.values.max()).ravel()),
-    ])
+    _write_csv(Path(args.out), periodogram_table(pipeline, args.snr_db, rng))
     print(f"wrote {args.out}")
     return 0
 

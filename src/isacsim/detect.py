@@ -8,11 +8,12 @@ threshold factor comes from Monte-Carlo calibration against a target
 false-alarm probability rather than a closed form, because the processing
 chain's floor is not exactly exponential once amplifier distortion enters.
 
-``pd_experiment`` runs the full chain per trial: draw a frame, amplify,
-propagate through the two-target channel plus noise, divide by the known
-reference, form the zero-Doppler range cut of the periodogram, and ask
-whether the weak target's bin beats the CFAR threshold.  The quoted SNR is
-the ratio of unclipped mean transmit power to the per-sample noise variance.
+``sense`` is the one sensing chain, batched over frames: synthesize, amplify,
+attach the prefix, propagate through the targets plus noise, and divide by
+the known reference.  ``pd_experiment`` runs it per batch of trials, takes
+the zero-Doppler range cut of each estimate's periodogram, and asks whether
+the weak target's bin beats the CFAR threshold.  The quoted SNR is the ratio
+of unclipped mean transmit power to the per-sample noise variance.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, Target, apply_channel_batch
+from .channel import ChannelConfig, Target, apply_channel
 from .errors import CalibrationError, ConfigError
 from .pa import PaConfig, sel_amplify
-from .radar import periodogram_values
+from .radar import division_filter, range_cut
 from .seeding import chunk_counts, spawn_rngs
 from .signaling import (
     ConstellationSpec,
@@ -226,34 +227,34 @@ def wilson_halfwidth(successes: int, trials: int, z: float = 1.959963984540054) 
     return (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
 
 
+def sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
+          rng: np.random.Generator, targets: tuple[Target, ...]) -> np.ndarray:
+    """Channel estimates (..., n, m) of frames carrying the symbols ``sym``.
+
+    ``sym`` has shape (..., m, n).  The frames are synthesized, amplified (or
+    scaled by ``g * alpha`` when linear), given their prefix and sent through
+    ``targets`` plus noise of variance ``|g|^2 alpha^2 sigma^2 / snr_linear``
+    (none when distortion-limited); the division filter takes them back out.
+    """
+    fc = pipeline.frame
+    pa = pipeline.pa
+    x = synthesize(pipeline.basis, sym)
+    tx = pa.g * pa.alpha * x if pipeline.linear else sel_amplify(x, pa)
+    if pipeline.distortion_limited:
+        noise_var = 0.0
+    else:
+        noise_var = abs(pa.g) ** 2 * pa.alpha**2 * pa.sigma2 / snr_linear
+    chan = ChannelConfig(targets=targets, noise_var=noise_var)
+    rx = apply_channel(add_cp(tx, fc.cp_len), chan, fc.n, rng)
+    return division_filter(rx, sym, fc.cp_len)
+
+
 def _range_cuts(pipeline: PdPipeline, snr_linear: float, count: int,
                 rng: np.random.Generator, targets: tuple[Target, ...]) -> np.ndarray:
     """Zero-Doppler periodogram range cuts for a batch of trials."""
     fc = pipeline.frame
     sym = draw_symbols(pipeline.constellation, (count, fc.m, fc.n), rng)
-    x = synthesize(pipeline.basis, sym)
-    if pipeline.linear:
-        tx = pipeline.pa.g * pipeline.pa.alpha * x
-    else:
-        tx = sel_amplify(x, pipeline.pa)
-    tx = add_cp(tx, fc.cp_len)
-    block = fc.block_len
-
-    if pipeline.distortion_limited:
-        noise_var = 0.0
-    else:
-        noise_var = abs(pipeline.pa.g) ** 2 * pipeline.pa.alpha**2 * pipeline.pa.sigma2 / snr_linear
-    chan = ChannelConfig(targets=targets, noise_var=noise_var)
-    rx = apply_channel_batch(tx.reshape(count, fc.m * block), chan, fc.n, fc.m, block, rng)
-    rx = rx.reshape(count, fc.m, block)[..., fc.cp_len:]
-
-    freq = np.fft.fft(rx, axis=-1) / math.sqrt(fc.n)
-    hhat = (freq / sym).transpose(0, 2, 1)
-    n_per, m_per = pipeline.grids()
-    # zero-Doppler column only: sum over symbols, transform over subcarriers
-    col = hhat.sum(axis=-1)
-    cut = np.abs(np.fft.ifft(col, n=n_per, axis=-1) * n_per) ** 2 / (fc.n * fc.m)
-    return cut
+    return range_cut(sense(pipeline, sym, snr_linear, rng, targets), pipeline.grids()[0])
 
 
 def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int,
@@ -284,17 +285,7 @@ def _run_chunked(fn, pipeline, snr_linear, trials, rng, workers):
     if workers <= 1:
         return sum(fn(*a) for a in args)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_star(fn), args))
-
-
-class _star:
-    """Picklable adapter unpacking argument tuples for executor.map."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, args):
-        return self.fn(*args)
+        return sum(pool.map(fn, *zip(*args)))
 
 
 def pd_experiment(

@@ -27,12 +27,13 @@ import numpy as np
 from . import __version__
 from .ambiguity import AfMode, aaf, average_af, sidelobe_metrics, to_db, zero_doppler_cut
 from .analytic import lag_correlation, sel_eisl, sel_zero_delay_cut, sel_zero_doppler_cut
-from .channel import ChannelConfig, Target, apply_channel
+from .channel import Target
 from .detect import (
     CfarConfig,
     PdPipeline,
     calibrate_cfar,
     pd_experiment,
+    sense,
     so_cfar,
     wilson_halfwidth,
 )
@@ -45,15 +46,13 @@ from .pa import (
     output_power_gaussian,
     sel_amplify,
 )
-from .radar import division_filter, periodogram
+from .radar import periodogram, range_cut
 from .seeding import chunk_counts, derive_rng, spawn_rngs
 from .signaling import (
     BasisKind,
     ConstellationSpec,
-    Frame,
     FrameConfig,
     SignalingBasis,
-    add_cp,
     draw_symbols,
     parse_basis,
     parse_constellation,
@@ -498,30 +497,31 @@ def _default_targets(ctx: RunContext, fc: FrameConfig, with_doppler: bool) -> tu
     return (Target(b=1.0, delay=4), Target(b=10.0 ** -0.5, delay=8))
 
 
+def periodogram_table(pipeline: PdPipeline, snr_db: float,
+                      rng: np.random.Generator) -> Columns:
+    """Range-Doppler map of one frame sensed at ``snr_db``, in long format,
+    normalized to its peak."""
+    fc = pipeline.frame
+    sym = draw_symbols(pipeline.constellation, (fc.m, fc.n), rng)
+    hhat = sense(pipeline, sym, 10.0 ** (snr_db / 10.0), rng, pipeline.targets)
+    per = periodogram(hhat, pipeline.n_per, pipeline.m_per)
+    dgrid, kgrid = np.meshgrid(per.delay_bins, per.doppler_bins, indexing="ij")
+    return [
+        ("delay_bin", dgrid.ravel()),
+        ("doppler_bin", kgrid.ravel()),
+        ("power_db", to_db(per.values / per.values.max()).ravel()),
+    ]
+
+
 def _scn_periodogram_pair(ctx: RunContext) -> dict[str, Columns]:
     fc = ctx.frame()
-    basis = ctx.basis(fc.n)
     const = ctx.constellation("16-QAM")
     targets = _default_targets(ctx, fc, with_doppler=True)
     snr_db = ctx.config.snr_db_grid[0] if ctx.config.snr_db_grid else 20.0
     out: dict[str, Columns] = {}
-    for label, pa, linear in (("linear", ctx.pa(1.0), True), ("nonlinear", ctx.pa(1.0), False)):
-        rng = ctx.rng(label)
-        sym = draw_symbols(const, (fc.m, fc.n), rng)
-        x = synthesize(basis, sym)
-        tx = pa.g * pa.alpha * x if linear else sel_amplify(x, pa)
-        frame = Frame(add_cp(tx, fc.cp_len), fc, has_cp=fc.cp_len > 0)
-        noise_var = (abs(pa.g) * pa.alpha) ** 2 / 10.0 ** (snr_db / 10.0)
-        chan = ChannelConfig(targets=targets, noise_var=noise_var)
-        rx = apply_channel(frame, chan, rng)
-        hhat = division_filter(rx, sym)
-        per = periodogram(hhat, ctx.config.n_per, ctx.config.m_per)
-        dgrid, kgrid = np.meshgrid(per.delay_bins, per.doppler_bins, indexing="ij")
-        out[f"periodogram_{label}.csv"] = [
-            ("delay_bin", dgrid.ravel()),
-            ("doppler_bin", kgrid.ravel()),
-            ("power_db", to_db(per.values / per.values.max()).ravel()),
-        ]
+    for label, linear in (("linear", True), ("nonlinear", False)):
+        pipe = _pipeline(ctx, const, fc, targets, CfarConfig(), linear, limited=False)
+        out[f"periodogram_{label}.csv"] = periodogram_table(pipe, snr_db, ctx.rng(label))
     return out
 
 
@@ -531,26 +531,17 @@ def _cfar_factor(ctx: RunContext, cfar: CfarConfig) -> float:
 
 def _scn_cfar_example(ctx: RunContext) -> dict[str, Columns]:
     fc = ctx.frame()
-    basis = ctx.basis(fc.n)
     const = ctx.constellation("16-QAM")
     targets = _default_targets(ctx, fc, with_doppler=False)
-    cfar = CfarConfig()
-    cfar = CfarConfig(window=cfar.window, guard=cfar.guard, p_fa=cfar.p_fa,
-                      factor=_cfar_factor(ctx, cfar))
+    cfar = CfarConfig(factor=_cfar_factor(ctx, CfarConfig()))
     snr_db = ctx.config.snr_db_grid[0] if ctx.config.snr_db_grid else 15.0
     out: dict[str, Columns] = {}
     for label, linear, limited in (("linear", True, False), ("nonlinear", False, True)):
-        pa = ctx.pa(1.0)
+        pipe = _pipeline(ctx, const, fc, targets, cfar, linear, limited)
         rng = ctx.rng(label)
         sym = draw_symbols(const, (fc.m, fc.n), rng)
-        x = synthesize(basis, sym)
-        tx = pa.g * pa.alpha * x if linear else sel_amplify(x, pa)
-        frame = Frame(add_cp(tx, fc.cp_len), fc, has_cp=fc.cp_len > 0)
-        noise_var = 0.0 if limited else (abs(pa.g) * pa.alpha) ** 2 / 10.0 ** (snr_db / 10.0)
-        chan = ChannelConfig(targets=targets, noise_var=noise_var)
-        rx = apply_channel(frame, chan, rng)
-        per = periodogram(division_filter(rx, sym), ctx.config.n_per, ctx.config.m_per)
-        cut = per.zero_doppler_cut()
+        hhat = sense(pipe, sym, 10.0 ** (snr_db / 10.0), rng, targets)
+        cut = range_cut(hhat, pipe.grids()[0])
         report = so_cfar(cut, cfar)
         out[f"cfar_{label}.csv"] = [
             ("bin", np.arange(cut.size)),
@@ -575,15 +566,16 @@ def _pd_frame(ctx: RunContext) -> FrameConfig:
     return ctx.frame(m=3)
 
 
-def _pd_pipeline(ctx: RunContext, const: ConstellationSpec, fc: FrameConfig,
-                 cfar: CfarConfig, linear: bool, limited: bool) -> PdPipeline:
+def _pipeline(ctx: RunContext, const: ConstellationSpec, fc: FrameConfig,
+              targets: tuple[Target, ...], cfar: CfarConfig, linear: bool,
+              limited: bool) -> PdPipeline:
     return PdPipeline(
         constellation=const,
         basis=ctx.basis(fc.n),
         frame=fc,
         pa=ctx.pa(1.0),
         cfar=cfar,
-        targets=_pd_targets(ctx),
+        targets=targets,
         linear=linear,
         distortion_limited=limited,
         n_per=ctx.config.n_per,
@@ -605,9 +597,7 @@ def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
     fc = _pd_frame(ctx)
     grid = np.asarray(ctx.config.snr_db_grid if ctx.config.snr_db_grid
                       else np.arange(2.0, 17.0, 1.0))
-    cfar = CfarConfig()
-    cfar = CfarConfig(window=cfar.window, guard=cfar.guard, p_fa=cfar.p_fa,
-                      factor=_cfar_factor(ctx, cfar))
+    cfar = CfarConfig(factor=_cfar_factor(ctx, CfarConfig()))
     out: dict[str, Columns] = {}
     for cname, clabel in (("16-PSK", "16psk"), ("16-QAM", "16qam")):
         const = parse_constellation(cname)
@@ -616,7 +606,7 @@ def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
             ("ibo1", False, False, grid),
             ("distortion", False, True, grid[:1]),
         ):
-            pipe = _pd_pipeline(ctx, const, fc, cfar, linear, limited)
+            pipe = _pipeline(ctx, const, fc, _pd_targets(ctx), cfar, linear, limited)
             curve = pd_experiment(pipe, vgrid, trials, ctx.rng(f"{clabel}/{vlabel}"),
                                   workers=ctx.config.workers)
             if limited and vgrid.size != grid.size:
@@ -634,18 +624,16 @@ def _scn_pd_ceilings(ctx: RunContext) -> dict[str, Columns]:
     plateau_grid = np.array([0.0, 10.0, 20.0])
     linear_grid = np.asarray(ctx.config.snr_db_grid if ctx.config.snr_db_grid
                              else np.arange(2.0, 19.0, 1.0))
-    cfar = CfarConfig()
-    cfar = CfarConfig(window=cfar.window, guard=cfar.guard, p_fa=cfar.p_fa,
-                      factor=_cfar_factor(ctx, cfar))
+    cfar = CfarConfig(factor=_cfar_factor(ctx, CfarConfig()))
     out: dict[str, Columns] = {}
     names, plateaus, projections = [], [], []
     for cname, clabel in (("16-PSK", "16psk"), ("16-QAM", "16qam"), ("64-QAM", "64qam")):
         const = parse_constellation(cname)
-        pipe_lim = _pd_pipeline(ctx, const, fc, cfar, linear=False, limited=True)
+        pipe_lim = _pipeline(ctx, const, fc, _pd_targets(ctx), cfar, linear=False, limited=True)
         curve_lim = pd_experiment(pipe_lim, plateau_grid, trials,
                                   ctx.rng(f"{clabel}/limited"), workers=ctx.config.workers)
         out[f"pd_plateau_{clabel}.csv"] = _pd_columns(curve_lim)
-        pipe_lin = _pd_pipeline(ctx, const, fc, cfar, linear=True, limited=False)
+        pipe_lin = _pipeline(ctx, const, fc, _pd_targets(ctx), cfar, linear=True, limited=False)
         curve_lin = pd_experiment(pipe_lin, linear_grid, trials,
                                   ctx.rng(f"{clabel}/linear"), workers=ctx.config.workers)
         out[f"pd_linear_{clabel}.csv"] = _pd_columns(curve_lin)

@@ -100,10 +100,10 @@ class PaConfig:
 
 def sel_amplify(signal: np.ndarray, cfg: PaConfig) -> np.ndarray:
     """Amplify a unit-power signal: scale by ``g * alpha``, hard-limit the
-    envelope at ``v_sat`` with the input phase preserved exactly."""
+    envelope at ``v_sat`` with the phase of the gain-scaled input preserved."""
     amplified = cfg.g * cfg.alpha * signal
     mag = np.abs(amplified)
-    clipped = cfg.v_sat * np.exp(1j * np.angle(signal))
+    clipped = (cfg.v_sat * cfg.g / abs(cfg.g)) * np.exp(1j * np.angle(signal))
     return np.where(mag <= cfg.v_sat, amplified, clipped)
 
 

@@ -20,68 +20,70 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .signaling import Frame, analyze, BasisKind, SignalingBasis
+from .signaling import BasisKind, SignalingBasis, analyze
 
 
-def division_filter(received: Frame, reference_symbols: np.ndarray) -> np.ndarray:
-    """Per-subcarrier, per-symbol channel estimate, shape (n, m).
+def division_filter(
+    received: np.ndarray, reference_symbols: np.ndarray, cp_len: int
+) -> np.ndarray:
+    """Per-subcarrier, per-symbol channel estimates, shape (..., n, m).
 
-    ``reference_symbols`` is the (m, n) matrix of transmitted frequency
+    ``received`` holds frames of shape (..., m, n + cp_len), CP included;
+    ``reference_symbols`` is the (..., m, n) matrix of transmitted frequency
     symbols before amplification.
     """
-    fc = received.config
-    if reference_symbols.shape != (fc.m, fc.n):
+    n = received.shape[-1] - cp_len
+    if reference_symbols.shape != received.shape[:-1] + (n,):
         raise ConfigError(
-            f"reference shape {reference_symbols.shape} does not match frame "
-            f"(m={fc.m}, n={fc.n})"
+            f"reference shape {reference_symbols.shape} does not match the received "
+            f"frames {received.shape} with a {cp_len}-sample prefix"
         )
     if np.any(reference_symbols == 0):
         raise NumericError("reference symbols contain an exact zero; cannot divide")
-    time_rows = received.without_cp().samples
-    basis = SignalingBasis(BasisKind.OFDM_DFT, fc.n)
-    freq_rows = analyze(basis, time_rows)
-    return (freq_rows / reference_symbols).T.copy()
+    freq_rows = analyze(SignalingBasis(BasisKind.OFDM_DFT, n), received[..., cp_len:])
+    return np.swapaxes(freq_rows / reference_symbols, -1, -2)
+
+
+def range_cut(hhat: np.ndarray, n_per: int) -> np.ndarray:
+    """Zero-Doppler column of the periodogram of (..., n, m) estimates.
+
+    The zero-Doppler bin of the transform over symbols is their sum, so only
+    the delay transform is taken, on ``n_per`` bins.  Batched over leading
+    axes.
+    """
+    n, m = hhat.shape[-2:]
+    if n_per < n:
+        raise ConfigError(f"range grid of {n_per} bins must cover the {n} subcarriers")
+    col = hhat.sum(axis=-1)
+    return np.abs(np.fft.ifft(col, n=n_per, axis=-1) * n_per) ** 2 / (n * m)
 
 
 @dataclass
 class Periodogram:
     """Delay-Doppler power map.
 
-    ``values[l, j]`` at delay bin ``delay_bins[l]`` (0-based) and Doppler bin
-    ``doppler_bins[j]``; the Doppler axis is centered (negative bins first).
+    ``values[..., l, j]`` at delay bin ``delay_bins[l]`` (0-based) and Doppler
+    bin ``doppler_bins[j]``; the Doppler axis is centered (negative bins
+    first).
     """
 
     values: np.ndarray
     delay_bins: np.ndarray
     doppler_bins: np.ndarray
 
-    def zero_doppler_cut(self) -> np.ndarray:
-        j = int(np.flatnonzero(self.doppler_bins == 0)[0])
-        return self.values[:, j].copy()
 
-
-def periodogram_values(hhat: np.ndarray, n_per: int, m_per: int) -> np.ndarray:
-    """Raw periodogram grid for (..., n, m) channel-estimate matrices.
-
-    Doppler axis comes back centered.  Batched over leading axes.
-    """
-    n, m = hhat.shape[-2], hhat.shape[-1]
+def periodogram(hhat: np.ndarray, n_per: int | None = None, m_per: int | None = None) -> Periodogram:
+    """2-D periodogram of (..., n, m) channel-estimate matrices."""
+    n, m = hhat.shape[-2:]
+    n_per = n if n_per is None else int(n_per)
+    m_per = m if m_per is None else int(m_per)
     if n_per < n or m_per < m:
         raise ConfigError(
             f"periodogram grid ({n_per} x {m_per}) must cover the estimate ({n} x {m})"
         )
     doppler = np.fft.fft(hhat, n=m_per, axis=-1)
     delay = np.fft.ifft(doppler, n=n_per, axis=-2) * n_per
-    values = np.abs(delay) ** 2 / (n * m)
-    return np.fft.fftshift(values, axes=-1)
-
-
-def periodogram(hhat: np.ndarray, n_per: int | None = None, m_per: int | None = None) -> Periodogram:
-    """2-D periodogram of an (n, m) channel-estimate matrix."""
-    n, m = hhat.shape
-    n_per = n if n_per is None else int(n_per)
-    m_per = m if m_per is None else int(m_per)
-    values = periodogram_values(hhat, n_per, m_per)
+    values = np.fft.fftshift(np.abs(delay) ** 2 / (n * m), axes=-1)
     doppler_bins = np.fft.fftshift(np.fft.fftfreq(m_per, d=1.0 / m_per)).astype(int)
     return Periodogram(
         values=values,

@@ -172,15 +172,6 @@ def add_cp(signal: np.ndarray, cp_len: int) -> np.ndarray:
     return np.concatenate([signal[..., n - cp_len:], signal], axis=-1)
 
 
-def remove_cp(signal: np.ndarray, cp_len: int) -> np.ndarray:
-    """Drop the first ``cp_len`` samples. Last-axis op."""
-    if cp_len < 0 or cp_len >= signal.shape[-1]:
-        raise ConfigError(
-            f"CP length {cp_len} invalid for signal of length {signal.shape[-1]}"
-        )
-    return np.array(signal[..., cp_len:], copy=True)
-
-
 @dataclass(frozen=True)
 class FrameConfig:
     """Frame geometry: ``n`` samples per symbol, ``m`` symbols, CP of ``cp_len``."""
@@ -188,50 +179,14 @@ class FrameConfig:
     n: int
     m: int
     cp_len: int = 0
-    t_s: float = 1.0
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigError(f"frame needs n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         if not 0 <= self.cp_len <= self.n:
             raise ConfigError(f"CP length must be in [0, {self.n}], got {self.cp_len}")
-        if self.t_s <= 0:
-            raise ConfigError("sampling period must be positive")
 
     @property
     def block_len(self) -> int:
         """Serialized samples per symbol once the CP is attached."""
         return self.n + self.cp_len
-
-
-@dataclass
-class Frame:
-    """A frame of time-domain symbols, one per row.
-
-    ``samples`` has shape (m, n) without CP or (m, n + cp_len) with it.
-    """
-
-    samples: np.ndarray
-    config: FrameConfig
-    has_cp: bool = False
-
-    def __post_init__(self):
-        expected = self.config.block_len if self.has_cp else self.config.n
-        if self.samples.ndim != 2 or self.samples.shape != (self.config.m, expected):
-            raise ConfigError(
-                f"frame samples shape {self.samples.shape} does not match "
-                f"config (m={self.config.m}, per-symbol length {expected})"
-            )
-
-    def serialized(self) -> np.ndarray:
-        return self.samples.reshape(-1)
-
-    def with_cp(self) -> "Frame":
-        if self.has_cp:
-            return self
-        return Frame(add_cp(self.samples, self.config.cp_len), self.config, has_cp=True)
-
-    def without_cp(self) -> "Frame":
-        if not self.has_cp:
-            return self
-        return Frame(remove_cp(self.samples, self.config.cp_len), self.config, has_cp=False)

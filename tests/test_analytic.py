@@ -9,7 +9,6 @@ from isacsim import (
     clip_probabilities,
     draw_symbols,
     estimate_bussgang,
-    estimate_rho,
     joint_below_prob,
     lag_correlation,
     parse_basis,
@@ -106,13 +105,6 @@ def test_lag_correlation_constant_envelope_is_degenerate():
     basis = parse_basis("sc", 16)
     rho = lag_correlation(parse_constellation("16-PSK"), basis, 16, 500, derive_rng(72, "an"))
     assert rho.degenerate
-
-
-def test_estimate_rho_lag_zero():
-    basis = parse_basis("ofdm", 16)
-    r = estimate_rho(parse_constellation("16-QAM"), basis, 16, 0, 500, derive_rng(73, "an"))
-    assert r.value == 1.0
-    assert not r.degenerate
 
 
 # ------------------------------------------------------ realization algebra

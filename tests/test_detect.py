@@ -9,6 +9,7 @@ from isacsim import (
     FrameConfig,
     Target,
     calibrate_cfar,
+    draw_symbols,
     parse_basis,
     parse_constellation,
     pd_experiment,
@@ -17,6 +18,7 @@ from isacsim import (
 from isacsim.detect import (
     PdPipeline,
     noise_only_false_alarm_rate,
+    sense,
     wilson_halfwidth,
 )
 from isacsim.seeding import derive_rng
@@ -184,6 +186,19 @@ def test_pipeline_requires_target_at_weak_bin(cal_factor):
     )
     with pytest.raises(ConfigError):
         pd_experiment(p, [10.0], 10, derive_rng(0, "det"))
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_sense_batch_matches_frame_loop(linear):
+    # one call over a (batch, m, n) symbol stack equals a loop over its frames
+    pipe = _pipeline("16-QAM", None, linear=linear, dl=True)
+    sym = draw_symbols(pipe.constellation, (4, 3, 64), derive_rng(102, "det"))
+    batch = sense(pipe, sym, 1.0, derive_rng(103, "det"), pipe.targets)
+    loop = np.stack(
+        [sense(pipe, s, 1.0, derive_rng(0, "det"), pipe.targets) for s in sym]
+    )
+    assert batch.shape == (4, 64, 3)
+    np.testing.assert_allclose(batch, loop, atol=1e-12)
 
 
 def test_linear_high_snr_detects_always(cal_factor):

@@ -156,7 +156,7 @@ def test_rerun_is_byte_identical(small_run):
     assert again.files == manifest.files
 
 
-def test_worker_count_does_not_change_output(small_run):
+def test_worker_count_does_not_change_output(small_run, tmp_path):
     out, cfg, manifest = small_run
     parallel = run_scenario(
         ExperimentConfig(
@@ -168,6 +168,30 @@ def test_worker_count_does_not_change_output(small_run):
         )
     )
     assert parallel.files == manifest.files
+    # fig-zero-doppler-cp never reads ``workers``; the Pd scenarios send their
+    # trial chunks (two here) to a process pool
+    runs = {}
+    for workers in (1, 2):
+        run_dir = tmp_path / f"w{workers}"
+        pd_manifest = run_scenario(
+            ExperimentConfig(scenario="fig-pd-ceilings", trials=60, seed=5,
+                             snr_db_grid=(10.0,), out_dir=str(run_dir), workers=workers)
+        )
+        runs[workers] = {
+            name: (run_dir / "fig-pd-ceilings" / name).read_bytes()
+            for name in pd_manifest.files
+        }
+    assert runs[1] and runs[1] == runs[2]
+
+
+def test_pd_scenario_rejects_range_grid_shorter_than_frame():
+    # a 48-bin delay grid under 64 subcarriers would fold the weak target's
+    # bin onto bin 0 and report Pd = 0
+    with pytest.raises(ConfigError):
+        run_scenario(
+            ExperimentConfig(scenario="fig-pd-curves", trials=10, n_per=48,
+                             snr_db_grid=(30.0,))
+        )
 
 
 def test_csv_is_parseable(small_run):

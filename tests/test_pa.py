@@ -128,6 +128,18 @@ def test_sel_amplify_clips_envelope_preserves_phase():
     np.testing.assert_allclose(np.angle(out), np.angle(x), rtol=0, atol=1e-15)
 
 
+def test_sel_amplify_complex_gain_rotates_clipped_samples():
+    # a clipped sample keeps the phase of g * alpha * x, as an unclipped one does
+    out = sel_amplify(np.array([0.1, 3.0]), PaConfig(1.0, 1.0, g=1j))
+    np.testing.assert_allclose(out, [0.1j, 1j], rtol=0, atol=1e-15)
+    cfg = PaConfig(v_sat=2.0, ibo=4.0, g=3.0 * np.exp(-1j * 1.1))
+    x = np.array([10.0 * np.exp(1j * 0.7), 5.0 * np.exp(-1j * 2.1)])
+    out = sel_amplify(x, cfg)
+    np.testing.assert_allclose(np.abs(out), 2.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out / np.abs(out), np.exp(1j * np.angle(cfg.g * x)),
+                               rtol=0, atol=1e-15)
+
+
 def test_sel_amplify_idempotent_at_unit_operating_point():
     cfg = PaConfig(v_sat=1.0, ibo=1.0)
     rng = derive_rng(4, "pa")

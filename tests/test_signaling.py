@@ -4,7 +4,6 @@ import pytest
 from isacsim import (
     BasisKind,
     ConfigError,
-    Frame,
     FrameConfig,
     Scheme,
     SignalingBasis,
@@ -13,7 +12,6 @@ from isacsim import (
     draw_symbols,
     parse_basis,
     parse_constellation,
-    remove_cp,
     synthesize,
 )
 from isacsim.seeding import derive_rng
@@ -146,7 +144,7 @@ def test_add_remove_cp_roundtrip():
     x = np.array([[1, 2, 3, 4]], dtype=complex)
     ext = add_cp(x, 2)
     np.testing.assert_array_equal(ext, [[3, 4, 1, 2, 3, 4]])
-    np.testing.assert_array_equal(remove_cp(ext, 2), x)
+    np.testing.assert_array_equal(ext[..., 2:], x)
 
 
 def test_add_cp_batched():
@@ -155,7 +153,7 @@ def test_add_cp_batched():
     ext = add_cp(x, 3)
     assert ext.shape == (5, 11)
     np.testing.assert_array_equal(ext[:, :3], x[:, -3:])
-    np.testing.assert_array_equal(remove_cp(ext, 3), x)
+    np.testing.assert_array_equal(ext[..., 3:], x)
 
 
 # ------------------------------------------------------------ frame types
@@ -171,17 +169,3 @@ def test_frame_config_validation():
         FrameConfig(n=64, m=4, cp_len=65)
     with pytest.raises(ConfigError):
         FrameConfig(n=64, m=4, cp_len=-1)
-    with pytest.raises(ConfigError):
-        FrameConfig(n=64, m=4, t_s=0.0)
-
-
-def test_frame_shape_checks_and_cp_views():
-    cfg = FrameConfig(n=4, m=2, cp_len=2)
-    payload = np.arange(8, dtype=complex).reshape(2, 4)
-    bare = Frame(payload, cfg, has_cp=False)
-    ext = bare.with_cp()
-    assert ext.samples.shape == (2, 6)
-    np.testing.assert_array_equal(ext.without_cp().samples, payload)
-    assert bare.serialized().shape == (8,)
-    with pytest.raises(ConfigError):
-        Frame(payload, cfg, has_cp=True)  # wrong width for CP frames
