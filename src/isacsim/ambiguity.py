@@ -9,10 +9,12 @@ aperiodic mode.  ``K`` is the Doppler grid size; with the default ``K = N``
 the phase denominator is the signal length itself.  Surfaces store squared
 magnitudes.
 
-Doppler evaluation folds the lag-product sequence modulo ``K`` (or zero-pads
-when ``K > N``) before a length-``K`` FFT, which reproduces the direct sum
-exactly for any grid size; ``K = 1`` therefore gives a cheap zero-Doppler-only
-surface, which the Monte-Carlo averaging paths exploit.
+The zero-Doppler cut (``K = 1``) is a plain cross-correlation, computed by
+FFT in O(N log N) (:func:`_xcorr`, the package's one correlation kernel); the
+Monte-Carlo averaging paths and the analytic models all go through it.  For
+``K > 1`` the lag-product sequence is folded modulo ``K`` (or zero-padded when
+``K > N``) before a length-``K`` FFT, which reproduces the direct sum exactly
+for any grid size.
 """
 
 from __future__ import annotations
@@ -88,6 +90,22 @@ def _lag_geometry(n: int, mode: AfMode):
     return lags, idx, mask
 
 
+def _xcorr(a: np.ndarray, b: np.ndarray, mode: AfMode) -> np.ndarray:
+    """FFT cross-correlation ``sum_p a(p) b*(p-l)`` over the mode's lag axis.
+
+    Periodic: lags ``0..n-1`` (delayed index modulo n).  Aperiodic: lags
+    ``1-n..n-1`` with zero extension.  Batched over leading axes.
+    """
+    n = a.shape[-1]
+    size = n if mode is AfMode.PERIODIC else 2 * n
+    fa = np.fft.fft(a, n=size, axis=-1)
+    fb = fa if b is a else np.fft.fft(b, n=size, axis=-1)
+    full = np.fft.ifft(fa * np.conj(fb), axis=-1)
+    if mode is AfMode.PERIODIC:
+        return full
+    return np.concatenate([full[..., size - (n - 1):], full[..., :n]], axis=-1)
+
+
 def _lag_products(u: np.ndarray, v: np.ndarray, mode: AfMode) -> np.ndarray:
     """All delayed products ``u(p) v*(p - l)``; shape (..., n_lags, n)."""
     n = u.shape[-1]
@@ -134,6 +152,8 @@ def cross_af(
     k = n if k_grid is None else int(k_grid)
     if k < 1:
         raise ConfigError(f"Doppler grid must have at least one bin, got {k}")
+    if k == 1:
+        return _xcorr(u, v, mode)[..., None] / np.sqrt(n)
     prod = _lag_products(u, v, mode)
     return _doppler_transform(prod, k) / np.sqrt(n)
 
@@ -174,9 +194,13 @@ def zero_delay_cut(surface: AmbiguitySurface) -> np.ndarray:
 
 
 def _mc_chunk_size(n: int, mode: AfMode, k: int) -> int:
-    """Trials per averaging chunk, capped so the lag-product tensor stays
-    modest.  Depends only on the problem geometry (not worker count), which
-    keeps chunk layout and hence RNG streams reproducible."""
+    """Trials per averaging chunk, from the problem geometry alone.
+
+    The formula once capped the lag-product tensor of every chunk; since
+    ``K = 1`` runs through the FFT correlation it no longer bounds memory
+    there.  It stays unchanged because the chunk sizes fix how many streams
+    are spawned and how many trials each draws, so it pins the RNG stream
+    layout (and it never depends on the worker count)."""
     n_lags = n if mode is AfMode.PERIODIC else 2 * n - 1
     per_trial = n_lags * max(n, k)
     return max(1, min(DEFAULT_CHUNK, 4_000_000 // per_trial))

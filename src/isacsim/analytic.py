@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AfMode, cross_af
+from .ambiguity import AfMode, _xcorr, cross_af
 from .errors import ConfigError, NumericError
 from .pa import PaConfig
 from .seeding import chunk_counts, spawn_rngs
@@ -255,22 +255,6 @@ def expected_zero_doppler_bussgang(
     eisl = (2 * n - 2) * per_lag
     mainlobe = 2.0 * k2 * k2 * sigma2 * sigma2 + d4 + 2.0 * k2 * n * sigma2 * sigma_d2
     return BussgangCutPrediction(per_lag=per_lag, eisl=eisl, mainlobe=mainlobe)
-
-
-def _xcorr(a: np.ndarray, b: np.ndarray, mode: AfMode) -> np.ndarray:
-    """FFT cross-correlation ``sum_p a(p) b*(p-l)`` over the mode's lag axis.
-
-    Periodic: lags ``0..n-1`` (delayed index modulo n).  Aperiodic: lags
-    ``1-n..n-1`` with zero extension.  Batched over leading axes.
-    """
-    n = a.shape[-1]
-    if mode is AfMode.PERIODIC:
-        return np.fft.ifft(np.fft.fft(a, axis=-1) * np.conj(np.fft.fft(b, axis=-1)), axis=-1)
-    size = 2 * n
-    fa = np.fft.fft(a, n=size, axis=-1)
-    fb = np.fft.fft(b, n=size, axis=-1)
-    full = np.fft.ifft(fa * np.conj(fb), axis=-1)
-    return np.concatenate([full[..., size - (n - 1):], full[..., :n]], axis=-1)
 
 
 def _phase_signal(u: np.ndarray) -> np.ndarray:

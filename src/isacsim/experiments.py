@@ -301,18 +301,21 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
     rho = lag_correlation(const, basis, fc.n, 4000, ctx.rng("rho"))
 
     cond_trials = min(trials, 200)
+    xs = np.stack([
+        synthesize(basis, draw_symbols(const, fc.n, r))
+        for r in spawn_rngs(ctx.rng("conditioned"), cond_trials)
+    ])
+    # one batched call: the clip weights depend on (pa, rho) only; rows are
+    # summed one by one in trial order (np.sum would pair them differently)
+    cond = np.abs(sel_zero_doppler_cut(xs, pa, rho)) ** 2
     acc = np.zeros(2 * fc.n - 1)
-    last_x = None
-    for r in spawn_rngs(ctx.rng("conditioned"), cond_trials):
-        sym = draw_symbols(const, fc.n, r)
-        x = synthesize(basis, sym)
-        acc += np.abs(sel_zero_doppler_cut(x, pa, rho)) ** 2
-        last_x = x
+    for row in cond:
+        acc += row
     cond_avg = acc / cond_trials
 
     peak = measured.values[fc.n - 1, 0]
-    single = zero_doppler_cut(aaf(sel_amplify(last_x, pa), k_grid=1))
-    single_cond = np.abs(sel_zero_doppler_cut(last_x, pa, rho)) ** 2
+    single = zero_doppler_cut(aaf(sel_amplify(xs[-1], pa), k_grid=1))
+    single_cond = cond[-1]
     columns: Columns = [
         ("lag", lags),
         ("measured_avg_db", to_db(measured.values[:, 0] / peak)),

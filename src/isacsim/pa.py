@@ -15,7 +15,6 @@ oracle.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -101,10 +100,12 @@ class PaConfig:
 def sel_amplify(signal: np.ndarray, cfg: PaConfig) -> np.ndarray:
     """Amplify a unit-power signal: scale by ``g * alpha``, hard-limit the
     envelope at ``v_sat`` with the phase of the gain-scaled input preserved."""
+    signal = np.asarray(signal)
     amplified = cfg.g * cfg.alpha * signal
-    mag = np.abs(amplified)
-    clipped = (cfg.v_sat * cfg.g / abs(cfg.g)) * np.exp(1j * np.angle(signal))
-    return np.where(mag <= cfg.v_sat, amplified, clipped)
+    out = np.asarray(amplified, dtype=np.result_type(amplified, 1j))
+    over = np.abs(amplified) > cfg.v_sat
+    out[over] = (cfg.v_sat * cfg.g / abs(cfg.g)) * np.exp(1j * np.angle(signal[over]))
+    return out
 
 
 def kappa_gaussian(y: float) -> float:
@@ -179,7 +180,8 @@ def estimate_bussgang(
 
     Two passes over the same derived sub-streams: the first accumulates the
     cross- and self-moments that fix ``kappa``, the second regenerates each
-    chunk and measures the distortion residual against that single ``kappa``.
+    chunk from its stream's seed sequence and measures the distortion
+    residual against that single ``kappa``.
     Chunked accumulation in fixed order keeps the result independent of
     scheduling.
     """
@@ -192,7 +194,7 @@ def estimate_bussgang(
     power = 0.0
     count = 0
     for sz, r in zip(sizes, streams):
-        x, s = _draw_amplified(cfg, basis, constellation, sz, _clone_rng(r))
+        x, s = _draw_amplified(cfg, basis, constellation, sz, r)
         cross += complex(np.sum(np.conj(x) * s))
         power += float(np.sum(np.abs(x) ** 2))
         count += x.size
@@ -201,7 +203,8 @@ def estimate_bussgang(
     d2_sum = 0.0
     d4_sum = 0.0
     for sz, r in zip(sizes, streams):
-        x, s = _draw_amplified(cfg, basis, constellation, sz, _clone_rng(r))
+        replay = np.random.Generator(type(r.bit_generator)(r.bit_generator.seed_seq))
+        x, s = _draw_amplified(cfg, basis, constellation, sz, replay)
         p = np.abs(s - kappa * x) ** 2
         d2_sum += float(np.sum(p))
         d4_sum += float(np.sum(p * p))
@@ -212,8 +215,3 @@ def estimate_bussgang(
     return BussgangStats(
         kappa=kappa, sigma_d2=sigma_d2, sdr=sdr(stats, cfg), y=cfg.y, d4=d4
     )
-
-
-def _clone_rng(rng: np.random.Generator) -> np.random.Generator:
-    """Fresh generator with the same state, so a stream can be replayed."""
-    return copy.deepcopy(rng)

@@ -15,13 +15,14 @@ from isacsim import (
 from isacsim.ambiguity import AfMode
 
 
-def brute_force_af(x, k_grid=None, mode=AfMode.PERIODIC):
-    """O(N^2 K) direct evaluation of (1/sqrt(N)) sum_p s(p) s*((p-l)) e^{-j2pi kp/K}.
+def brute_force_af(x, k_grid=None, mode=AfMode.PERIODIC, y=None):
+    """O(N^2 K) direct evaluation of (1/sqrt(N)) sum_p x(p) y*((p-l)) e^{-j2pi kp/K}.
 
-    Deliberately written as plain loops so it shares nothing with the FFT
-    implementation under test.
+    Self-AF (``y = x``) when ``y`` is omitted.  Deliberately written as plain
+    loops so it shares nothing with the FFT implementation under test.
     """
     x = np.asarray(x)
+    y = x if y is None else np.asarray(y)
     n = x.shape[-1]
     k_grid = n if k_grid is None else int(k_grid)
     lags = np.arange(n) if mode is AfMode.PERIODIC else np.arange(1 - n, n)
@@ -31,10 +32,10 @@ def brute_force_af(x, k_grid=None, mode=AfMode.PERIODIC):
             acc = 0.0 + 0.0j
             for p in range(n):
                 if mode is AfMode.PERIODIC:
-                    v = x[(p - lag) % n]
+                    v = y[(p - lag) % n]
                 else:
                     q = p - lag
-                    v = x[q] if 0 <= q < n else 0.0
+                    v = y[q] if 0 <= q < n else 0.0
                 acc += x[p] * np.conj(v) * np.exp(-2j * np.pi * k * p / k_grid)
             out[i, k] = acc
     return out / np.sqrt(n)

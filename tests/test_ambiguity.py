@@ -11,7 +11,7 @@ from isacsim import (
     zero_delay_cut,
     zero_doppler_cut,
 )
-from isacsim.ambiguity import AfMode, cross_af
+from isacsim.ambiguity import AfMode, _mc_chunk_size, cross_af
 from isacsim.seeding import derive_rng
 
 from conftest import brute_force_af, tx_generator, zadoff_chu
@@ -36,6 +36,26 @@ def test_matches_direct_evaluation_off_grid_doppler():
         ref = brute_force_af(x, k_grid=k_grid, mode=AfMode.APERIODIC)
         np.testing.assert_allclose(
             cross_af(x, k_grid=k_grid, mode=AfMode.APERIODIC), ref, atol=1e-10
+        )
+
+
+@pytest.mark.parametrize("mode", [AfMode.PERIODIC, AfMode.APERIODIC])
+@pytest.mark.parametrize("n", [7, 12])
+def test_zero_doppler_cut_matches_direct_evaluation(mode, n):
+    # K = 1 runs through the FFT correlation, not the lag-product tensor
+    rng = derive_rng(14, "af", n)
+    u = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    v = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    self_af = cross_af(u, k_grid=1, mode=mode)
+    cross = cross_af(u, v, k_grid=1, mode=mode)
+    n_lags = n if mode is AfMode.PERIODIC else 2 * n - 1
+    assert self_af.shape == cross.shape == (3, n_lags, 1)
+    for i in range(3):
+        np.testing.assert_allclose(
+            self_af[i], brute_force_af(u[i], k_grid=1, mode=mode), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            cross[i], brute_force_af(u[i], k_grid=1, mode=mode, y=v[i]), rtol=0, atol=1e-12
         )
 
 
@@ -115,6 +135,26 @@ def test_average_af_normalization_modes():
     np.testing.assert_allclose(unit.values, raw.values / peak, rtol=1e-12)
     assert abs(unit.values[unit.zero_delay_index, 0] - 1.0) < 1e-12
     assert unit.normalized and not raw.normalized
+
+
+def test_chunk_size_pins_stream_layout():
+    assert _mc_chunk_size(256, AfMode.PERIODIC, 1) == 61
+    assert _mc_chunk_size(128, AfMode.APERIODIC, 1) == 64
+
+
+def test_average_af_zero_doppler_multi_chunk_matches_direct_sums():
+    # 130 trials in chunks of 61, 61 and 8, each drawn from its own spawned stream
+    n, trials = 256, 130
+    gen = tx_generator("16-QAM", "ofdm", n)
+    got = average_af(gen, trials, k_grid=1, rng=derive_rng(15, "af"), normalize=False)
+    ref = np.zeros(n)
+    for size, r in zip((61, 61, 8), derive_rng(15, "af").spawn(3)):
+        for x in gen(r, size):
+            lagged = np.array([np.roll(x, lag) for lag in range(n)])  # x(p - lag)
+            ref += np.abs(np.sum(x * np.conj(lagged), axis=1)) ** 2 / n
+    ref /= trials
+    assert got.values.shape == (n, 1)
+    np.testing.assert_allclose(got.values[:, 0], ref, rtol=0, atol=1e-12 * ref[0])
 
 
 def test_average_af_aperiodic_layout():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacsim import (
     ConfigError,
@@ -146,6 +148,29 @@ def test_sel_amplify_idempotent_at_unit_operating_point():
     x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     once = sel_amplify(x, cfg)
     np.testing.assert_array_equal(sel_amplify(once, cfg), once)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+               min_size=1, max_size=32),
+    v_sat=st.floats(0.1, 3.0),
+    drive=st.floats(1.0, 100.0),
+    g_mag=st.floats(0.1, 10.0),
+    g_phase=st.floats(-math.pi, math.pi),
+)
+def test_sel_amplify_bounds_envelope_and_keeps_gain_phase(x, v_sat, drive, g_mag, g_phase):
+    g = g_mag * complex(math.cos(g_phase), math.sin(g_phase))
+    cfg = PaConfig(v_sat=v_sat, ibo=drive * v_sat**2, g=g)
+    x = np.asarray(x, dtype=complex)
+    out = sel_amplify(x, cfg)
+    linear = cfg.g * cfg.alpha * x
+    assert np.all(np.abs(out) <= v_sat * (1 + 1e-14))
+    kept = np.abs(linear) <= v_sat
+    np.testing.assert_array_equal(out[kept], linear[kept])
+    clipped = ~kept
+    np.testing.assert_allclose(out[clipped] / np.abs(out[clipped]),
+                               linear[clipped] / np.abs(linear[clipped]), rtol=0, atol=1e-12)
 
 
 def test_sel_amplify_preserves_shape_and_input():
