@@ -102,6 +102,10 @@ def _default_cli_targets() -> tuple[Target, ...]:
 
 
 def _cmd_pd_curve(args) -> int:
+    try:
+        grid = [float(v) for v in args.snr_db_grid.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad --snr-db-grid {args.snr_db_grid!r}: {exc}") from exc
     const = parse_constellation(args.constellation)
     fc = FrameConfig(n=args.n, m=args.m, cp_len=args.cp)
     rng = derive_rng(args.seed, "cli/pd-curve")
@@ -119,7 +123,6 @@ def _cmd_pd_curve(args) -> int:
         linear=args.linear,
         distortion_limited=args.distortion_limited,
     )
-    grid = [float(v) for v in args.snr_db_grid.split(",")]
     curve = pd_experiment(pipeline, grid, args.trials, rng, workers=args.workers)
     _write_csv(Path(args.out), [
         ("snr_db", curve.snr_db),

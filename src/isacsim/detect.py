@@ -14,6 +14,11 @@ the known reference.  ``pd_experiment`` runs it per batch of trials, takes
 the zero-Doppler range cut of each estimate's periodogram, and asks whether
 the weak target's bin beats the CFAR threshold.  The quoted SNR is the ratio
 of unclipped mean transmit power to the per-sample noise variance.
+
+Trials run in chunks of ``_PD_CHUNK``, each on its own spawned stream, so
+the counts do not depend on the worker count.  A Pd curve spawns the chunk
+streams of every SNR point up front and sends all of its chunks to one
+process pool.
 """
 
 from __future__ import annotations
@@ -85,19 +90,14 @@ def _noise_levels(cuts: np.ndarray, window: int, guard: int) -> np.ndarray:
         )
     cs = np.cumsum(cuts, axis=-1)
     cs = np.concatenate([np.zeros(cuts.shape[:-1] + (1,)), cs], axis=-1)
-    i = np.arange(length)
-    lead_lo = i - guard - window
-    lead_hi = i - guard
-    lag_lo = i + guard + 1
-    lag_hi = lag_lo + window
-    lead_ok = lead_lo >= 0
-    lag_ok = lag_hi <= length
-    lead_mean = (cs[..., np.clip(lead_hi, 0, length)] - cs[..., np.clip(lead_lo, 0, length)]) / window
-    lag_mean = (cs[..., np.clip(lag_hi, 0, length)] - cs[..., np.clip(lag_lo, 0, length)]) / window
-    big = np.inf
-    lead_mean = np.where(lead_ok, lead_mean, big)
-    lag_mean = np.where(lag_ok, lag_mean, big)
-    return np.minimum(lead_mean, lag_mean)
+    # means[..., j] averages cells j .. j + window - 1
+    means = (cs[..., window:] - cs[..., :-window]) / window
+    reach = guard + window
+    noise = np.full(cuts.shape, np.inf)
+    noise[..., reach:] = means[..., :length - reach]
+    np.minimum(noise[..., :length - reach], means[..., guard + 1:],
+               out=noise[..., :length - reach])
+    return noise
 
 
 def so_cfar(cut: np.ndarray, cfg: CfarConfig) -> DetectionReport:
@@ -278,14 +278,21 @@ def _fa_chunk(pipeline: PdPipeline, snr_linear: float, count: int,
     return int(np.count_nonzero(cuts > pipeline.cfar.factor * noise))
 
 
-def _run_chunked(fn, pipeline, snr_linear, trials, rng, workers):
+def _chunk_args(pipeline: PdPipeline, snr_linear: float, trials: int,
+                rng: np.random.Generator) -> list[tuple]:
+    """Chunk-task arguments for ``trials`` trials, one spawned stream each."""
     sizes = chunk_counts(trials, _PD_CHUNK)
-    streams = spawn_rngs(rng, len(sizes))
-    args = [(pipeline, snr_linear, sz, r) for sz, r in zip(sizes, streams)]
-    if workers <= 1:
-        return sum(fn(*a) for a in args)
+    return [(pipeline, snr_linear, sz, r) for sz, r in zip(sizes, spawn_rngs(rng, len(sizes)))]
+
+
+def _map_chunks(fn, args: list[tuple], workers: int) -> list[int]:
+    """``fn(*a)`` for every chunk in ``args``, in order, on one pool."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
+        return [fn(*a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, *zip(*args)))
+        return list(pool.map(fn, *zip(*args), chunksize=max(1, len(args) // (4 * workers))))
 
 
 def pd_experiment(
@@ -303,14 +310,14 @@ def pd_experiment(
     if not any(t.delay == pipeline.weak_bin for t in pipeline.targets):
         raise ConfigError(f"no target sits at the weak bin {pipeline.weak_bin}")
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
-    point_rngs = spawn_rngs(rng, snr_grid_db.size)
-    pd = np.empty(snr_grid_db.size)
-    half = np.empty(snr_grid_db.size)
-    for j, (snr_db, r) in enumerate(zip(snr_grid_db, point_rngs)):
-        snr_linear = 10.0 ** (snr_db / 10.0)
-        hits = _run_chunked(_pd_chunk, pipeline, snr_linear, trials, r, workers)
-        pd[j] = hits / trials
-        half[j] = wilson_halfwidth(hits, trials)
+    points = [
+        _chunk_args(pipeline, 10.0 ** (snr_db / 10.0), trials, r)
+        for snr_db, r in zip(snr_grid_db, spawn_rngs(rng, snr_grid_db.size))
+    ]
+    counts = iter(_map_chunks(_pd_chunk, [a for args in points for a in args], workers))
+    hits = [sum(next(counts) for _ in args) for args in points]
+    pd = np.array([h / trials for h in hits], dtype=float)
+    half = np.array([wilson_halfwidth(h, trials) for h in hits], dtype=float)
     return PdCurve(snr_db=snr_grid_db, pd=pd, ci_halfwidth=half, trials=trials)
 
 
@@ -325,6 +332,6 @@ def noise_only_false_alarm_rate(
     if pipeline.cfar.factor is None:
         raise ConfigError("CFAR factor not set; run calibrate_cfar first")
     snr_linear = 10.0 ** (snr_db / 10.0)
-    alarms = _run_chunked(_fa_chunk, pipeline, snr_linear, trials, rng, workers)
+    alarms = sum(_map_chunks(_fa_chunk, _chunk_args(pipeline, snr_linear, trials, rng), workers))
     n_per, _ = pipeline.grids()
     return alarms / (trials * n_per)

@@ -60,6 +60,18 @@ from .signaling import (
 )
 
 
+_INT_KEYS = ("seed", "trials", "workers", "n", "m", "cp_len", "n_per", "m_per")
+_REAL_KEYS = ("ibo_db", "v_sat", "p1db", "g")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Run parameters; unset fields fall back to scenario defaults.
@@ -96,13 +108,23 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
+        for key, value in data.items():
+            if value is None and cls.__dataclass_fields__[key].default is None:
+                continue
+            if key in _INT_KEYS and not _is_int(value):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if key in _REAL_KEYS and not _is_real(value):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
         if "targets" in data and data["targets"] is not None:
             data["targets"] = tuple(
                 Target(b=t["b"], delay=int(t["delay"]), doppler=t.get("doppler", 0.0))
                 for t in data["targets"]
             )
-        if "snr_db_grid" in data and data["snr_db_grid"] is not None:
-            data["snr_db_grid"] = tuple(float(v) for v in data["snr_db_grid"])
+        grid = data.get("snr_db_grid")
+        if grid is not None:
+            if not isinstance(grid, (list, tuple)) or not all(_is_real(v) for v in grid):
+                raise ConfigError(f"snr_db_grid must be a list of numbers, got {grid!r}")
+            data["snr_db_grid"] = tuple(float(v) for v in grid)
         try:
             return cls(**data)
         except TypeError as exc:

@@ -13,6 +13,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 #: Trials per reduction chunk.  Fixed (never derived from the worker count)
 #: so that serial and parallel runs visit identical sub-streams.
 DEFAULT_CHUNK = 64
@@ -24,6 +26,8 @@ def tag_code(tag: str) -> int:
 
 
 def derive_seed(base_seed: int, tag: str, index: int = 0) -> np.random.SeedSequence:
+    if base_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {base_seed}")
     return np.random.SeedSequence((int(base_seed), tag_code(tag), int(index)))
 
 

@@ -372,18 +372,31 @@ def test_accept_09_effective_snr_cap(capsys):
 
 # -------------------------------------------------------------- criterion 10
 
+def _run_files(out_dir, **fields):
+    manifest = run_scenario(ExperimentConfig(seed=11, out_dir=str(out_dir), **fields))
+    run_dir = out_dir / manifest.scenario
+    return {name: (run_dir / name).read_bytes() for name in manifest.files}
+
+
 def test_accept_10_worker_count_reproducibility(capsys, tmp_path):
-    runs = {}
-    for label, workers in (("w1", 1), ("w1b", 1), ("w8", 8)):
-        cfg = ExperimentConfig(scenario="fig-zero-doppler-cp", trials=300, seed=11,
-                               out_dir=str(tmp_path / label), workers=workers)
-        manifest = run_scenario(cfg)
-        runs[label] = {
-            name: (tmp_path / label / "fig-zero-doppler-cp" / name).read_bytes()
-            for name in manifest.files
-        }
+    runs = {
+        label: _run_files(tmp_path / label, scenario="fig-zero-doppler-cp", trials=300,
+                          workers=workers)
+        for label, workers in (("w1", 1), ("w1b", 1), ("w8", 8))
+    }
     same = runs["w1"] == runs["w1b"] == runs["w8"]
-    ok = same and len(runs["w1"]) > 0
+    # fig-zero-doppler-cp never reads ``workers``; fig-pd-curves sends its trial
+    # chunks (50 + 10 per SNR point here) to a process pool, and two SNR points
+    # make the order in which counts come back matter
+    pd_runs = {
+        workers: _run_files(tmp_path / f"pd{workers}", scenario="fig-pd-curves", trials=60,
+                            snr_db_grid=(10.0, 20.0), workers=workers)
+        for workers in (1, 8)
+    }
+    pd_same = pd_runs[1] == pd_runs[8]
+    ok = same and pd_same and len(runs["w1"]) > 0 and len(pd_runs[1]) > 0
     _report(capsys, "accept-10", ok,
             f"fig-zero-doppler-cp at 300 trials: {len(runs['w1'])} output "
-            f"file(s) byte-identical across re-run and workers 1 vs 8")
+            f"file(s) byte-identical across re-run and workers 1 vs 8; fig-pd-curves "
+            f"at 60 trials on two SNR points: {len(pd_runs[1])} file(s) byte-identical "
+            f"across workers 1 vs 8")

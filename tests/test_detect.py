@@ -1,7 +1,10 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacsim import (
     CfarConfig,
@@ -15,8 +18,10 @@ from isacsim import (
     pd_experiment,
     so_cfar,
 )
+from isacsim import detect
 from isacsim.detect import (
     PdPipeline,
+    _noise_levels,
     noise_only_false_alarm_rate,
     sense,
     wilson_halfwidth,
@@ -78,6 +83,38 @@ def test_cut_length_bound(cal_factor):
     with pytest.raises(ConfigError):
         so_cfar(np.ones(37), cfg)
     assert len(so_cfar(np.ones(38), cfg).detected_bins) == 0
+
+
+def _noise_levels_loop(cut, window, guard):
+    """Per-cell smallest-of noise level, one training window at a time."""
+    length = len(cut)
+    out = np.full(length, np.inf)
+    for i in range(length):
+        if i - guard - window >= 0:
+            out[i] = cut[i - guard - window:i - guard].mean()
+        if i + guard + window < length:
+            out[i] = min(out[i], cut[i + guard + 1:i + guard + 1 + window].mean())
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    window=st.integers(1, 20),
+    guard=st.integers(0, 8),
+    extra=st.integers(0, 40),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noise_levels_match_per_cell_loop(window, guard, extra, batch, seed):
+    length = 2 * (window + guard) + 2 + extra
+    cuts = np.random.default_rng(seed).exponential(size=(*batch, length))
+    got = _noise_levels(cuts, window, guard)
+    assert got.shape == cuts.shape
+    for idx in np.ndindex(*batch):
+        # each running sum is off by at most length * eps * (sum of the cut)
+        atol = 2 * length * np.finfo(float).eps * cuts[idx].sum()
+        np.testing.assert_allclose(got[idx], _noise_levels_loop(cuts[idx], window, guard),
+                                   rtol=0, atol=atol)
 
 
 def test_so_cfar_requires_factor_and_1d():
@@ -269,3 +306,45 @@ def test_noise_only_requires_factor():
         noise_only_false_alarm_rate(
             _pipeline("16-PSK", None, linear=True), 10.0, 100, derive_rng(0, "det")
         )
+
+
+# ----------------------------------------------------------------- fan-out
+
+def test_pd_curve_starts_one_pool(cal_factor, monkeypatch):
+    starts = []
+
+    def counting_pool(*args, **kwargs):
+        starts.append(kwargs)
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(detect, "ProcessPoolExecutor", counting_pool)
+    pd_experiment(_pipeline("16-PSK", cal_factor), [0.0, 10.0, 20.0], 60,
+                  derive_rng(5, "det"), workers=2)
+    assert len(starts) == 1
+
+
+def test_results_do_not_depend_on_workers(cal_factor):
+    # 120 trials run as chunks of 50, 50 and 20
+    pipe = _pipeline("16-QAM", cal_factor)
+    curves = [
+        pd_experiment(pipe, [10.0, 15.0, 20.0], 120, derive_rng(6, "det"), workers=w)
+        for w in (1, 2)
+    ]
+    assert len(set(curves[0].pd)) == 3
+    assert np.array_equal(curves[0].pd, curves[1].pd)
+    assert np.array_equal(curves[0].ci_halfwidth, curves[1].ci_halfwidth)
+    rates = [
+        noise_only_false_alarm_rate(pipe, 10.0, 120, derive_rng(8, "det"), workers=w)
+        for w in (1, 2)
+    ]
+    assert rates[0] > 0
+    assert rates[0] == rates[1]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_bad_worker_count_rejected(cal_factor, workers):
+    pipe = _pipeline("16-PSK", cal_factor)
+    with pytest.raises(ConfigError):
+        pd_experiment(pipe, [10.0], 10, derive_rng(0, "det"), workers=workers)
+    with pytest.raises(ConfigError):
+        noise_only_false_alarm_rate(pipe, 10.0, 10, derive_rng(0, "det"), workers=workers)

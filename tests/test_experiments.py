@@ -260,6 +260,28 @@ def test_cli_run_bad_config_exits_2(tmp_path):
     assert main(["run", "fig-zero-doppler-cp", "--config", str(cfg_file)]) == 2
 
 
+@pytest.mark.parametrize("override", [
+    {"n": "abc"},
+    {"snr_db_grid": "abc"},
+    {"snr_db_grid": [10, "x"]},
+    {"seed": -1},
+    {"workers": "2"},
+    {"workers": True},
+    {"trials": 2.5},
+    {"ibo_db": "1"},
+])
+def test_cli_run_bad_config_value_exits_2(tmp_path, capsys, override):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"trials": 20, "out_dir": str(tmp_path), **override}))
+    assert main(["run", "fig-zero-doppler-cp", "--config", str(cfg_file)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_negative_seed_flag_exits_2(tmp_path):
+    assert main(["run", "fig-zero-doppler-cp", "--seed", "-1", "--trials", "20",
+                 "--out", str(tmp_path)]) == 2
+
+
 def test_cli_calibrate(capsys):
     assert main(["calibrate-cfar", "--trials", "2000000", "--seed", "7"]) == 0
     text = capsys.readouterr().out
@@ -296,6 +318,18 @@ def test_cli_pd_curve(tmp_path, capsys):
     rows = list(csv.reader(open(out, newline="")))
     assert rows[0] == ["snr_db", "pd", "ci_halfwidth", "trials"]
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--workers", "0"],
+    ["--workers", "-3"],
+    ["--snr-db-grid", "10,abc"],
+])
+def test_cli_pd_curve_bad_arguments_exit_2(tmp_path, flags):
+    argv = ["pd-curve", "--m", "3", "--snr-db-grid", "10", "--trials", "10",
+            "--factor", "13.0", "--out", str(tmp_path / "pd.csv")]
+    assert main(argv + flags) == 2
+    assert not (tmp_path / "pd.csv").exists()
 
 
 def test_cli_periodogram(tmp_path):
