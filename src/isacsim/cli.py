@@ -11,14 +11,13 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .ambiguity import AfMode, average_af, to_db
-from .channel import Target
 from .detect import CfarConfig, PdPipeline, calibrate_cfar, pd_experiment
 from .errors import ConfigError, NumericError
 from .experiments import (
+    DEFAULT_TARGETS,
     ExperimentConfig,
+    _pd_columns,
     _tx_generator,
     _write_csv,
     list_scenarios,
@@ -47,14 +46,10 @@ def _cmd_run(args) -> int:
     else:
         config = ExperimentConfig()
     config.scenario = args.scenario
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.workers is not None:
-        config.workers = args.workers
+    for key, value in (("seed", args.seed), ("trials", args.trials), ("out_dir", args.out),
+                       ("workers", args.workers)):
+        if value is not None:
+            setattr(config, key, value)
     if args.plots:
         config.plots = True
     manifest = run_scenario(config)
@@ -81,6 +76,19 @@ def _pa_from_args(args) -> PaConfig:
     return PaConfig(v_sat=v_sat, ibo=10.0 ** (args.ibo_db / 10.0), p1db=p1db)
 
 
+def _pipeline_from_args(args, **fields) -> PdPipeline:
+    """OFDM sensing chain of the ``pd-curve`` and ``periodogram`` commands."""
+    return PdPipeline(
+        constellation=parse_constellation(args.constellation),
+        basis=parse_basis("ofdm", args.n),
+        frame=FrameConfig(n=args.n, m=args.m, cp_len=args.cp),
+        pa=_pa_from_args(args),
+        targets=DEFAULT_TARGETS,
+        linear=args.linear,
+        **fields,
+    )
+
+
 def _cmd_af_cut(args) -> int:
     const = parse_constellation(args.constellation)
     basis = parse_basis(args.basis, args.n)
@@ -97,55 +105,26 @@ def _cmd_af_cut(args) -> int:
     return 0
 
 
-def _default_cli_targets() -> tuple[Target, ...]:
-    return (Target(b=1.0, delay=4), Target(b=10.0 ** -0.5, delay=8))
-
-
 def _cmd_pd_curve(args) -> int:
     try:
         grid = [float(v) for v in args.snr_db_grid.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --snr-db-grid {args.snr_db_grid!r}: {exc}") from exc
-    const = parse_constellation(args.constellation)
-    fc = FrameConfig(n=args.n, m=args.m, cp_len=args.cp)
     rng = derive_rng(args.seed, "cli/pd-curve")
     if args.factor is not None:
         factor = args.factor
     else:
         factor = calibrate_cfar(CfarConfig(), 4_000_000, derive_rng(args.seed, "cli/pd-curve/cal"))
-    pipeline = PdPipeline(
-        constellation=const,
-        basis=parse_basis("ofdm", args.n),
-        frame=fc,
-        pa=_pa_from_args(args),
-        cfar=CfarConfig(factor=factor),
-        targets=_default_cli_targets(),
-        linear=args.linear,
-        distortion_limited=args.distortion_limited,
-    )
+    pipeline = _pipeline_from_args(args, cfar=CfarConfig(factor=factor),
+                                   distortion_limited=args.distortion_limited)
     curve = pd_experiment(pipeline, grid, args.trials, rng, workers=args.workers)
-    _write_csv(Path(args.out), [
-        ("snr_db", curve.snr_db),
-        ("pd", curve.pd),
-        ("ci_halfwidth", curve.ci_halfwidth),
-        ("trials", np.full(curve.snr_db.size, curve.trials, dtype=int)),
-    ])
+    _write_csv(Path(args.out), _pd_columns(curve))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_periodogram(args) -> int:
-    pipeline = PdPipeline(
-        constellation=parse_constellation(args.constellation),
-        basis=parse_basis("ofdm", args.n),
-        frame=FrameConfig(n=args.n, m=args.m, cp_len=args.cp),
-        pa=_pa_from_args(args),
-        cfar=CfarConfig(),
-        targets=_default_cli_targets(),
-        linear=args.linear,
-        n_per=args.n_per,
-        m_per=args.m_per,
-    )
+    pipeline = _pipeline_from_args(args, cfar=CfarConfig(), n_per=args.n_per, m_per=args.m_per)
     rng = derive_rng(args.seed, "cli/periodogram")
     _write_csv(Path(args.out), periodogram_table(pipeline, args.snr_db, rng))
     print(f"wrote {args.out}")

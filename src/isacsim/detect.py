@@ -23,6 +23,7 @@ process pool.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -124,7 +125,11 @@ def calibrate_cfar(
     noise_model: str = "exponential",
     cut_len: int = 64,
 ) -> float:
-    """Bisect the threshold factor to the target false-alarm probability.
+    """Threshold factor that meets the target false-alarm probability.
+
+    The empirical P_fa of a factor is the share of noise-only cell-to-noise
+    ratios above it, so the smallest factor meeting the target is one order
+    statistic of those ratios.
 
     ``trials`` counts cell tests; it must be large enough that the expected
     number of false alarms at the target probability is at least 100,
@@ -151,25 +156,15 @@ def calibrate_cfar(
         noise = _noise_levels(cells, cfg.window, cfg.guard)
         ratios[start * cut_len: (start + nb) * cut_len] = (cells / noise).ravel()
         start += nb
-    ratios.sort()
     total = ratios.size
-
-    def pfa_at(factor: float) -> float:
-        return (total - np.searchsorted(ratios, factor, side="right")) / total
-
-    lo, hi = 1e-6, 1.0
-    while pfa_at(hi) > cfg.p_fa and hi < 1e9:
-        hi *= 2.0
-    if pfa_at(hi) > cfg.p_fa:
-        raise CalibrationError("could not bracket the target false-alarm probability")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pfa_at(mid) > cfg.p_fa:
-            lo = mid
-        else:
-            hi = mid
-    factor = hi
-    achieved = pfa_at(factor)
+    # the most ratios that may lie above the factor; counted with the same
+    # ``count / total <= p_fa`` test as the achieved rate, since p_fa is not
+    # exact in binary
+    allowed = bisect.bisect_right(range(total + 1), cfg.p_fa, key=lambda a: a / total) - 1
+    k = total - allowed - 1
+    ratios.partition(k)  # in place: np.partition would copy every ratio
+    factor = ratios[k]
+    achieved = np.count_nonzero(ratios > factor) / total
     if abs(achieved - cfg.p_fa) > 0.1 * cfg.p_fa:
         raise CalibrationError(
             f"calibrated factor {factor:.4f} reaches P_fa={achieved:.3e}, "
@@ -281,6 +276,10 @@ def _fa_chunk(pipeline: PdPipeline, snr_linear: float, count: int,
 def _chunk_args(pipeline: PdPipeline, snr_linear: float, trials: int,
                 rng: np.random.Generator) -> list[tuple]:
     """Chunk-task arguments for ``trials`` trials, one spawned stream each."""
+    if pipeline.cfar.factor is None:
+        raise ConfigError("CFAR factor not set; run calibrate_cfar first")
+    if trials < 1:
+        raise ConfigError("at least one trial required")
     sizes = chunk_counts(trials, _PD_CHUNK)
     return [(pipeline, snr_linear, sz, r) for sz, r in zip(sizes, spawn_rngs(rng, len(sizes)))]
 
@@ -303,10 +302,6 @@ def pd_experiment(
     workers: int = 1,
 ) -> PdCurve:
     """Weak-target detection probability over an SNR grid."""
-    if pipeline.cfar.factor is None:
-        raise ConfigError("CFAR factor not set; run calibrate_cfar first")
-    if trials < 1:
-        raise ConfigError("at least one trial required")
     if not any(t.delay == pipeline.weak_bin for t in pipeline.targets):
         raise ConfigError(f"no target sits at the weak bin {pipeline.weak_bin}")
     snr_grid_db = np.asarray(snr_grid_db, dtype=float)
@@ -329,8 +324,6 @@ def noise_only_false_alarm_rate(
     workers: int = 1,
 ) -> float:
     """Empirical per-cell false-alarm rate of the full chain with no targets."""
-    if pipeline.cfar.factor is None:
-        raise ConfigError("CFAR factor not set; run calibrate_cfar first")
     snr_linear = 10.0 ** (snr_db / 10.0)
     alarms = sum(_map_chunks(_fa_chunk, _chunk_args(pipeline, snr_linear, trials, rng), workers))
     n_per, _ = pipeline.grids()

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -30,12 +30,12 @@ from .analytic import lag_correlation, sel_eisl, sel_zero_delay_cut, sel_zero_do
 from .channel import Target
 from .detect import (
     CfarConfig,
+    PdCurve,
     PdPipeline,
     calibrate_cfar,
     pd_experiment,
     sense,
     so_cfar,
-    wilson_halfwidth,
 )
 from .errors import ConfigError, IsacError
 from .pa import (
@@ -70,6 +70,20 @@ def _is_int(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_targets(entries) -> tuple[Target, ...]:
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError(f"targets must be a list of mappings, got {entries!r}")
+    targets = []
+    for t in entries:
+        valid = (isinstance(t, dict) and {"b", "delay"} <= t.keys() <= {"b", "delay", "doppler"}
+                 and _is_real(t["b"]) and _is_int(t["delay"]) and _is_real(t.get("doppler", 0.0)))
+        if not valid:
+            raise ConfigError(f"each target needs a numeric b, an integer delay and an "
+                              f"optional numeric doppler, got {t!r}")
+        targets.append(Target(b=t["b"], delay=t["delay"], doppler=t.get("doppler", 0.0)))
+    return tuple(targets)
 
 
 @dataclass
@@ -115,11 +129,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
             if key in _REAL_KEYS and not _is_real(value):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
-        if "targets" in data and data["targets"] is not None:
-            data["targets"] = tuple(
-                Target(b=t["b"], delay=int(t["delay"]), doppler=t.get("doppler", 0.0))
-                for t in data["targets"]
-            )
+        if data.get("targets") is not None:
+            data["targets"] = _parse_targets(data["targets"])
         grid = data.get("snr_db_grid")
         if grid is not None:
             if not isinstance(grid, (list, tuple)) or not all(_is_real(v) for v in grid):
@@ -142,12 +153,7 @@ class ExperimentConfig:
         return cls.from_mapping(data)
 
     def snapshot(self) -> dict:
-        out = asdict(self)
-        if out.get("targets") is not None:
-            out["targets"] = [
-                {"b": t.b, "delay": t.delay, "doppler": t.doppler} for t in self.targets
-            ]
-        return out
+        return asdict(self)
 
 
 @dataclass
@@ -198,28 +204,59 @@ def _sha256(path: Path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
+@dataclass(frozen=True)
+class Scenario:
+    name: str
+    description: str
+    default_trials: int
+    runtime_hint: str
+    runner: Callable[[RunContext], dict[str, Columns]]
+
+
+_REGISTRY: dict[str, Scenario] = {}
+
+
+def scenario(name: str, default_trials: int, runtime_hint: str, description: str):
+    """Register the decorated runner under ``name``; registration order is
+    the order ``list_scenarios`` reports."""
+    def register(runner: Callable[[RunContext], dict[str, Columns]]):
+        _REGISTRY[name] = Scenario(name, description, default_trials, runtime_hint, runner)
+        return runner
+
+    return register
+
+
+#: A unit reflector at delay 4 and one 10 dB weaker at delay 8, the weak bin
+#: the detection chain scores.
+DEFAULT_TARGETS = (Target(b=1.0, delay=4), Target(b=10.0 ** -0.5, delay=8))
+
+_PSK_QAM = (("16-PSK", "psk"), ("16-QAM", "qam"))
+
+
 class RunContext:
     """Per-run parameter resolution and seed derivation for scenario code."""
 
-    def __init__(self, config: ExperimentConfig, scenario: str):
+    def __init__(self, config: ExperimentConfig, scenario: Scenario):
         self.config = config
         self.scenario = scenario
 
     def rng(self, tag: str) -> np.random.Generator:
-        return derive_rng(self.config.seed, f"{self.scenario}/{tag}")
+        return derive_rng(self.config.seed, f"{self.scenario.name}/{tag}")
 
-    def trials(self, default: int) -> int:
-        t = self.config.trials if self.config.trials is not None else default
+    def setting(self, key: str, default):
+        """The configured value of ``key``, else ``default``."""
+        value = getattr(self.config, key)
+        return default if value is None else value
+
+    def trials(self) -> int:
+        t = self.setting("trials", self.scenario.default_trials)
         if t < 1:
             raise ConfigError("trials must be positive")
         return t
 
     def frame(self, n: int = 64, m: int = 64, cp_len: int = 16) -> FrameConfig:
-        c = self.config
         return FrameConfig(
-            n=c.n if c.n is not None else n,
-            m=c.m if c.m is not None else m,
-            cp_len=c.cp_len if c.cp_len is not None else cp_len,
+            n=self.setting("n", n), m=self.setting("m", m), cp_len=self.setting("cp_len", cp_len)
         )
 
     def pa(self, ibo_db: float, compression: bool = True) -> PaConfig:
@@ -228,16 +265,10 @@ class RunContext:
         ``compression`` references the back-off to the 1 dB compression
         point of the limiter; otherwise to the saturation power itself.
         """
-        c = self.config
-        v_sat = c.v_sat if c.v_sat is not None else 1.0
-        if c.p1db is not None:
-            p1db = c.p1db
-        else:
-            p1db = limiter_compression_power(v_sat) if compression else None
-        ibo = 10.0 ** ((c.ibo_db if c.ibo_db is not None else ibo_db) / 10.0)
-        return PaConfig(
-            v_sat=v_sat, ibo=ibo, g=c.g if c.g is not None else 1.0, p1db=p1db
-        )
+        v_sat = self.setting("v_sat", 1.0)
+        p1db = self.setting("p1db", limiter_compression_power(v_sat) if compression else None)
+        ibo = 10.0 ** (self.setting("ibo_db", ibo_db) / 10.0)
+        return PaConfig(v_sat=v_sat, ibo=ibo, g=self.setting("g", 1.0), p1db=p1db)
 
     def constellation(self, default: str) -> ConstellationSpec:
         return parse_constellation(self.config.constellation or default)
@@ -245,30 +276,66 @@ class RunContext:
     def basis(self, n: int, default: str = "ofdm") -> SignalingBasis:
         return parse_basis(self.config.basis or default, n)
 
+    def snr_db(self, default: float) -> float:
+        """First entry of the configured SNR grid, for single-frame runs."""
+        return self.config.snr_db_grid[0] if self.config.snr_db_grid else default
+
+    def snr_grid(self, default: np.ndarray) -> np.ndarray:
+        return np.asarray(self.config.snr_db_grid if self.config.snr_db_grid else default)
+
+    def cfar(self) -> CfarConfig:
+        """Default SO-CFAR with its factor calibrated on this run's streams.
+
+        Only the scenarios that detect on the zero-Doppler range cut use it;
+        they never form a Doppler grid, so a configured ``m_per`` would be
+        silently ignored and is rejected instead.
+        """
+        if self.config.m_per is not None:
+            raise ConfigError("m_per is not used: detection runs on the zero-Doppler range cut")
+        factor = calibrate_cfar(CfarConfig(), 4_000_000, self.rng("cfar-calibration"))
+        return CfarConfig(factor=factor)
+
 
 def _tx_generator(constellation: ConstellationSpec, basis: SignalingBasis,
-                  pa: PaConfig | None) -> Callable:
+                  pa: PaConfig | None, kappa: complex | None = None) -> Callable:
+    """Batches of transmitted frames, amplified by ``pa`` (linear when
+    ``None``); with ``kappa``, only the distortion ``s - kappa x`` of each."""
     def gen(rng: np.random.Generator, count: int) -> np.ndarray:
         sym = draw_symbols(constellation, (count, basis.n), rng)
         x = synthesize(basis, sym)
-        return x if pa is None else sel_amplify(x, pa)
+        if pa is None:
+            return x
+        s = sel_amplify(x, pa)
+        return s if kappa is None else s - kappa * x
 
     return gen
 
 
-def _distortion_generator(constellation: ConstellationSpec, basis: SignalingBasis,
-                          pa: PaConfig, kappa: float) -> Callable:
-    def gen(rng: np.random.Generator, count: int) -> np.ndarray:
-        sym = draw_symbols(constellation, (count, basis.n), rng)
-        x = synthesize(basis, sym)
-        return sel_amplify(x, pa) - kappa * x
+def _averaged_cut(ctx: RunContext, const: ConstellationSpec, basis: SignalingBasis,
+                  pa: PaConfig | None, tag: str, mode: AfMode = AfMode.PERIODIC,
+                  kappa: complex | None = None, normalize: bool = False):
+    """Zero-Doppler AF cut of ``_tx_generator`` frames averaged over
+    ``ctx.trials()`` trials on the ``tag`` stream."""
+    gen = _tx_generator(const, basis, pa, kappa)
+    return average_af(gen, ctx.trials(), k_grid=1, mode=mode, rng=ctx.rng(tag),
+                      normalize=normalize)
 
-    return gen
 
+def _n_sweep(ctx: RunContext, sizes: tuple[int, ...], cells: Callable) -> Columns:
+    """One row per N at IBO 1 dB.
 
-def _normalized_cut_db(gen, trials: int, rng, mode: AfMode) -> np.ndarray:
-    surf = average_af(gen, trials, k_grid=1, mode=mode, rng=rng)
-    return to_db(surf.values[:, 0]).real
+    ``cells(n, basis, pa, const, label)`` returns ``{column: dB value}`` for
+    16-PSK (label ``psk``) and 16-QAM (``qam``); columns keep the order in
+    which they first appear.
+    """
+    rows: dict[str, list[float]] = {}
+    for n in sizes:
+        basis = ctx.basis(n)
+        pa = ctx.pa(1.0)
+        for cname, label in _PSK_QAM:
+            for column, value in cells(n, basis, pa, parse_constellation(cname), label).items():
+                rows.setdefault(column, []).append(value)
+    return [("n", np.array(sizes)), *((k, np.array(v)) for k, v in rows.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +343,22 @@ def _normalized_cut_db(gen, trials: int, rng, mode: AfMode) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@scenario("fig-zero-doppler-cp", 10_000, "~1 min",
+          "Averaged zero-Doppler cuts, CP-OFDM N=64, 16-PSK/16-QAM, linear vs IBO 1/4 dB, "
+          "with flat per-lag overlays from the measured clipping statistics")
 def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
-    trials = ctx.trials(10_000)
     fc = ctx.frame()
     basis = ctx.basis(fc.n)
     lags = np.arange(fc.n)
     columns: Columns = [("lag", lags)]
-    for cname, label in (("16-PSK", "psk"), ("16-QAM", "qam")):
+    for cname, label in _PSK_QAM:
         const = parse_constellation(cname)
-        gen_lin = _tx_generator(const, basis, None)
-        columns.append(
-            (f"linear_{label}",
-             _normalized_cut_db(gen_lin, trials, ctx.rng(f"lin/{label}"), AfMode.PERIODIC))
-        )
+        linear = _averaged_cut(ctx, const, basis, None, f"lin/{label}", normalize=True)
+        columns.append((f"linear_{label}", to_db(linear.values[:, 0])))
         for ibo_db in (1.0, 4.0):
             pa = ctx.pa(ibo_db)
-            gen = _tx_generator(const, basis, pa)
-            cut = _normalized_cut_db(gen, trials, ctx.rng(f"ibo{ibo_db:g}/{label}"),
-                                     AfMode.PERIODIC)
-            columns.append((f"nonlinear_{label}_ibo{ibo_db:g}", cut))
+            cut = _averaged_cut(ctx, const, basis, pa, f"ibo{ibo_db:g}/{label}", normalize=True)
+            columns.append((f"nonlinear_{label}_ibo{ibo_db:g}", to_db(cut.values[:, 0])))
             stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}/{ibo_db:g}"))
             per_lag = abs(stats.kappa) ** 4 + stats.sigma_d2**2
             main = (
@@ -309,17 +373,18 @@ def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
     return {"zero_doppler_cp.csv": columns}
 
 
+@scenario("fig-zero-doppler-nocp", 10_000, "~1 min",
+          "Aperiodic zero-Doppler cuts without CP, 16-PSK IBO 1 dB: measured average, "
+          "conditioned-expectation average, and one single-frame pair")
 def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
-    trials = ctx.trials(10_000)
+    trials = ctx.trials()
     fc = ctx.frame(cp_len=0)
     basis = ctx.basis(fc.n)
     const = ctx.constellation("16-PSK")
     pa = ctx.pa(1.0)
     lags = np.arange(1 - fc.n, fc.n)
 
-    gen = _tx_generator(const, basis, pa)
-    measured = average_af(gen, trials, k_grid=1, mode=AfMode.APERIODIC,
-                          rng=ctx.rng("measured"), normalize=False)
+    measured = _averaged_cut(ctx, const, basis, pa, "measured", AfMode.APERIODIC)
     rho = lag_correlation(const, basis, fc.n, 4000, ctx.rng("rho"))
 
     cond_trials = min(trials, 200)
@@ -348,9 +413,12 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
     return {"zero_doppler_nocp.csv": columns}
 
 
+@scenario("fig-distortion-power", 1000, "~1 min",
+          "Residual clipping-noise power vs IBO at N=1024 for 16-PSK/16-QAM/64-QAM plus "
+          "the Gaussian closed form")
 def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
-    trials = ctx.trials(1000)
-    n = ctx.config.n if ctx.config.n is not None else 1024
+    trials = ctx.trials()
+    n = ctx.setting("n", 1024)
     basis = ctx.basis(n)
     ibo_grid = np.arange(0.0, 10.5, 1.0)
     columns: Columns = [("ibo_db", ibo_grid)]
@@ -372,27 +440,26 @@ def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
     return {"distortion_power_vs_ibo.csv": columns}
 
 
+@scenario("fig-distortion-term-cut", 10_000, "~1 min",
+          "Zero-Doppler cut of the isolated clipping-noise term, N=64, IBO 1 dB, "
+          "16-PSK vs 16-QAM, with flat variance overlays")
 def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
-    trials = ctx.trials(10_000)
     fc = ctx.frame()
     basis = ctx.basis(fc.n)
     pa = ctx.pa(1.0)
     lags = np.arange(fc.n)
     columns: Columns = [("lag", lags)]
-    for cname, label in (("16-PSK", "psk"), ("16-QAM", "qam")):
+    for cname, label in _PSK_QAM:
         const = parse_constellation(cname)
         stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}"))
-        gen = _distortion_generator(const, basis, pa, stats.kappa)
-        surf = average_af(gen, trials, k_grid=1, mode=AfMode.PERIODIC,
-                          rng=ctx.rng(f"mc/{label}"), normalize=False)
-        columns.append((f"mc_{label}_db", to_db(surf.values[:, 0].real, floor=-200.0)))
+        surf = _averaged_cut(ctx, const, basis, pa, f"mc/{label}", kappa=stats.kappa)
+        columns.append((f"mc_{label}_db", to_db(surf.values[:, 0], floor=-200.0)))
         level = 10.0 * math.log10(stats.sigma_d2**2)
         columns.append((f"analytic_{label}_db", np.full(fc.n, level)))
     return {"distortion_term_cut.csv": columns}
 
 
 def _scn_basis_comparison(ctx: RunContext, cname: str, tag: str) -> dict[str, Columns]:
-    trials = ctx.trials(10_000)
     fc = ctx.frame()
     const = ctx.constellation(cname)
     pa = ctx.pa(1.0)
@@ -400,92 +467,68 @@ def _scn_basis_comparison(ctx: RunContext, cname: str, tag: str) -> dict[str, Co
     columns: Columns = [("lag", lags)]
     for kind, label in ((BasisKind.OFDM_DFT, "ofdm"), (BasisKind.SC_IDENTITY, "sc"),
                         (BasisKind.CDMA_HADAMARD, "cdma")):
-        basis = SignalingBasis(kind, fc.n)
-        gen = _tx_generator(const, basis, pa)
-        cut = _normalized_cut_db(gen, trials, ctx.rng(label), AfMode.PERIODIC)
-        columns.append((f"{label}_db", cut))
+        cut = _averaged_cut(ctx, const, SignalingBasis(kind, fc.n), pa, label, normalize=True)
+        columns.append((f"{label}_db", to_db(cut.values[:, 0])))
     return {f"basis_comparison_{tag}.csv": columns}
 
 
+scenario("fig-basis-comparison-psk", 10_000, "~1 min",
+         "Averaged zero-Doppler cuts of OFDM vs single-carrier vs Hadamard spreading, "
+         "16-PSK, IBO 1 dB")(lambda ctx: _scn_basis_comparison(ctx, "16-PSK", "psk16"))
+scenario("fig-basis-comparison-qam", 10_000, "~1 min",
+         "Averaged zero-Doppler cuts of OFDM vs single-carrier vs Hadamard spreading, "
+         "16-QAM, IBO 1 dB")(lambda ctx: _scn_basis_comparison(ctx, "16-QAM", "qam16"))
+
+
+@scenario("fig-eisl-vs-n", 4000, "~2 min",
+          "Expected integrated sidelobe level vs N (periodic lags), measured vs the "
+          "conditioned clipping analysis, 16-PSK and 16-QAM at IBO 1 dB")
 def _scn_eisl_vs_n(ctx: RunContext) -> dict[str, Columns]:
-    trials = ctx.trials(4000)
-    sizes = np.array([16, 32, 64, 128])
-    cols: dict[str, list[float]] = {
-        "mc_psk_db": [], "analytic_psk_db": [], "mc_qam_db": [], "analytic_qam_db": []
-    }
-    for n in sizes:
-        basis = ctx.basis(int(n))
-        pa = ctx.pa(1.0)
-        for cname, label in (("16-PSK", "psk"), ("16-QAM", "qam")):
-            const = parse_constellation(cname)
-            gen = _tx_generator(const, basis, pa)
-            surf = average_af(gen, trials, k_grid=1, mode=AfMode.PERIODIC,
-                              rng=ctx.rng(f"mc/{label}/{n}"), normalize=False)
-            met = sidelobe_metrics(surf)
-            cols[f"mc_{label}_db"].append(10.0 * math.log10(met.eisl))
-            est = sel_eisl(pa, const, basis, int(n), min(trials, 2000),
-                           ctx.rng(f"analytic/{label}/{n}"), mode=AfMode.PERIODIC)
-            cols[f"analytic_{label}_db"].append(10.0 * math.log10(est.eisl))
-    columns: Columns = [("n", sizes)]
-    columns.extend((k, np.array(v)) for k, v in cols.items())
-    return {"eisl_vs_n.csv": columns}
+    def cells(n, basis, pa, const, label):
+        met = sidelobe_metrics(_averaged_cut(ctx, const, basis, pa, f"mc/{label}/{n}"))
+        est = sel_eisl(pa, const, basis, n, min(ctx.trials(), 2000),
+                       ctx.rng(f"analytic/{label}/{n}"), mode=AfMode.PERIODIC)
+        return {f"mc_{label}_db": 10.0 * math.log10(met.eisl),
+                f"analytic_{label}_db": 10.0 * math.log10(est.eisl)}
+
+    return {"eisl_vs_n.csv": _n_sweep(ctx, (16, 32, 64, 128), cells)}
 
 
+@scenario("fig-eislr-vs-n", 4000, "~2 min",
+          "EISL normalized by mainlobe energy vs N, with and without CP, "
+          "16-PSK and 16-QAM at IBO 1 dB")
 def _scn_eislr_vs_n(ctx: RunContext) -> dict[str, Columns]:
-    trials = ctx.trials(4000)
-    sizes = np.array([16, 32, 64, 128])
-    names = []
-    data: dict[str, list[float]] = {}
-    for cname, clabel in (("16-PSK", "psk"), ("16-QAM", "qam")):
-        for mode, mlabel in ((AfMode.PERIODIC, "cp"), (AfMode.APERIODIC, "nocp")):
-            names.append((cname, clabel, mode, mlabel))
-            data[f"{clabel}_{mlabel}_db"] = []
-    for n in sizes:
-        basis = ctx.basis(int(n))
-        pa = ctx.pa(1.0)
-        for cname, clabel, mode, mlabel in names:
-            const = parse_constellation(cname)
-            gen = _tx_generator(const, basis, pa)
-            surf = average_af(gen, trials, k_grid=1, mode=mode,
-                              rng=ctx.rng(f"{clabel}/{mlabel}/{n}"), normalize=False)
-            met = sidelobe_metrics(surf)
-            data[f"{clabel}_{mlabel}_db"].append(10.0 * math.log10(met.eislr))
-    columns: Columns = [("n", sizes)]
-    columns.extend((k, np.array(v)) for k, v in data.items())
-    return {"eislr_vs_n.csv": columns}
+    def cells(n, basis, pa, const, label):
+        return {
+            f"{label}_{mlabel}_db": 10.0 * math.log10(sidelobe_metrics(
+                _averaged_cut(ctx, const, basis, pa, f"{label}/{mlabel}/{n}", mode)).eislr)
+            for mode, mlabel in ((AfMode.PERIODIC, "cp"), (AfMode.APERIODIC, "nocp"))
+        }
+
+    return {"eislr_vs_n.csv": _n_sweep(ctx, (16, 32, 64, 128), cells)}
 
 
+@scenario("fig-pslr-vs-n", 10_000, "~2 min",
+          "Peak-sidelobe-to-mainlobe ratio vs N in {64,128,256}, 16-PSK and 16-QAM, IBO 1 dB")
 def _scn_pslr_vs_n(ctx: RunContext) -> dict[str, Columns]:
-    trials = ctx.trials(10_000)
-    sizes = np.array([64, 128, 256])
-    pslr_psk, pslr_qam = [], []
-    for n in sizes:
-        basis = ctx.basis(int(n))
-        pa = ctx.pa(1.0)
-        for cname, store in (("16-PSK", pslr_psk), ("16-QAM", pslr_qam)):
-            const = parse_constellation(cname)
-            gen = _tx_generator(const, basis, pa)
-            surf = average_af(gen, trials, k_grid=1, mode=AfMode.PERIODIC,
-                              rng=ctx.rng(f"{cname}/{n}"), normalize=False)
-            met = sidelobe_metrics(surf)
-            store.append(10.0 * math.log10(met.pslr))
-    return {
-        "pslr_vs_n.csv": [
-            ("n", sizes),
-            ("psk_pslr_db", np.array(pslr_psk)),
-            ("qam_pslr_db", np.array(pslr_qam)),
-        ]
-    }
+    def cells(n, basis, pa, const, label):
+        met = sidelobe_metrics(_averaged_cut(ctx, const, basis, pa, f"{const}/{n}"))
+        return {f"{label}_pslr_db": 10.0 * math.log10(met.pslr)}
+
+    return {"pslr_vs_n.csv": _n_sweep(ctx, (64, 128, 256), cells)}
 
 
+@scenario("fig-zero-delay", 10_000, "~1 min",
+          "Averaged zero-delay (Doppler) cuts at saturation back-offs 0 and 8 dB with "
+          "conditioned-expectation overlays, 16-PSK and 16-QAM")
 def _scn_zero_delay(ctx: RunContext) -> dict[str, Columns]:
-    trials = ctx.trials(10_000)
+    trials = ctx.trials()
     fc = ctx.frame()
     basis = ctx.basis(fc.n)
     bins = np.arange(fc.n)
     columns: Columns = [("doppler_bin", bins)]
     chunk = 256
-    for cname, clabel in (("16-PSK", "psk"), ("16-QAM", "qam")):
+    for cname, clabel in _PSK_QAM:
         const = parse_constellation(cname)
         for ibo_db in (0.0, 8.0):
             pa = ctx.pa(ibo_db, compression=False)
@@ -509,19 +552,6 @@ def _scn_zero_delay(ctx: RunContext) -> dict[str, Columns]:
     return {"zero_delay_cuts.csv": columns}
 
 
-def _default_targets(ctx: RunContext, fc: FrameConfig, with_doppler: bool) -> tuple[Target, ...]:
-    if ctx.config.targets is not None:
-        return ctx.config.targets
-    if with_doppler:
-        block = fc.block_len
-        unit = fc.n / (block * fc.m)  # one Doppler bin in channel units
-        return (
-            Target(b=1.0, delay=4, doppler=5 * unit),
-            Target(b=10.0 ** -0.5, delay=8, doppler=-8 * unit),
-        )
-    return (Target(b=1.0, delay=4), Target(b=10.0 ** -0.5, delay=8))
-
-
 def periodogram_table(pipeline: PdPipeline, snr_db: float,
                       rng: np.random.Generator) -> Columns:
     """Range-Doppler map of one frame sensed at ``snr_db``, in long format,
@@ -538,11 +568,17 @@ def periodogram_table(pipeline: PdPipeline, snr_db: float,
     ]
 
 
+@scenario("fig-periodogram-pair", 1, "<10 s",
+          "Single-frame range-Doppler periodograms, linear vs clipped, two targets at "
+          "20 dB SNR (long-format CSV)")
 def _scn_periodogram_pair(ctx: RunContext) -> dict[str, Columns]:
     fc = ctx.frame()
     const = ctx.constellation("16-QAM")
-    targets = _default_targets(ctx, fc, with_doppler=True)
-    snr_db = ctx.config.snr_db_grid[0] if ctx.config.snr_db_grid else 20.0
+    unit = fc.n / (fc.block_len * fc.m)  # one Doppler bin in channel units
+    targets = ctx.setting("targets", tuple(
+        replace(t, doppler=bins * unit) for t, bins in zip(DEFAULT_TARGETS, (5, -8))
+    ))
+    snr_db = ctx.snr_db(20.0)
     out: dict[str, Columns] = {}
     for label, linear in (("linear", True), ("nonlinear", False)):
         pipe = _pipeline(ctx, const, fc, targets, CfarConfig(), linear, limited=False)
@@ -550,16 +586,15 @@ def _scn_periodogram_pair(ctx: RunContext) -> dict[str, Columns]:
     return out
 
 
-def _cfar_factor(ctx: RunContext, cfar: CfarConfig) -> float:
-    return calibrate_cfar(cfar, 4_000_000, ctx.rng("cfar-calibration"))
-
-
+@scenario("fig-cfar-example", 1, "~30 s",
+          "Single-frame range cuts with the SO-CFAR threshold trace, linear vs "
+          "distortion-limited")
 def _scn_cfar_example(ctx: RunContext) -> dict[str, Columns]:
     fc = ctx.frame()
     const = ctx.constellation("16-QAM")
-    targets = _default_targets(ctx, fc, with_doppler=False)
-    cfar = CfarConfig(factor=_cfar_factor(ctx, CfarConfig()))
-    snr_db = ctx.config.snr_db_grid[0] if ctx.config.snr_db_grid else 15.0
+    targets = ctx.setting("targets", DEFAULT_TARGETS)
+    cfar = ctx.cfar()
+    snr_db = ctx.snr_db(15.0)
     out: dict[str, Columns] = {}
     for label, linear, limited in (("linear", True, False), ("nonlinear", False, True)):
         pipe = _pipeline(ctx, const, fc, targets, cfar, linear, limited)
@@ -575,20 +610,6 @@ def _scn_cfar_example(ctx: RunContext) -> dict[str, Columns]:
             ("detected", report.decisions.astype(int)),
         ]
     return out
-
-
-def _pd_targets(ctx: RunContext) -> tuple[Target, ...]:
-    # Weak reflector 20 dB below the strong one.  Together with the short
-    # detection frame this keeps the distortion-limited ceilings of the QAM
-    # constellations measurably below 1 so the upper detection limits are
-    # visible in the curves; at the full frame every plateau saturates.
-    if ctx.config.targets is not None:
-        return ctx.config.targets
-    return (Target(b=1.0, delay=4), Target(b=0.1, delay=8))
-
-
-def _pd_frame(ctx: RunContext) -> FrameConfig:
-    return ctx.frame(m=3)
 
 
 def _pipeline(ctx: RunContext, const: ConstellationSpec, fc: FrameConfig,
@@ -608,6 +629,19 @@ def _pipeline(ctx: RunContext, const: ConstellationSpec, fc: FrameConfig,
     )
 
 
+def _pd_curve(ctx: RunContext, const: ConstellationSpec, cfar: CfarConfig, snr_grid_db,
+              tag: str, linear: bool, limited: bool) -> PdCurve:
+    """Pd of the weak target over ``snr_grid_db``, on the ``tag`` stream."""
+    # Weak reflector 20 dB below the strong one.  Together with the short
+    # detection frame this keeps the distortion-limited ceilings of the QAM
+    # constellations measurably below 1 so the upper detection limits are
+    # visible in the curves; at the full frame every plateau saturates.
+    targets = ctx.setting("targets", (Target(b=1.0, delay=4), Target(b=0.1, delay=8)))
+    pipe = _pipeline(ctx, const, ctx.frame(m=3), targets, cfar, linear, limited)
+    return pd_experiment(pipe, snr_grid_db, ctx.trials(), ctx.rng(tag),
+                         workers=ctx.config.workers)
+
+
 def _pd_columns(curve) -> Columns:
     return [
         ("snr_db", curve.snr_db),
@@ -617,12 +651,12 @@ def _pd_columns(curve) -> Columns:
     ]
 
 
+@scenario("fig-pd-curves", 1000, "~2 min",
+          "Weak-target detection probability vs SNR for 16-PSK/16-QAM under linear, "
+          "IBO 1 dB, and distortion-limited operation (short M=3 frame, -20 dB target)")
 def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
-    trials = ctx.trials(1000)
-    fc = _pd_frame(ctx)
-    grid = np.asarray(ctx.config.snr_db_grid if ctx.config.snr_db_grid
-                      else np.arange(2.0, 17.0, 1.0))
-    cfar = CfarConfig(factor=_cfar_factor(ctx, CfarConfig()))
+    grid = ctx.snr_grid(np.arange(2.0, 17.0, 1.0))
+    cfar = ctx.cfar()
     out: dict[str, Columns] = {}
     for cname, clabel in (("16-PSK", "16psk"), ("16-QAM", "16qam")):
         const = parse_constellation(cname)
@@ -631,9 +665,7 @@ def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
             ("ibo1", False, False, grid),
             ("distortion", False, True, grid[:1]),
         ):
-            pipe = _pipeline(ctx, const, fc, _pd_targets(ctx), cfar, linear, limited)
-            curve = pd_experiment(pipe, vgrid, trials, ctx.rng(f"{clabel}/{vlabel}"),
-                                  workers=ctx.config.workers)
+            curve = _pd_curve(ctx, const, cfar, vgrid, f"{clabel}/{vlabel}", linear, limited)
             if limited and vgrid.size != grid.size:
                 # the floor does not depend on SNR; replicate the single point
                 curve.snr_db = grid.copy()
@@ -643,24 +675,22 @@ def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
     return out
 
 
+@scenario("fig-pd-ceilings", 1000, "~2 min",
+          "Distortion-limited detection plateaus for 16-PSK/16-QAM/64-QAM plus linear "
+          "reference curves and the SNR projection of each plateau (short M=3 frame)")
 def _scn_pd_ceilings(ctx: RunContext) -> dict[str, Columns]:
-    trials = ctx.trials(1000)
-    fc = _pd_frame(ctx)
     plateau_grid = np.array([0.0, 10.0, 20.0])
-    linear_grid = np.asarray(ctx.config.snr_db_grid if ctx.config.snr_db_grid
-                             else np.arange(2.0, 19.0, 1.0))
-    cfar = CfarConfig(factor=_cfar_factor(ctx, CfarConfig()))
+    linear_grid = ctx.snr_grid(np.arange(2.0, 19.0, 1.0))
+    cfar = ctx.cfar()
     out: dict[str, Columns] = {}
     names, plateaus, projections = [], [], []
     for cname, clabel in (("16-PSK", "16psk"), ("16-QAM", "16qam"), ("64-QAM", "64qam")):
         const = parse_constellation(cname)
-        pipe_lim = _pipeline(ctx, const, fc, _pd_targets(ctx), cfar, linear=False, limited=True)
-        curve_lim = pd_experiment(pipe_lim, plateau_grid, trials,
-                                  ctx.rng(f"{clabel}/limited"), workers=ctx.config.workers)
+        curve_lim = _pd_curve(ctx, const, cfar, plateau_grid, f"{clabel}/limited",
+                              linear=False, limited=True)
         out[f"pd_plateau_{clabel}.csv"] = _pd_columns(curve_lim)
-        pipe_lin = _pipeline(ctx, const, fc, _pd_targets(ctx), cfar, linear=True, limited=False)
-        curve_lin = pd_experiment(pipe_lin, linear_grid, trials,
-                                  ctx.rng(f"{clabel}/linear"), workers=ctx.config.workers)
+        curve_lin = _pd_curve(ctx, const, cfar, linear_grid, f"{clabel}/linear",
+                              linear=True, limited=False)
         out[f"pd_linear_{clabel}.csv"] = _pd_columns(curve_lin)
         plateau = float(np.mean(curve_lim.pd))
         names.append(clabel)
@@ -694,107 +724,6 @@ def project_snr(snr_db: np.ndarray, pd: np.ndarray, level: float) -> float:
     return float(snr_db[j - 1] + (snr_db[j] - snr_db[j - 1]) * (level - p0) / (p1 - p0))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    description: str
-    default_trials: int
-    runtime_hint: str
-    runner: Callable[[RunContext], dict[str, Columns]]
-
-
-_REGISTRY: dict[str, Scenario] = {}
-
-
-def _register(name, description, default_trials, runtime_hint, runner):
-    _REGISTRY[name] = Scenario(name, description, default_trials, runtime_hint, runner)
-
-
-_register(
-    "fig-zero-doppler-cp",
-    "Averaged zero-Doppler cuts, CP-OFDM N=64, 16-PSK/16-QAM, linear vs IBO 1/4 dB, "
-    "with flat per-lag overlays from the measured clipping statistics",
-    10_000, "~1 min", _scn_zero_doppler_cp,
-)
-_register(
-    "fig-zero-doppler-nocp",
-    "Aperiodic zero-Doppler cuts without CP, 16-PSK IBO 1 dB: measured average, "
-    "conditioned-expectation average, and one single-frame pair",
-    10_000, "~1 min", _scn_zero_doppler_nocp,
-)
-_register(
-    "fig-distortion-power",
-    "Residual clipping-noise power vs IBO at N=1024 for 16-PSK/16-QAM/64-QAM plus "
-    "the Gaussian closed form",
-    1000, "~1 min", _scn_distortion_power,
-)
-_register(
-    "fig-distortion-term-cut",
-    "Zero-Doppler cut of the isolated clipping-noise term, N=64, IBO 1 dB, "
-    "16-PSK vs 16-QAM, with flat variance overlays",
-    10_000, "~1 min", _scn_distortion_term_cut,
-)
-_register(
-    "fig-basis-comparison-psk",
-    "Averaged zero-Doppler cuts of OFDM vs single-carrier vs Hadamard spreading, "
-    "16-PSK, IBO 1 dB",
-    10_000, "~1 min", lambda ctx: _scn_basis_comparison(ctx, "16-PSK", "psk16"),
-)
-_register(
-    "fig-basis-comparison-qam",
-    "Averaged zero-Doppler cuts of OFDM vs single-carrier vs Hadamard spreading, "
-    "16-QAM, IBO 1 dB",
-    10_000, "~1 min", lambda ctx: _scn_basis_comparison(ctx, "16-QAM", "qam16"),
-)
-_register(
-    "fig-eisl-vs-n",
-    "Expected integrated sidelobe level vs N (periodic lags), measured vs the "
-    "conditioned clipping analysis, 16-PSK and 16-QAM at IBO 1 dB",
-    4000, "~2 min", _scn_eisl_vs_n,
-)
-_register(
-    "fig-eislr-vs-n",
-    "EISL normalized by mainlobe energy vs N, with and without CP, "
-    "16-PSK and 16-QAM at IBO 1 dB",
-    4000, "~2 min", _scn_eislr_vs_n,
-)
-_register(
-    "fig-pslr-vs-n",
-    "Peak-sidelobe-to-mainlobe ratio vs N in {64,128,256}, 16-PSK and 16-QAM, IBO 1 dB",
-    10_000, "~2 min", _scn_pslr_vs_n,
-)
-_register(
-    "fig-zero-delay",
-    "Averaged zero-delay (Doppler) cuts at saturation back-offs 0 and 8 dB with "
-    "conditioned-expectation overlays, 16-PSK and 16-QAM",
-    10_000, "~1 min", _scn_zero_delay,
-)
-_register(
-    "fig-periodogram-pair",
-    "Single-frame range-Doppler periodograms, linear vs clipped, two targets at "
-    "20 dB SNR (long-format CSV)",
-    1, "<10 s", _scn_periodogram_pair,
-)
-_register(
-    "fig-cfar-example",
-    "Single-frame range cuts with the SO-CFAR threshold trace, linear vs "
-    "distortion-limited",
-    1, "~30 s", _scn_cfar_example,
-)
-_register(
-    "fig-pd-curves",
-    "Weak-target detection probability vs SNR for 16-PSK/16-QAM under linear, "
-    "IBO 1 dB, and distortion-limited operation (short M=3 frame, -20 dB target)",
-    1000, "~2 min", _scn_pd_curves,
-)
-_register(
-    "fig-pd-ceilings",
-    "Distortion-limited detection plateaus for 16-PSK/16-QAM/64-QAM plus linear "
-    "reference curves and the SNR projection of each plateau (short M=3 frame)",
-    1000, "~2 min", _scn_pd_ceilings,
-)
-
-
 def list_scenarios() -> tuple[Scenario, ...]:
     return tuple(_REGISTRY.values())
 
@@ -806,19 +735,19 @@ def run_scenario(config: ExperimentConfig) -> RunManifest:
         raise ConfigError(f"unknown scenario {config.scenario!r}; available: {known}")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
-    scenario = _REGISTRY[config.scenario]
-    ctx = RunContext(config, scenario.name)
+    scn = _REGISTRY[config.scenario]
+    ctx = RunContext(config, scn)
     start = time.monotonic()
     try:
-        tables = scenario.runner(ctx)
+        tables = scn.runner(ctx)
     except IsacError as exc:
-        raise type(exc)(f"scenario {scenario.name}: {exc}") from exc
+        raise type(exc)(f"scenario {scn.name}: {exc}") from exc
     wallclock = time.monotonic() - start
 
-    out_dir = Path(config.out_dir) / scenario.name
+    out_dir = Path(config.out_dir) / scn.name
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
-        scenario=scenario.name,
+        scenario=scn.name,
         seed=config.seed,
         version=__version__,
         wallclock_s=round(wallclock, 3),

@@ -341,6 +341,14 @@ def test_results_do_not_depend_on_workers(cal_factor):
     assert rates[0] == rates[1]
 
 
+def test_zero_trials_rejected(cal_factor):
+    pipe = _pipeline("16-PSK", cal_factor)
+    with pytest.raises(ConfigError):
+        pd_experiment(pipe, [10.0], 0, derive_rng(0, "det"))
+    with pytest.raises(ConfigError):
+        noise_only_false_alarm_rate(pipe, 10.0, 0, derive_rng(0, "det"))
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_bad_worker_count_rejected(cal_factor, workers):
     pipe = _pipeline("16-PSK", cal_factor)

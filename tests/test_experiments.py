@@ -269,12 +269,27 @@ def test_cli_run_bad_config_exits_2(tmp_path):
     {"workers": True},
     {"trials": 2.5},
     {"ibo_db": "1"},
+    {"targets": "abc"},
+    {"targets": ["abc"]},
+    {"targets": [{"delay": 3}]},
+    {"targets": [{"b": 1.0}]},
+    {"targets": [{"b": "x", "delay": 3}]},
+    {"targets": [{"b": 1.0, "delay": 2.5}]},
 ])
 def test_cli_run_bad_config_value_exits_2(tmp_path, capsys, override):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"trials": 20, "out_dir": str(tmp_path), **override}))
     assert main(["run", "fig-zero-doppler-cp", "--config", str(cfg_file)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["fig-cfar-example", "fig-pd-curves", "fig-pd-ceilings"])
+def test_cli_run_m_per_on_range_cut_scenario_exits_2(tmp_path, capsys, scenario):
+    # these scenarios detect on the zero-Doppler range cut and never read m_per
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"trials": 10, "m_per": 2, "out_dir": str(tmp_path)}))
+    assert main(["run", scenario, "--config", str(cfg_file)]) == 2
+    assert "m_per" in capsys.readouterr().err
 
 
 def test_cli_run_negative_seed_flag_exits_2(tmp_path):
