@@ -45,6 +45,8 @@ from .signaling import (
 )
 
 _PD_CHUNK = 50
+# cells per calibration draw: about 0.5 MB per float64 temporary
+_CAL_BLOCK_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -146,16 +148,15 @@ def calibrate_cfar(
         raise ConfigError("calibration cut length too short for the CFAR geometry")
 
     rows = math.ceil(trials / cut_len)
-    ratios = np.empty(rows * cut_len)
-    # draw in bounded batches to keep memory flat
-    batch = max(1, 4_000_000 // cut_len)
-    start = 0
-    while start < rows:
-        nb = min(batch, rows - start)
-        cells = rng.exponential(1.0, size=(nb, cut_len))
+    ratios = np.empty((rows, cut_len))
+    # draw in cache-sized blocks so the temporaries stay small; exponential
+    # draws are sequential, so the block size does not change the stream
+    batch = max(1, _CAL_BLOCK_CELLS // cut_len)
+    for start in range(0, rows, batch):
+        cells = rng.exponential(1.0, size=(min(batch, rows - start), cut_len))
         noise = _noise_levels(cells, cfg.window, cfg.guard)
-        ratios[start * cut_len: (start + nb) * cut_len] = (cells / noise).ravel()
-        start += nb
+        np.divide(cells, noise, out=ratios[start:start + cells.shape[0]])
+    ratios = ratios.ravel()
     total = ratios.size
     # the most ratios that may lie above the factor; counted with the same
     # ``count / total <= p_fa`` test as the achieved rate, since p_fa is not

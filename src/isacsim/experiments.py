@@ -133,8 +133,9 @@ class ExperimentConfig:
             data["targets"] = _parse_targets(data["targets"])
         grid = data.get("snr_db_grid")
         if grid is not None:
-            if not isinstance(grid, (list, tuple)) or not all(_is_real(v) for v in grid):
-                raise ConfigError(f"snr_db_grid must be a list of numbers, got {grid!r}")
+            if (not isinstance(grid, (list, tuple)) or not grid
+                    or not all(_is_real(v) for v in grid)):
+                raise ConfigError(f"snr_db_grid must be a non-empty list of numbers, got {grid!r}")
             data["snr_db_grid"] = tuple(float(v) for v in grid)
         try:
             return cls(**data)
@@ -273,15 +274,25 @@ class RunContext:
     def constellation(self, default: str) -> ConstellationSpec:
         return parse_constellation(self.config.constellation or default)
 
+    def fixed_constellation(self, name: str) -> ConstellationSpec:
+        """A constellation the scenario sweeps itself.
+
+        Such a scenario would silently ignore a configured ``constellation``,
+        so it is rejected instead.
+        """
+        if self.config.constellation is not None:
+            raise ConfigError("constellation is not used: the scenario sweeps fixed constellations")
+        return parse_constellation(name)
+
     def basis(self, n: int, default: str = "ofdm") -> SignalingBasis:
         return parse_basis(self.config.basis or default, n)
 
     def snr_db(self, default: float) -> float:
         """First entry of the configured SNR grid, for single-frame runs."""
-        return self.config.snr_db_grid[0] if self.config.snr_db_grid else default
+        return self.setting("snr_db_grid", (default,))[0]
 
     def snr_grid(self, default: np.ndarray) -> np.ndarray:
-        return np.asarray(self.config.snr_db_grid if self.config.snr_db_grid else default)
+        return np.asarray(self.setting("snr_db_grid", default))
 
     def cfar(self) -> CfarConfig:
         """Default SO-CFAR with its factor calibrated on this run's streams.
@@ -333,7 +344,8 @@ def _n_sweep(ctx: RunContext, sizes: tuple[int, ...], cells: Callable) -> Column
         basis = ctx.basis(n)
         pa = ctx.pa(1.0)
         for cname, label in _PSK_QAM:
-            for column, value in cells(n, basis, pa, parse_constellation(cname), label).items():
+            const = ctx.fixed_constellation(cname)
+            for column, value in cells(n, basis, pa, const, label).items():
                 rows.setdefault(column, []).append(value)
     return [("n", np.array(sizes)), *((k, np.array(v)) for k, v in rows.items())]
 
@@ -352,7 +364,7 @@ def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
     lags = np.arange(fc.n)
     columns: Columns = [("lag", lags)]
     for cname, label in _PSK_QAM:
-        const = parse_constellation(cname)
+        const = ctx.fixed_constellation(cname)
         linear = _averaged_cut(ctx, const, basis, None, f"lin/{label}", normalize=True)
         columns.append((f"linear_{label}", to_db(linear.values[:, 0])))
         for ibo_db in (1.0, 4.0):
@@ -429,7 +441,7 @@ def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
         gaussian[i] = output_power_gaussian(y) - kappa_gaussian(y) ** 2
     columns.append(("analytic_gaussian_db", 10.0 * np.log10(gaussian)))
     for cname, label in (("16-PSK", "psk16"), ("16-QAM", "qam16"), ("64-QAM", "qam64")):
-        const = parse_constellation(cname)
+        const = ctx.fixed_constellation(cname)
         vals = np.empty(ibo_grid.size)
         for i, ibo_db in enumerate(ibo_grid):
             pa = ctx.pa(ibo_db, compression=False)
@@ -450,7 +462,7 @@ def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
     lags = np.arange(fc.n)
     columns: Columns = [("lag", lags)]
     for cname, label in _PSK_QAM:
-        const = parse_constellation(cname)
+        const = ctx.fixed_constellation(cname)
         stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}"))
         surf = _averaged_cut(ctx, const, basis, pa, f"mc/{label}", kappa=stats.kappa)
         columns.append((f"mc_{label}_db", to_db(surf.values[:, 0], floor=-200.0)))
@@ -529,7 +541,7 @@ def _scn_zero_delay(ctx: RunContext) -> dict[str, Columns]:
     columns: Columns = [("doppler_bin", bins)]
     chunk = 256
     for cname, clabel in _PSK_QAM:
-        const = parse_constellation(cname)
+        const = ctx.fixed_constellation(cname)
         for ibo_db in (0.0, 8.0):
             pa = ctx.pa(ibo_db, compression=False)
             acc = np.zeros(fc.n)
@@ -659,7 +671,7 @@ def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
     cfar = ctx.cfar()
     out: dict[str, Columns] = {}
     for cname, clabel in (("16-PSK", "16psk"), ("16-QAM", "16qam")):
-        const = parse_constellation(cname)
+        const = ctx.fixed_constellation(cname)
         for vlabel, linear, limited, vgrid in (
             ("linear", True, False, grid),
             ("ibo1", False, False, grid),
@@ -685,7 +697,7 @@ def _scn_pd_ceilings(ctx: RunContext) -> dict[str, Columns]:
     out: dict[str, Columns] = {}
     names, plateaus, projections = [], [], []
     for cname, clabel in (("16-PSK", "16psk"), ("16-QAM", "16qam"), ("64-QAM", "64qam")):
-        const = parse_constellation(cname)
+        const = ctx.fixed_constellation(cname)
         curve_lim = _pd_curve(ctx, const, cfar, plateau_grid, f"{clabel}/limited",
                               linear=False, limited=True)
         out[f"pd_plateau_{clabel}.csv"] = _pd_columns(curve_lim)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ConfigError
 from .seeding import DEFAULT_CHUNK, chunk_counts, spawn_rngs
@@ -111,7 +110,7 @@ def sel_amplify(signal: np.ndarray, cfg: PaConfig) -> np.ndarray:
 def kappa_gaussian(y: float) -> float:
     """Gaussian-input linear scale of the limiter, normalized by ``g * alpha``:
     ``1 - exp(-y^2) + (sqrt(pi)/2) * y * erfc(y)``."""
-    return 1.0 - math.exp(-y * y) + 0.5 * math.sqrt(math.pi) * y * erfc(y)
+    return 1.0 - math.exp(-y * y) + 0.5 * math.sqrt(math.pi) * y * math.erfc(y)
 
 
 def output_power_gaussian(y: float) -> float:

@@ -15,7 +15,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import ConfigError
 
@@ -118,7 +117,12 @@ def parse_basis(text: str, n: int) -> SignalingBasis:
 
 @lru_cache(maxsize=None)
 def _hadamard_unitary(n: int) -> np.ndarray:
-    h = hadamard(n).astype(np.float64) / np.sqrt(n)
+    """Sylvester-ordered Hadamard matrix of power-of-two order ``n``, scaled
+    to be unitary."""
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    h = h / np.sqrt(n)
     h.flags.writeable = False
     return h
 

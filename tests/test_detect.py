@@ -156,6 +156,18 @@ def test_calibration_factor_monotone_in_target_rate():
     assert tight > loose
 
 
+def test_calibration_blocks_match_single_block():
+    cfg, trials, cut_len = CfarConfig(p_fa=1e-3), 100_000, 64
+    rows = math.ceil(trials / cut_len)
+    assert rows % (detect._CAL_BLOCK_CELLS // cut_len) != 0  # last block is ragged
+    factor = calibrate_cfar(cfg, trials, derive_rng(11, "cal"))
+    cells = derive_rng(11, "cal").exponential(1.0, size=(rows, cut_len))
+    ratios = np.sort((cells / detect._noise_levels(cells, cfg.window, cfg.guard)).ravel())
+    total = ratios.size
+    allowed = max(a for a in range(total + 1) if a / total <= cfg.p_fa)
+    assert factor == ratios[total - allowed - 1]
+
+
 def test_calibration_order_unity_at_even_odds():
     f = calibrate_cfar(CfarConfig(p_fa=0.5), 10_000, derive_rng(10, "cal"))
     assert 0.2 < f < 3.0

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +229,19 @@ def test_cli_list_machine(capsys):
         assert len(line.split("\t")) >= 2
 
 
+def test_import_and_list_load_no_scipy():
+    # the runtime needs numpy alone, so no command pays scipy's import cost
+    code = ("import sys, isacsim, isacsim.cli, isacsim.experiments\n"
+            "assert isacsim.cli.main(['list']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(isacsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_run_unknown_scenario_exits_2(capsys):
     assert main(["run", "fig-bogus"]) == 2
 
@@ -264,6 +280,7 @@ def test_cli_run_bad_config_exits_2(tmp_path):
     {"n": "abc"},
     {"snr_db_grid": "abc"},
     {"snr_db_grid": [10, "x"]},
+    {"snr_db_grid": []},
     {"seed": -1},
     {"workers": "2"},
     {"workers": True},
@@ -290,6 +307,21 @@ def test_cli_run_m_per_on_range_cut_scenario_exits_2(tmp_path, capsys, scenario)
     cfg_file.write_text(json.dumps({"trials": 10, "m_per": 2, "out_dir": str(tmp_path)}))
     assert main(["run", scenario, "--config", str(cfg_file)]) == 2
     assert "m_per" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", [
+    "fig-zero-doppler-cp", "fig-distortion-power", "fig-distortion-term-cut", "fig-eisl-vs-n",
+    "fig-eislr-vs-n", "fig-pslr-vs-n", "fig-zero-delay", "fig-pd-curves", "fig-pd-ceilings",
+])
+def test_cli_run_constellation_on_fixed_constellation_scenario_exits_2(tmp_path, capsys,
+                                                                        scenario):
+    # these scenarios sweep their own constellations and never read the override
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"trials": 10, "constellation": "64-QAM",
+                                    "out_dir": str(tmp_path)}))
+    assert main(["run", scenario, "--config", str(cfg_file)]) == 2
+    assert "constellation" in capsys.readouterr().err
+    assert not (tmp_path / scenario).exists()
 
 
 def test_cli_run_negative_seed_flag_exits_2(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,13 @@ def test_pa_config_validation():
 def test_kappa_gaussian_against_quadrature():
     for y in (0.3, 1.0, 2.0):
         assert abs(kappa_gaussian(y) - _kappa_quadrature(y)) < 1e-8
+
+
+def test_kappa_gaussian_matches_scipy_erfc_formula():
+    # math.erfc and scipy.special.erfc may differ in the last ulp
+    for y in np.linspace(0.0, 4.0, 401):
+        ref = 1.0 - math.exp(-y * y) + 0.5 * math.sqrt(math.pi) * y * scipy.special.erfc(y)
+        assert abs(kappa_gaussian(float(y)) - ref) <= 2 * np.spacing(ref)
 
 
 def test_kappa_gaussian_frozen_value_at_unit_threshold():

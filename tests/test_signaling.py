@@ -15,6 +15,7 @@ from isacsim import (
     synthesize,
 )
 from isacsim.seeding import derive_rng
+from isacsim.signaling import _hadamard_unitary
 
 
 # ---------------------------------------------------------------- parsing
@@ -106,6 +107,16 @@ def test_cdma_first_column_spreads_evenly():
     basis = parse_basis("cdma", 4)
     x = synthesize(basis, np.array([1.0, 0, 0, 0]))
     np.testing.assert_allclose(x, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
+
+
+def test_hadamard_matches_scipy_sylvester_order():
+    # scipy is a test-only dependency; the package builds the matrix itself
+    import scipy.linalg
+
+    for k in range(11):
+        n = 1 << k
+        np.testing.assert_array_equal(_hadamard_unitary(n),
+                                      scipy.linalg.hadamard(n) / np.sqrt(n))
 
 
 def test_cdma_requires_power_of_two():
