@@ -49,16 +49,16 @@ class ChannelConfig:
 
 
 def add_noise(signal: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. circular complex Gaussian noise of the given variance."""
+    """Add i.i.d. circular complex Gaussian noise of the given variance to a copy."""
     if noise_var < 0:
         raise ConfigError(f"noise variance must be non-negative, got {noise_var}")
+    out = signal.astype(np.result_type(signal, 1j))
     if noise_var == 0:
-        return np.array(signal, copy=True)
+        return out
     scale = np.sqrt(noise_var / 2.0)
-    noise = scale * (
-        rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape)
-    )
-    return signal + noise
+    for part in (out.real, out.imag):  # every real part is drawn first
+        part += scale * rng.standard_normal(signal.shape)
+    return out
 
 
 def apply_channel(
@@ -88,17 +88,18 @@ def apply_channel(
                 f"target delay {t.delay} exceeds the per-symbol block of {block} samples"
             )
     serial = frames.reshape(frames.shape[:-2] + (m * block,))
-    received = np.zeros_like(serial)
+    received = np.empty_like(serial)
+    # zero up to the first target's delay; that target writes every later sample
+    received[..., :cfg.targets[0].delay if cfg.targets else None] = 0
     symbol_phase_step = 2.0 * np.pi * block / n
-    for t in cfg.targets:
-        shifted = np.zeros_like(serial)
-        if t.delay == 0:
-            shifted[...] = serial
+    for i, t in enumerate(cfg.targets):
+        gain = t.b if t.doppler == 0 else np.repeat(
+            t.b * np.exp(1j * symbol_phase_step * t.doppler * np.arange(m)), block)[t.delay:]
+        delayed = serial[..., :m * block - t.delay]
+        if i == 0:
+            np.multiply(gain, delayed, out=received[..., t.delay:])
         else:
-            shifted[..., t.delay:] = serial[..., : serial.shape[-1] - t.delay]
-        phases = np.exp(1j * symbol_phase_step * t.doppler * np.arange(m))
-        rot = np.repeat(phases, block)
-        received += t.b * rot * shifted
+            received[..., t.delay:] += gain * delayed
     return add_noise(received, cfg.noise_var, rng).reshape(frames.shape)
 
 

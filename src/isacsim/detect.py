@@ -18,7 +18,7 @@ of unclipped mean transmit power to the per-sample noise variance.
 Trials run in chunks of ``_PD_CHUNK``, each on its own spawned stream, so
 the counts do not depend on the worker count.  A Pd curve spawns the chunk
 streams of every SNR point up front and sends all of its chunks to one
-process pool.
+process pool; ``pd_curves`` sends the chunks of several curves to one pool.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def _noise_levels(cuts: np.ndarray, window: int, guard: int) -> np.ndarray:
         raise ConfigError(
             f"cut of {length} cells is too short for window {window} + guard {guard}"
         )
-    cs = np.cumsum(cuts, axis=-1)
-    cs = np.concatenate([np.zeros(cuts.shape[:-1] + (1,)), cs], axis=-1)
+    cs = np.zeros(cuts.shape[:-1] + (length + 1,))
+    np.cumsum(cuts, axis=-1, out=cs[..., 1:])
     # means[..., j] averages cells j .. j + window - 1
     means = (cs[..., window:] - cs[..., :-window]) / window
     reach = guard + window
@@ -235,29 +235,27 @@ def sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
     fc = pipeline.frame
     pa = pipeline.pa
     x = synthesize(pipeline.basis, sym)
-    tx = pa.g * pa.alpha * x if pipeline.linear else sel_amplify(x, pa)
-    if pipeline.distortion_limited:
-        noise_var = 0.0
-    else:
-        noise_var = abs(pa.g) ** 2 * pa.alpha**2 * pa.sigma2 / snr_linear
+    tx = np.multiply(pa.g * pa.alpha, x, out=x) if pipeline.linear else sel_amplify(x, pa)
+    noise_var = 0.0 if pipeline.distortion_limited else (
+        abs(pa.g) ** 2 * pa.alpha**2 * pa.sigma2 / snr_linear)
     chan = ChannelConfig(targets=targets, noise_var=noise_var)
     rx = apply_channel(add_cp(tx, fc.cp_len), chan, fc.n, rng)
     return division_filter(rx, sym, fc.cp_len)
 
 
-def _range_cuts(pipeline: PdPipeline, snr_linear: float, count: int,
+def _detections(pipeline: PdPipeline, snr_linear: float, count: int,
                 rng: np.random.Generator, targets: tuple[Target, ...]) -> np.ndarray:
-    """Zero-Doppler periodogram range cuts for a batch of trials."""
-    fc = pipeline.frame
+    """SO-CFAR decisions on the zero-Doppler periodogram range cuts of a
+    batch of trials."""
+    fc, cfar = pipeline.frame, pipeline.cfar
     sym = draw_symbols(pipeline.constellation, (count, fc.m, fc.n), rng)
-    return range_cut(sense(pipeline, sym, snr_linear, rng, targets), pipeline.grids()[0])
+    cuts = range_cut(sense(pipeline, sym, snr_linear, rng, targets), pipeline.grids()[0])
+    return cuts > cfar.factor * _noise_levels(cuts, cfar.window, cfar.guard)
 
 
 def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int,
               rng: np.random.Generator) -> int:
-    cuts = _range_cuts(pipeline, snr_linear, count, rng, pipeline.targets)
-    noise = _noise_levels(cuts, pipeline.cfar.window, pipeline.cfar.guard)
-    decisions = cuts > pipeline.cfar.factor * noise
+    decisions = _detections(pipeline, snr_linear, count, rng, pipeline.targets)
     n_per, _ = pipeline.grids()
     scale = n_per // pipeline.frame.n
     center = pipeline.weak_bin * scale
@@ -269,9 +267,7 @@ def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int,
 
 def _fa_chunk(pipeline: PdPipeline, snr_linear: float, count: int,
               rng: np.random.Generator) -> int:
-    cuts = _range_cuts(pipeline, snr_linear, count, rng, ())
-    noise = _noise_levels(cuts, pipeline.cfar.window, pipeline.cfar.guard)
-    return int(np.count_nonzero(cuts > pipeline.cfar.factor * noise))
+    return int(np.count_nonzero(_detections(pipeline, snr_linear, count, rng, ())))
 
 
 def _chunk_args(pipeline: PdPipeline, snr_linear: float, trials: int,
@@ -295,35 +291,33 @@ def _map_chunks(fn, args: list[tuple], workers: int) -> list[int]:
         return list(pool.map(fn, *zip(*args), chunksize=max(1, len(args) // (4 * workers))))
 
 
-def pd_experiment(
-    pipeline: PdPipeline,
-    snr_grid_db,
-    trials: int,
-    rng: np.random.Generator,
-    workers: int = 1,
-) -> PdCurve:
-    """Weak-target detection probability over an SNR grid."""
-    if not any(t.delay == pipeline.weak_bin for t in pipeline.targets):
-        raise ConfigError(f"no target sits at the weak bin {pipeline.weak_bin}")
-    snr_grid_db = np.asarray(snr_grid_db, dtype=float)
-    points = [
-        _chunk_args(pipeline, 10.0 ** (snr_db / 10.0), trials, r)
-        for snr_db, r in zip(snr_grid_db, spawn_rngs(rng, snr_grid_db.size))
-    ]
+def pd_curves(jobs, trials: int, workers: int = 1) -> list[PdCurve]:
+    """:func:`pd_experiment` of every ``(pipeline, snr_grid_db, rng)`` job,
+    with the chunks of all jobs sent through one pool map."""
+    grids, points = [], []
+    for pipeline, snr_grid_db, rng in jobs:
+        if not any(t.delay == pipeline.weak_bin for t in pipeline.targets):
+            raise ConfigError(f"no target sits at the weak bin {pipeline.weak_bin}")
+        grids.append(np.asarray(snr_grid_db, dtype=float))
+        points += [_chunk_args(pipeline, 10.0 ** (snr_db / 10.0), trials, r)
+                   for snr_db, r in zip(grids[-1], spawn_rngs(rng, grids[-1].size))]
     counts = iter(_map_chunks(_pd_chunk, [a for args in points for a in args], workers))
     hits = [sum(next(counts) for _ in args) for args in points]
     pd = np.array([h / trials for h in hits], dtype=float)
     half = np.array([wilson_halfwidth(h, trials) for h in hits], dtype=float)
-    return PdCurve(snr_db=snr_grid_db, pd=pd, ci_halfwidth=half, trials=trials)
+    edges = np.cumsum([grid.size for grid in grids])[:-1]
+    return [PdCurve(snr_db=grid, pd=p, ci_halfwidth=c, trials=trials)
+            for grid, p, c in zip(grids, np.split(pd, edges), np.split(half, edges))]
 
 
-def noise_only_false_alarm_rate(
-    pipeline: PdPipeline,
-    snr_db: float,
-    trials: int,
-    rng: np.random.Generator,
-    workers: int = 1,
-) -> float:
+def pd_experiment(pipeline: PdPipeline, snr_grid_db, trials: int, rng: np.random.Generator,
+                  workers: int = 1) -> PdCurve:
+    """Weak-target detection probability over an SNR grid."""
+    return pd_curves([(pipeline, snr_grid_db, rng)], trials, workers)[0]
+
+
+def noise_only_false_alarm_rate(pipeline: PdPipeline, snr_db: float, trials: int,
+                                rng: np.random.Generator, workers: int = 1) -> float:
     """Empirical per-cell false-alarm rate of the full chain with no targets."""
     snr_linear = 10.0 ** (snr_db / 10.0)
     alarms = sum(_map_chunks(_fa_chunk, _chunk_args(pipeline, snr_linear, trials, rng), workers))

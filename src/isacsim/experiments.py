@@ -33,7 +33,7 @@ from .detect import (
     PdCurve,
     PdPipeline,
     calibrate_cfar,
-    pd_experiment,
+    pd_curves,
     sense,
     so_cfar,
 )
@@ -641,17 +641,20 @@ def _pipeline(ctx: RunContext, const: ConstellationSpec, fc: FrameConfig,
     )
 
 
-def _pd_curve(ctx: RunContext, const: ConstellationSpec, cfar: CfarConfig, snr_grid_db,
-              tag: str, linear: bool, limited: bool) -> PdCurve:
-    """Pd of the weak target over ``snr_grid_db``, on the ``tag`` stream."""
+def _pd_curves(ctx: RunContext, specs: dict[str, tuple]) -> dict[str, PdCurve]:
+    """Weak-target Pd of each ``name: (constellation, snr_grid_db, tag, linear, limited)``
+    spec, all on one pool, calibrating only once every constellation is accepted."""
+    consts = [ctx.fixed_constellation(spec[0]) for spec in specs.values()]
+    cfar = ctx.cfar()
     # Weak reflector 20 dB below the strong one.  Together with the short
     # detection frame this keeps the distortion-limited ceilings of the QAM
     # constellations measurably below 1 so the upper detection limits are
     # visible in the curves; at the full frame every plateau saturates.
     targets = ctx.setting("targets", (Target(b=1.0, delay=4), Target(b=0.1, delay=8)))
-    pipe = _pipeline(ctx, const, ctx.frame(m=3), targets, cfar, linear, limited)
-    return pd_experiment(pipe, snr_grid_db, ctx.trials(), ctx.rng(tag),
-                         workers=ctx.config.workers)
+    frame = ctx.frame(m=3)
+    jobs = [(_pipeline(ctx, const, frame, targets, cfar, linear, limited), grid, ctx.rng(tag))
+            for const, (_, grid, tag, linear, limited) in zip(consts, specs.values())]
+    return dict(zip(specs, pd_curves(jobs, ctx.trials(), ctx.config.workers)))
 
 
 def _pd_columns(curve) -> Columns:
@@ -668,22 +671,23 @@ def _pd_columns(curve) -> Columns:
           "IBO 1 dB, and distortion-limited operation (short M=3 frame, -20 dB target)")
 def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
     grid = ctx.snr_grid(np.arange(2.0, 17.0, 1.0))
-    cfar = ctx.cfar()
-    out: dict[str, Columns] = {}
-    for cname, clabel in (("16-PSK", "16psk"), ("16-QAM", "16qam")):
-        const = ctx.fixed_constellation(cname)
+    specs = {
+        f"pd_{clabel}_{vlabel}.csv": (cname, vgrid, f"{clabel}/{vlabel}", linear, limited)
+        for cname, clabel in (("16-PSK", "16psk"), ("16-QAM", "16qam"))
         for vlabel, linear, limited, vgrid in (
             ("linear", True, False, grid),
             ("ibo1", False, False, grid),
             ("distortion", False, True, grid[:1]),
-        ):
-            curve = _pd_curve(ctx, const, cfar, vgrid, f"{clabel}/{vlabel}", linear, limited)
-            if limited and vgrid.size != grid.size:
-                # the floor does not depend on SNR; replicate the single point
-                curve.snr_db = grid.copy()
-                curve.pd = np.full(grid.size, curve.pd[0])
-                curve.ci_halfwidth = np.full(grid.size, curve.ci_halfwidth[0])
-            out[f"pd_{clabel}_{vlabel}.csv"] = _pd_columns(curve)
+        )
+    }
+    out: dict[str, Columns] = {}
+    for name, curve in _pd_curves(ctx, specs).items():
+        if curve.snr_db.size != grid.size:
+            # the floor does not depend on SNR; replicate the single point
+            curve.snr_db = grid.copy()
+            curve.pd = np.full(grid.size, curve.pd[0])
+            curve.ci_halfwidth = np.full(grid.size, curve.ci_halfwidth[0])
+        out[name] = _pd_columns(curve)
     return out
 
 
@@ -693,25 +697,20 @@ def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
 def _scn_pd_ceilings(ctx: RunContext) -> dict[str, Columns]:
     plateau_grid = np.array([0.0, 10.0, 20.0])
     linear_grid = ctx.snr_grid(np.arange(2.0, 19.0, 1.0))
-    cfar = ctx.cfar()
-    out: dict[str, Columns] = {}
-    names, plateaus, projections = [], [], []
-    for cname, clabel in (("16-PSK", "16psk"), ("16-QAM", "16qam"), ("64-QAM", "64qam")):
-        const = ctx.fixed_constellation(cname)
-        curve_lim = _pd_curve(ctx, const, cfar, plateau_grid, f"{clabel}/limited",
-                              linear=False, limited=True)
-        out[f"pd_plateau_{clabel}.csv"] = _pd_columns(curve_lim)
-        curve_lin = _pd_curve(ctx, const, cfar, linear_grid, f"{clabel}/linear",
-                              linear=True, limited=False)
-        out[f"pd_linear_{clabel}.csv"] = _pd_columns(curve_lin)
-        plateau = float(np.mean(curve_lim.pd))
-        names.append(clabel)
-        plateaus.append(plateau)
-        projections.append(project_snr(curve_lin.snr_db, curve_lin.pd, plateau))
+    labels = ("16psk", "16qam", "64qam")
+    specs = {}
+    for cname, clabel in zip(("16-PSK", "16-QAM", "64-QAM"), labels):
+        specs[f"pd_plateau_{clabel}.csv"] = (cname, plateau_grid, f"{clabel}/limited", False, True)
+        specs[f"pd_linear_{clabel}.csv"] = (cname, linear_grid, f"{clabel}/linear", True, False)
+    curves = _pd_curves(ctx, specs)
+    out: dict[str, Columns] = {name: _pd_columns(curve) for name, curve in curves.items()}
+    plateaus = [float(np.mean(curves[f"pd_plateau_{clabel}.csv"].pd)) for clabel in labels]
+    linear = [curves[f"pd_linear_{clabel}.csv"] for clabel in labels]
     out["snr_projection.csv"] = [
-        ("constellation", np.array(names)),
+        ("constellation", np.array(labels)),
         ("plateau_pd", np.array(plateaus)),
-        ("projected_snr_db", np.array(projections)),
+        ("projected_snr_db", np.array([project_snr(c.snr_db, c.pd, p)
+                                       for c, p in zip(linear, plateaus)])),
     ]
     return out
 

@@ -41,7 +41,7 @@ def division_filter(
     if np.any(reference_symbols == 0):
         raise NumericError("reference symbols contain an exact zero; cannot divide")
     freq_rows = analyze(SignalingBasis(BasisKind.OFDM_DFT, n), received[..., cp_len:])
-    return np.swapaxes(freq_rows / reference_symbols, -1, -2)
+    return np.swapaxes(np.divide(freq_rows, reference_symbols, out=freq_rows), -1, -2)
 
 
 def range_cut(hhat: np.ndarray, n_per: int) -> np.ndarray:
@@ -54,8 +54,10 @@ def range_cut(hhat: np.ndarray, n_per: int) -> np.ndarray:
     n, m = hhat.shape[-2:]
     if n_per < n:
         raise ConfigError(f"range grid of {n_per} bins must cover the {n} subcarriers")
-    col = hhat.sum(axis=-1)
-    return np.abs(np.fft.ifft(col, n=n_per, axis=-1) * n_per) ** 2 / (n * m)
+    delay = np.fft.ifft(hhat.sum(axis=-1), n=n_per, axis=-1)
+    delay *= n_per
+    cut = np.abs(delay)
+    return np.divide(np.square(cut, out=cut), n * m, out=cut)
 
 
 @dataclass

@@ -147,10 +147,12 @@ def synthesize(basis: SignalingBasis, symbols: np.ndarray) -> np.ndarray:
             f"symbol length {symbols.shape[-1]} does not match basis size {basis.n}"
         )
     if basis.kind is BasisKind.OFDM_DFT:
-        return np.fft.ifft(symbols, axis=-1) * np.sqrt(basis.n)
+        x = np.fft.ifft(symbols, axis=-1)
+        x *= np.sqrt(basis.n)
+        return x
     if basis.kind is BasisKind.SC_IDENTITY:
         return np.array(symbols, copy=True)
-    return symbols @ _hadamard_unitary(basis.n)
+    return np.matmul(symbols, _hadamard_unitary(basis.n), dtype=np.result_type(symbols, 1.0))
 
 
 def analyze(basis: SignalingBasis, samples: np.ndarray) -> np.ndarray:
@@ -160,10 +162,12 @@ def analyze(basis: SignalingBasis, samples: np.ndarray) -> np.ndarray:
             f"sample length {samples.shape[-1]} does not match basis size {basis.n}"
         )
     if basis.kind is BasisKind.OFDM_DFT:
-        return np.fft.fft(samples, axis=-1) / np.sqrt(basis.n)
+        s = np.fft.fft(samples, axis=-1)
+        s *= 1.0 / np.sqrt(basis.n)  # numpy's complex / real multiplies by the reciprocal
+        return s
     if basis.kind is BasisKind.SC_IDENTITY:
         return np.array(samples, copy=True)
-    return samples @ _hadamard_unitary(basis.n)
+    return np.matmul(samples, _hadamard_unitary(basis.n), dtype=np.result_type(samples, 1.0))
 
 
 def add_cp(signal: np.ndarray, cp_len: int) -> np.ndarray:

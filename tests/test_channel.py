@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacsim import (
     ChannelConfig,
@@ -32,6 +34,118 @@ def _reference_received(payload, cp_len, targets):
         for s in range(m):
             out[s] += t.b * phases[s] * (shift @ payload[s])
     return out
+
+
+def _per_symbol_received(frames, n, targets):
+    """Banded per-symbol oracle: each received block is its own block delayed,
+    plus the tail of the previous block, rotated by the target's phase for that
+    symbol.  Loops over the leading axes one frame at a time."""
+    m, block = frames.shape[-2:]
+    out = np.zeros(frames.shape, dtype=complex)
+    for t in targets:
+        own = np.eye(block, k=-t.delay)  # sample k takes sample k - delay
+        prev = np.eye(block, k=block - t.delay)  # the first `delay` take the previous tail
+        phases = np.exp(2j * np.pi * (block / n) * t.doppler * np.arange(m))
+        for idx in np.ndindex(frames.shape[:-2]):
+            f = frames[idx]
+            for s in range(m):
+                spill = prev @ f[s - 1] if s else 0.0
+                out[idx + (s,)] += t.b * phases[s] * (own @ f[s] + spill)
+    return out
+
+
+def _zero_buffer_sum(frames, n, targets):
+    """The channel written with a zeroed accumulator, a zeroed shift buffer per
+    target and a per-sample phase vector."""
+    m, block = frames.shape[-2:]
+    serial = frames.reshape(frames.shape[:-2] + (m * block,))
+    received = np.zeros_like(serial)
+    for t in targets:
+        shifted = np.zeros_like(serial)
+        shifted[..., t.delay:] = serial[..., :serial.shape[-1] - t.delay]
+        rot = np.repeat(np.exp(1j * (2.0 * np.pi * block / n) * t.doppler * np.arange(m)), block)
+        received += t.b * rot * shifted
+    return received.reshape(frames.shape)
+
+
+@st.composite
+def _channel_cases(draw):
+    n = draw(st.integers(1, 24))
+    cp_len = draw(st.integers(0, n))
+    reach = cp_len or n  # in CP mode every delay stays inside the prefix
+    target = st.builds(
+        Target,
+        b=st.floats(0.1, 2.0) | st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+        delay=st.integers(0, reach - 1),
+        doppler=st.just(0.0) | st.floats(-2.0, 2.0),
+    )
+    return dict(
+        n=n, m=draw(st.integers(1, 4)), cp_len=cp_len,
+        targets=tuple(draw(st.lists(target, max_size=3))),
+        batch=tuple(draw(st.lists(st.integers(1, 2), max_size=2))),
+        noise_var=draw(st.just(0.0) | st.floats(0.01, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 2)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_channel_cases())
+def test_channel_matches_per_symbol_and_circulant_oracles(case):
+    n, m, cp_len, targets, batch = (case[k] for k in ("n", "m", "cp_len", "targets", "batch"))
+    rng = np.random.default_rng(case["seed"])
+    payload = rng.standard_normal((*batch, m, n)) + 1j * rng.standard_normal((*batch, m, n))
+    frames = add_cp(payload, cp_len)
+    cfg = ChannelConfig(targets=targets, noise_var=case["noise_var"])
+    got = apply_channel(frames, cfg, n, np.random.default_rng(case["seed"] + 1))
+    assert got.shape == frames.shape
+    # the noise is drawn from a twin stream: all real parts, then all imaginary parts
+    twin = np.random.default_rng(case["seed"] + 1)
+    noise = np.zeros(frames.shape, dtype=complex)
+    if cfg.noise_var:
+        noise = np.sqrt(cfg.noise_var / 2) * (twin.standard_normal(frames.shape)
+                                              + 1j * twin.standard_normal(frames.shape))
+    np.testing.assert_allclose(got - noise, _per_symbol_received(frames, n, targets),
+                               rtol=0, atol=1e-11)
+    if cp_len:
+        for idx in np.ndindex(*batch):
+            np.testing.assert_allclose((got - noise)[idx][:, cp_len:],
+                                       _reference_received(payload[idx], cp_len, targets),
+                                       rtol=0, atol=1e-11)
+
+
+def test_noise_free_channel_equals_zero_buffer_sum_bit_for_bit():
+    rng = derive_rng(89, "ch")
+    n, m = 16, 4
+    for cp_len, batch, targets in (
+        (4, (), (Target(b=1.0, delay=0),)),
+        (4, (3,), (Target(b=1.0, delay=3), Target(b=0.1, delay=1))),
+        (0, (2, 2), (Target(b=0.7 - 0.2j, delay=5, doppler=0.3), Target(b=0.5, delay=0))),
+        (6, (5,), (Target(b=0.4j, delay=2, doppler=-1.1), Target(b=2.0, delay=5, doppler=0.0),
+                   Target(b=-0.3, delay=4, doppler=0.8))),
+    ):
+        payload = rng.standard_normal((*batch, m, n)) + 1j * rng.standard_normal((*batch, m, n))
+        frames = add_cp(payload, cp_len)
+        got = apply_channel(frames, ChannelConfig(targets=targets), n, derive_rng(0, "ch"))
+        assert np.array_equal(got, _zero_buffer_sum(frames, n, targets))
+
+
+def test_add_noise_equals_twin_generator_formula_bit_for_bit():
+    rng = derive_rng(90, "ch")
+    x = rng.standard_normal((3, 5, 17)) + 1j * rng.standard_normal((3, 5, 17))
+    before = x.copy()
+    got = add_noise(x, 0.3, derive_rng(91, "ch"))
+    twin = derive_rng(91, "ch")
+    a = twin.standard_normal(x.shape)
+    b = twin.standard_normal(x.shape)
+    assert np.array_equal(got, x + np.sqrt(0.3 / 2) * (a + 1j * b))
+    assert np.array_equal(x, before)  # a new array; the input is left alone
+
+
+def test_channel_keeps_single_precision():
+    frames = add_cp(np.ones((2, 3, 8), dtype=np.complex64), 2)
+    cfg = ChannelConfig(targets=(Target(b=0.5, delay=1, doppler=0.2),), noise_var=0.1)
+    assert add_noise(frames, 0.1, derive_rng(0, "ch")).dtype == np.complex64
+    assert apply_channel(frames, cfg, 8, derive_rng(0, "ch")).dtype == np.complex64
 
 
 def test_identity_channel_is_exact():

@@ -335,6 +335,27 @@ def test_pd_curve_starts_one_pool(cal_factor, monkeypatch):
     assert len(starts) == 1
 
 
+def test_pd_curves_equal_separate_pd_experiments(cal_factor):
+    # two jobs of different pipelines, grid sizes and streams; 70 trials run as
+    # chunks of 50 and 20, so a count credited to the wrong point or job shows
+    def jobs():
+        return [
+            (_pipeline("16-QAM", cal_factor), [10.0, 15.0, 20.0], derive_rng(9, "det", 0)),
+            (_pipeline("16-PSK", cal_factor, linear=True), [6.0, 9.0], derive_rng(9, "det", 1)),
+        ]
+
+    expected = [pd_experiment(p, grid, 70, r) for p, grid, r in jobs()]
+    assert len({*expected[0].pd, *expected[1].pd}) >= 4
+    for workers in (1, 2):
+        curves = detect.pd_curves(jobs(), 70, workers)
+        assert len(curves) == 2
+        for got, want in zip(curves, expected):
+            assert np.array_equal(got.snr_db, want.snr_db)
+            assert np.array_equal(got.pd, want.pd)
+            assert np.array_equal(got.ci_halfwidth, want.ci_halfwidth)
+            assert got.trials == want.trials == 70
+
+
 def test_results_do_not_depend_on_workers(cal_factor):
     # 120 trials run as chunks of 50, 50 and 20
     pipe = _pipeline("16-QAM", cal_factor)

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import isacsim
-from isacsim import ConfigError, list_scenarios, run_scenario
+from isacsim import ConfigError, detect, experiments, list_scenarios, run_scenario
 from isacsim.cli import main
 from isacsim.experiments import ExperimentConfig, project_snr
 
@@ -314,14 +315,32 @@ def test_cli_run_m_per_on_range_cut_scenario_exits_2(tmp_path, capsys, scenario)
     "fig-eislr-vs-n", "fig-pslr-vs-n", "fig-zero-delay", "fig-pd-curves", "fig-pd-ceilings",
 ])
 def test_cli_run_constellation_on_fixed_constellation_scenario_exits_2(tmp_path, capsys,
-                                                                        scenario):
-    # these scenarios sweep their own constellations and never read the override
+                                                                        monkeypatch, scenario):
+    # these scenarios sweep their own constellations and never read the override;
+    # they reject it before any Monte-Carlo work, the CFAR calibration included
+    calibrations = []
+    monkeypatch.setattr(experiments, "calibrate_cfar", lambda *a, **kw: calibrations.append(a))
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"trials": 10, "constellation": "64-QAM",
                                     "out_dir": str(tmp_path)}))
     assert main(["run", scenario, "--config", str(cfg_file)]) == 2
     assert "constellation" in capsys.readouterr().err
     assert not (tmp_path / scenario).exists()
+    assert calibrations == []
+
+
+def test_pd_ceilings_starts_one_pool(tmp_path, monkeypatch):
+    # all six curves share one pool map
+    starts = []
+
+    def counting_pool(*args, **kwargs):
+        starts.append(kwargs)
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(detect, "ProcessPoolExecutor", counting_pool)
+    run_scenario(ExperimentConfig(scenario="fig-pd-ceilings", trials=10, workers=2,
+                                  out_dir=str(tmp_path)))
+    assert len(starts) == 1
 
 
 def test_cli_run_negative_seed_flag_exits_2(tmp_path):

@@ -136,6 +136,20 @@ def test_range_cut_is_zero_doppler_column():
         range_cut(hhat, 8)
 
 
+def test_receiver_keeps_single_precision():
+    rng = derive_rng(99, "rad")
+    rx = rng.standard_normal((2, 3, 20)) + 1j * rng.standard_normal((2, 3, 20))
+    rx = rx.astype(np.complex64)
+    ref = draw_symbols(parse_constellation("16-QAM"), (2, 3, 16), rng).astype(np.complex64)
+    hhat = division_filter(rx, ref, 4)
+    assert hhat.dtype == np.complex64 and hhat.shape == (2, 16, 3)
+    cut = range_cut(hhat, 32)
+    assert cut.dtype == np.float32 and cut.shape == (2, 32)
+    # the same values as the double-precision receiver, to single-precision rounding
+    np.testing.assert_allclose(cut, range_cut(division_filter(rx.astype(complex), ref, 4), 32),
+                               rtol=1e-4, atol=1e-4 * cut.max())
+
+
 def test_periodogram_validation():
     hhat = np.ones((8, 4), dtype=complex)
     with pytest.raises(ConfigError):

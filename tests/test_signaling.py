@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacsim import (
     BasisKind,
@@ -138,6 +140,45 @@ def test_analysis_synthesis_roundtrip_and_unitarity(kind, n):
         np.sum(np.abs(sym) ** 2, axis=-1),
         rtol=1e-10,
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["ofdm", "sc", "cdma"]),
+    size=st.integers(1, 160),
+    log2n=st.integers(0, 7),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    single=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bases_are_unitary_round_trip_and_keep_precision(kind, size, log2n, batch, single, seed):
+    n = 2**log2n if kind == "cdma" else size
+    basis = parse_basis(kind, n)
+    dtype = np.complex64 if single else np.complex128
+    # bounds set from the dtype: the worst errors seen are about 2e-6 and 2e-15
+    tol = 1e-4 if single else 1e-12
+    rng = np.random.default_rng(seed)
+    sym = (rng.standard_normal((*batch, n)) + 1j * rng.standard_normal((*batch, n))).astype(dtype)
+    x = synthesize(basis, sym)
+    back = analyze(basis, x)
+    assert x.dtype == dtype and back.dtype == dtype
+    assert x.shape == sym.shape and back.shape == sym.shape
+    np.testing.assert_allclose(back, sym, rtol=0, atol=tol * 10)
+    np.testing.assert_allclose(np.sum(np.abs(x) ** 2, axis=-1),
+                               np.sum(np.abs(sym) ** 2, axis=-1), rtol=tol)
+    # the map itself: the images of the unit vectors are orthonormal
+    images = synthesize(basis, np.eye(n, dtype=dtype))
+    np.testing.assert_allclose(images @ images.conj().T, np.eye(n), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("n", [48, 64, 100])
+def test_ofdm_maps_equal_scaled_fft_bit_for_bit(n):
+    # the in-place scaling must give the bits of the out-of-place expressions
+    basis = parse_basis("ofdm", n)
+    rng = derive_rng(12, "sig", n)
+    sym = rng.standard_normal((4, 3, n)) + 1j * rng.standard_normal((4, 3, n))
+    assert np.array_equal(synthesize(basis, sym), np.fft.ifft(sym, axis=-1) * np.sqrt(n))
+    assert np.array_equal(analyze(basis, sym), np.fft.fft(sym, axis=-1) / np.sqrt(n))
 
 
 def test_ofdm_output_is_near_gaussian():
