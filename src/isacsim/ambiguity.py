@@ -12,16 +12,17 @@ magnitudes.
 The zero-Doppler cut (``K = 1``) is a plain cross-correlation, computed by
 FFT in O(N log N) (:func:`_xcorr`, the package's one correlation kernel); the
 Monte-Carlo averaging paths and the analytic models all go through it.  For
-``K > 1`` the lag-product sequence is folded modulo ``K`` (or zero-padded when
-``K > N``) before a length-``K`` FFT, which reproduces the direct sum exactly
-for any grid size.
+``K > 1`` the delayed copies ``s*(p - l)`` are the rows of a sliding-window
+view over the conjugate, extended by its own tail (periodic) or by ``N - 1``
+zeros on each side (aperiodic), so no index table is built.  The lag
+products are folded modulo ``K`` (or zero-padded when ``K > N``) before a
+length-``K`` FFT, which reproduces the direct sum exactly for any grid size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -75,19 +76,9 @@ class SidelobeMetrics:
     mainlobe: float
 
 
-@lru_cache(maxsize=None)
-def _lag_geometry(n: int, mode: AfMode):
-    p = np.arange(n)
-    if mode is AfMode.PERIODIC:
-        lags = np.arange(n)
-        idx = (p[None, :] - lags[:, None]) % n
-        mask = None
-    else:
-        lags = np.arange(1 - n, n)
-        raw = p[None, :] - lags[:, None]
-        mask = (raw >= 0) & (raw < n)
-        idx = np.clip(raw, 0, n - 1)
-    return lags, idx, mask
+def _lags(n: int, mode: AfMode) -> np.ndarray:
+    """Delay axis: ``0..n-1`` (periodic) or ``1-n..n-1`` (aperiodic)."""
+    return np.arange(n) if mode is AfMode.PERIODIC else np.arange(1 - n, n)
 
 
 def _xcorr(a: np.ndarray, b: np.ndarray, mode: AfMode) -> np.ndarray:
@@ -107,28 +98,30 @@ def _xcorr(a: np.ndarray, b: np.ndarray, mode: AfMode) -> np.ndarray:
 
 
 def _lag_products(u: np.ndarray, v: np.ndarray, mode: AfMode) -> np.ndarray:
-    """All delayed products ``u(p) v*(p - l)``; shape (..., n_lags, n)."""
+    """All delayed products ``u(p) v*(p - l)``; shape (..., n_lags, n).
+
+    The windows of the extended conjugate, last first, are ``v*(p - l)``."""
     n = u.shape[-1]
-    _, idx, mask = _lag_geometry(n, mode)
-    prod = u[..., None, :] * np.conj(v[..., idx])
-    if mask is not None:
-        prod = prod * mask
-    return prod
+    c = np.conj(v)
+    if mode is AfMode.PERIODIC:
+        ext = np.concatenate([c[..., 1:], c], axis=-1)
+    else:
+        ext = np.zeros(c.shape[:-1] + (3 * n - 2,), dtype=c.dtype)
+        ext[..., n - 1:2 * n - 1] = c
+    delayed = np.lib.stride_tricks.sliding_window_view(ext, n, axis=-1)[..., ::-1, :]
+    return u[..., None, :] * delayed
 
 
 def _doppler_transform(prod: np.ndarray, k: int) -> np.ndarray:
     """Exact evaluation of ``sum_p prod(p) exp(-j 2 pi k p / K)`` for all bins."""
     n = prod.shape[-1]
-    if k == n:
-        return np.fft.fft(prod, axis=-1)
-    if k > n:
-        return np.fft.fft(prod, n=k, axis=-1)
-    pad = (-n) % k
-    if pad:
-        shape = prod.shape[:-1] + (pad,)
-        prod = np.concatenate([prod, np.zeros(shape, dtype=prod.dtype)], axis=-1)
-    folded = prod.reshape(prod.shape[:-1] + (-1, k)).sum(axis=-2)
-    return np.fft.fft(folded, axis=-1)
+    if k < n:
+        pad = (-n) % k
+        if pad:
+            shape = prod.shape[:-1] + (pad,)
+            prod = np.concatenate([prod, np.zeros(shape, dtype=prod.dtype)], axis=-1)
+        prod = prod.reshape(prod.shape[:-1] + (-1, k)).sum(axis=-2)
+    return np.fft.fft(prod, n=k, axis=-1)
 
 
 def cross_af(
@@ -159,10 +152,9 @@ def cross_af(
 
 
 def _surface_from_values(values, n, k, mode, normalized=False):
-    lags, _, _ = _lag_geometry(n, mode)
     return AmbiguitySurface(
         values=values,
-        delays=lags.copy(),
+        delays=_lags(n, mode),
         dopplers=np.arange(k),
         mode=mode,
         normalized=normalized,

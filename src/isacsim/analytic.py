@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AfMode, _xcorr, cross_af
+from .ambiguity import AfMode, _lags, _xcorr, cross_af
 from .errors import ConfigError, NumericError
 from .pa import PaConfig
 from .seeding import chunk_counts, spawn_rngs
@@ -264,7 +264,7 @@ def _phase_signal(u: np.ndarray) -> np.ndarray:
 def _clip_weights(cfg: PaConfig, rho: LagCorrelation, lags: np.ndarray):
     """Per-lag weights (both-below, one-clipped, both-clipped) on ``lags``."""
     y = cfg.y
-    rho_vals = np.array([rho.at(l) for l in lags], dtype=float)
+    rho_vals = np.asarray(rho.values[np.abs(lags)], dtype=float)
     p_bb = np.empty_like(rho_vals)
     zero = lags == 0
     # lag 0 pairs a sample with itself: below-both is the marginal
@@ -295,7 +295,7 @@ def sel_zero_doppler_cut(
         )
     u = cfg.g * cfg.alpha * x
     phi = _phase_signal(u)
-    lags = np.arange(1 - n, n)
+    lags = _lags(n, AfMode.APERIODIC)
     p_bb, w_mixed, w_above = _clip_weights(cfg, rho, lags)
 
     root_n = math.sqrt(n)
@@ -345,13 +345,12 @@ def sel_eisl(
     if rho is None:
         rho = lag_correlation(constellation, basis, n, max(trials, 4096), rng_rho)
 
-    lags = np.arange(n) if mode is AfMode.PERIODIC else np.arange(1 - n, n)
+    lags = _lags(n, mode)
     if mode is AfMode.PERIODIC:
         rho_lag_index = np.minimum(lags, n - lags)  # circular distance
     else:
         rho_lag_index = np.abs(lags)
-    rho_circ = LagCorrelation(values=rho.values, degenerate=rho.degenerate)
-    p_bb, w_mixed, w_above = _clip_weights(cfg, rho_circ, rho_lag_index)
+    p_bb, w_mixed, w_above = _clip_weights(cfg, rho, rho_lag_index)
 
     v = cfg.v_sat
     root_n = math.sqrt(n)

@@ -17,8 +17,9 @@ of unclipped mean transmit power to the per-sample noise variance.
 
 Trials run in chunks of ``_PD_CHUNK``, each on its own spawned stream, so
 the counts do not depend on the worker count.  A Pd curve spawns the chunk
-streams of every SNR point up front and sends all of its chunks to one
-process pool; ``pd_curves`` sends the chunks of several curves to one pool.
+seed sequences of every SNR point up front and sends all of its chunks to
+one process pool, where each chunk builds its own generator; ``pd_curves``
+sends the chunks of several curves to one pool.
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ def calibrate_cfar(
     cfg: CfarConfig,
     trials: int,
     rng: np.random.Generator,
-    noise_model: str = "exponential",
     cut_len: int = 64,
 ) -> float:
     """Threshold factor that meets the target false-alarm probability.
@@ -142,8 +142,6 @@ def calibrate_cfar(
             f"{trials} cell tests give only {trials * cfg.p_fa:.1f} expected false "
             "alarms; need at least 100"
         )
-    if noise_model != "exponential":
-        raise ConfigError(f"unknown noise model {noise_model!r}")
     if cut_len <= 2 * (cfg.window + cfg.guard) + 1:
         raise ConfigError("calibration cut length too short for the CFAR geometry")
 
@@ -243,19 +241,20 @@ def sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
     return division_filter(rx, sym, fc.cp_len)
 
 
-def _detections(pipeline: PdPipeline, snr_linear: float, count: int,
-                rng: np.random.Generator, targets: tuple[Target, ...]) -> np.ndarray:
+def _detections(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
+                seed: np.random.SeedSequence, targets: tuple[Target, ...]) -> np.ndarray:
     """SO-CFAR decisions on the zero-Doppler periodogram range cuts of a
-    batch of trials."""
+    batch of trials drawn from ``Generator(bit_generator(seed))``."""
     fc, cfar = pipeline.frame, pipeline.cfar
+    rng = np.random.Generator(bit_generator(seed))
     sym = draw_symbols(pipeline.constellation, (count, fc.m, fc.n), rng)
     cuts = range_cut(sense(pipeline, sym, snr_linear, rng, targets), pipeline.grids()[0])
     return cuts > cfar.factor * _noise_levels(cuts, cfar.window, cfar.guard)
 
 
-def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int,
-              rng: np.random.Generator) -> int:
-    decisions = _detections(pipeline, snr_linear, count, rng, pipeline.targets)
+def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
+              seed: np.random.SeedSequence) -> int:
+    decisions = _detections(pipeline, snr_linear, count, bit_generator, seed, pipeline.targets)
     n_per, _ = pipeline.grids()
     scale = n_per // pipeline.frame.n
     center = pipeline.weak_bin * scale
@@ -265,20 +264,24 @@ def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int,
     return int(np.count_nonzero(decisions[:, lo:hi].any(axis=1)))
 
 
-def _fa_chunk(pipeline: PdPipeline, snr_linear: float, count: int,
-              rng: np.random.Generator) -> int:
-    return int(np.count_nonzero(_detections(pipeline, snr_linear, count, rng, ())))
+def _fa_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
+              seed: np.random.SeedSequence) -> int:
+    return int(np.count_nonzero(_detections(pipeline, snr_linear, count, bit_generator, seed, ())))
 
 
 def _chunk_args(pipeline: PdPipeline, snr_linear: float, trials: int,
                 rng: np.random.Generator) -> list[tuple]:
-    """Chunk-task arguments for ``trials`` trials, one spawned stream each."""
+    """Chunk-task arguments for ``trials`` trials, one spawned seed sequence
+    each.  The workers build the generators, which draw the same streams as
+    ``rng.spawn`` would, so no generator is held while the chunks wait."""
     if pipeline.cfar.factor is None:
         raise ConfigError("CFAR factor not set; run calibrate_cfar first")
     if trials < 1:
         raise ConfigError("at least one trial required")
     sizes = chunk_counts(trials, _PD_CHUNK)
-    return [(pipeline, snr_linear, sz, r) for sz, r in zip(sizes, spawn_rngs(rng, len(sizes)))]
+    bit_generator = type(rng.bit_generator)
+    seeds = rng.bit_generator.seed_seq.spawn(len(sizes))
+    return [(pipeline, snr_linear, sz, bit_generator, seed) for sz, seed in zip(sizes, seeds)]
 
 
 def _map_chunks(fn, args: list[tuple], workers: int) -> list[int]:

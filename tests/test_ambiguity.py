@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacsim import (
     ConfigError,
@@ -11,7 +13,7 @@ from isacsim import (
     zero_delay_cut,
     zero_doppler_cut,
 )
-from isacsim.ambiguity import AfMode, _mc_chunk_size, cross_af
+from isacsim.ambiguity import AfMode, _lag_products, _mc_chunk_size, cross_af
 from isacsim.seeding import derive_rng
 
 from conftest import brute_force_af, tx_generator, zadoff_chu
@@ -57,6 +59,85 @@ def test_zero_doppler_cut_matches_direct_evaluation(mode, n):
         np.testing.assert_allclose(
             cross[i], brute_force_af(u[i], k_grid=1, mode=mode, y=v[i]), rtol=0, atol=1e-12
         )
+
+
+@st.composite
+def _af_cases(draw):
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["one", "below", "equal", "above"]))
+    if kind == "one":
+        k = 1
+    elif kind == "below":
+        k = draw(st.integers(1, n - 1))
+    elif kind == "equal":
+        k = n
+    else:
+        k = draw(st.integers(n + 1, 2 * n + 2))
+    mode = draw(st.sampled_from(list(AfMode)))
+    batch = tuple(draw(st.lists(st.integers(1, 2), max_size=2)))
+    cross = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, k, mode, batch, cross, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_af_cases())
+def test_cross_af_matches_brute_force_property(case):
+    # every Doppler-grid regime (K = 1, K < n, K = n, K > n), both modes,
+    # self and cross AF, over leading batch axes, row by row against the loops
+    n, k, mode, batch, cross, seed = case
+    rng = np.random.default_rng(seed)
+    shape = batch + (n,)
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if cross else None
+    got = cross_af(u, v, k, mode)
+    n_lags = n if mode is AfMode.PERIODIC else 2 * n - 1
+    assert got.shape == batch + (n_lags, k)
+    for idx in np.ndindex(*batch):
+        want = brute_force_af(u[idx], k_grid=k, mode=mode, y=None if v is None else v[idx])
+        np.testing.assert_allclose(got[idx], want, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 40), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_aperiodic_symmetry_random_lengths(n, data, seed):
+    # |A(-l, k)| = |A(l, -k mod K)| for a self AF on any Doppler grid
+    k = data.draw(st.integers(1, 2 * n + 2))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    mag = np.abs(cross_af(x, k_grid=k, mode=AfMode.APERIODIC))
+    mirrored = mag[::-1][:, (-np.arange(k)) % k]
+    np.testing.assert_allclose(mag, mirrored, rtol=0, atol=1e-10)
+
+
+def _gathered_lag_products(u, v, mode):
+    """The index-table construction the windowed products replaced."""
+    n = u.shape[-1]
+    p = np.arange(n)
+    if mode is AfMode.PERIODIC:
+        idx = (p[None, :] - np.arange(n)[:, None]) % n
+        return u[..., None, :] * np.conj(v[..., idx])
+    raw = p[None, :] - np.arange(1 - n, n)[:, None]
+    mask = (raw >= 0) & (raw < n)
+    return u[..., None, :] * np.conj(v[..., np.clip(raw, 0, n - 1)]) * mask
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
+@pytest.mark.parametrize("mode", [AfMode.PERIODIC, AfMode.APERIODIC])
+def test_lag_products_equal_gathered_products_bit_for_bit(mode, dtype):
+    rng = derive_rng(15, "af")
+    for n, batch in [(2, ()), (5, (3,)), (16, (2, 2)), (33, ())]:
+        u = rng.standard_normal(batch + (n,))
+        v = rng.standard_normal(batch + (n,))
+        if dtype is not np.float64:
+            u = u + 1j * rng.standard_normal(batch + (n,))
+            v = v + 1j * rng.standard_normal(batch + (n,))
+        u, v = u.astype(dtype), v.astype(dtype)
+        for other in (u, v):
+            got = _lag_products(u, other, mode)
+            want = _gathered_lag_products(u, other, mode)
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
 
 
 def test_all_ones_gives_flat_ridge():

@@ -177,8 +177,6 @@ def test_calibration_validation():
     with pytest.raises(ConfigError):
         calibrate_cfar(CfarConfig(), 100_000, derive_rng(0, "cal"))  # too few tails
     with pytest.raises(ConfigError):
-        calibrate_cfar(CfarConfig(p_fa=0.5), 10_000, derive_rng(0, "cal"), noise_model="gaussian")
-    with pytest.raises(ConfigError):
         calibrate_cfar(CfarConfig(p_fa=0.5), 10_000, derive_rng(0, "cal"), cut_len=16)
 
 
@@ -354,6 +352,18 @@ def test_pd_curves_equal_separate_pd_experiments(cal_factor):
             assert np.array_equal(got.pd, want.pd)
             assert np.array_equal(got.ci_halfwidth, want.ci_halfwidth)
             assert got.trials == want.trials == 70
+
+
+def test_chunk_args_carry_seed_sequences_not_generators(cal_factor):
+    # 120 trials run as chunks of 50, 50 and 20; each chunk builds its own
+    # generator, which must draw the stream ``rng.spawn`` would have given it
+    args = detect._chunk_args(_pipeline("16-QAM", cal_factor), 10.0, 120, derive_rng(6, "det"))
+    assert len(args) == 3
+    assert not any(isinstance(a, np.random.Generator) for chunk in args for a in chunk)
+    for (*_, bit_generator, seed), want in zip(args, derive_rng(6, "det").spawn(3)):
+        assert isinstance(seed, np.random.SeedSequence)
+        got = np.random.Generator(bit_generator(seed))
+        assert np.array_equal(got.standard_normal(16), want.standard_normal(16))
 
 
 def test_results_do_not_depend_on_workers(cal_factor):
