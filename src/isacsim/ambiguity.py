@@ -151,14 +151,8 @@ def cross_af(
     return _doppler_transform(prod, k) / np.sqrt(n)
 
 
-def _surface_from_values(values, n, k, mode, normalized=False):
-    return AmbiguitySurface(
-        values=values,
-        delays=_lags(n, mode),
-        dopplers=np.arange(k),
-        mode=mode,
-        normalized=normalized,
-    )
+def _surface_from_values(values, n, k, mode):
+    return AmbiguitySurface(values=values, delays=_lags(n, mode), dopplers=np.arange(k), mode=mode)
 
 
 def paf(signal: np.ndarray, k_grid: int | None = None) -> AmbiguitySurface:
@@ -203,10 +197,11 @@ def average_af(
     trials: int,
     k_grid: int | None = None,
     mode: AfMode = AfMode.PERIODIC,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     normalize: bool = True,
 ) -> AmbiguitySurface:
-    """Mean squared AF over independent realizations.
+    """Mean squared AF over independent realizations drawn from ``rng``.
 
     ``generator(rng, count)`` must return a ``(count, N)`` batch of signals.
     The averaged surface is peak-normalized by default (pass
@@ -215,8 +210,6 @@ def average_af(
     """
     if trials < 1:
         raise ConfigError("at least one trial required")
-    if rng is None:
-        rng = np.random.default_rng()
     # throwaway draw on a fixed stream, used only to learn the signal length
     probe = generator(np.random.default_rng(0), 1)
     n = probe.shape[-1]
@@ -235,7 +228,7 @@ def average_af(
         accum = part if accum is None else accum + part
     values = accum / trials
 
-    surface = _surface_from_values(values, n, k, mode, normalized=False)
+    surface = _surface_from_values(values, n, k, mode)
     if normalize:
         peak = values[surface.zero_delay_index, 0]
         if peak <= 0:

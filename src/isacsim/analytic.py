@@ -48,8 +48,6 @@ class ClipProbabilities:
     p_below_both: float
     p_mixed: float
     p_above_both: float
-    y: float
-    rho: float
 
     def closure_defect(self) -> float:
         return abs(self.p_below_both + 2 * self.p_mixed + self.p_above_both - 1.0)
@@ -105,13 +103,7 @@ def clip_probabilities(y: float, rho: float) -> ClipProbabilities:
     p_below = 1.0 - math.exp(-y * y)
     p_mixed = p_below - p_bb
     p_above_both = 1.0 - 2.0 * p_below + p_bb
-    return ClipProbabilities(
-        p_below_both=p_bb,
-        p_mixed=p_mixed,
-        p_above_both=p_above_both,
-        y=y,
-        rho=rho,
-    )
+    return ClipProbabilities(p_below_both=p_bb, p_mixed=p_mixed, p_above_both=p_above_both)
 
 
 @dataclass
@@ -126,9 +118,6 @@ class LagCorrelation:
 
     values: np.ndarray
     degenerate: bool = False
-
-    def at(self, lag: int) -> float:
-        return float(self.values[abs(int(lag))])
 
 
 def _envelope_autocov(power: np.ndarray) -> np.ndarray:
@@ -262,15 +251,11 @@ def _phase_signal(u: np.ndarray) -> np.ndarray:
 
 
 def _clip_weights(cfg: PaConfig, rho: LagCorrelation, lags: np.ndarray):
-    """Per-lag weights (both-below, one-clipped, both-clipped) on ``lags``."""
+    """Per-lag weights (both-below, one-clipped, both-clipped) on ``lags``.
+
+    At lag 0 the correlation is 1, so below-both is the marginal."""
     y = cfg.y
-    rho_vals = np.asarray(rho.values[np.abs(lags)], dtype=float)
-    p_bb = np.empty_like(rho_vals)
-    zero = lags == 0
-    # lag 0 pairs a sample with itself: below-both is the marginal
-    p_bb[zero] = 1.0 - math.exp(-y * y)
-    if np.any(~zero):
-        p_bb[~zero] = _joint_below_vector(y, rho_vals[~zero])
+    p_bb = _joint_below_vector(y, rho.values[np.abs(lags)])
     p_below = 1.0 - math.exp(-y * y)
     w_mixed = p_below - p_bb
     w_above = 1.0 - 2.0 * p_below + p_bb
@@ -327,7 +312,6 @@ def sel_eisl(
     trials: int,
     rng: np.random.Generator,
     mode: AfMode = AfMode.APERIODIC,
-    rho: LagCorrelation | None = None,
 ) -> SelEislEstimate:
     """Expected integrated sidelobe level from the clipping-conditioned terms.
 
@@ -342,8 +326,7 @@ def sel_eisl(
     if trials < 1:
         raise ConfigError("at least one trial required")
     rng_rho, rng_mc = spawn_rngs(rng, 2)
-    if rho is None:
-        rho = lag_correlation(constellation, basis, n, max(trials, 4096), rng_rho)
+    rho = lag_correlation(constellation, basis, n, max(trials, 4096), rng_rho)
 
     lags = _lags(n, mode)
     if mode is AfMode.PERIODIC:

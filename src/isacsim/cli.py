@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .ambiguity import AfMode, average_af, to_db
-from .detect import CfarConfig, PdPipeline, calibrate_cfar, pd_experiment
+from .detect import DEFAULT_CAL_CELLS, CfarConfig, PdPipeline, calibrate_cfar, pd_experiment
 from .errors import ConfigError, NumericError
 from .experiments import (
     DEFAULT_TARGETS,
@@ -25,7 +25,7 @@ from .experiments import (
     run_scenario,
 )
 from .pa import PaConfig, limiter_compression_power
-from .seeding import derive_rng
+from .seeding import DEFAULT_SEED, derive_rng
 from .signaling import FrameConfig, parse_basis, parse_constellation
 
 
@@ -114,7 +114,8 @@ def _cmd_pd_curve(args) -> int:
     if args.factor is not None:
         factor = args.factor
     else:
-        factor = calibrate_cfar(CfarConfig(), 4_000_000, derive_rng(args.seed, "cli/pd-curve/cal"))
+        factor = calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS,
+                                derive_rng(args.seed, "cli/pd-curve/cal"))
     pipeline = _pipeline_from_args(args, cfar=CfarConfig(factor=factor),
                                    distortion_limited=args.distortion_limited)
     curve = pd_experiment(pipeline, grid, args.trials, rng, workers=args.workers)
@@ -164,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=16)
     p.add_argument("--guard", type=int, default=2)
     p.add_argument("--pfa", type=float, default=1e-4)
-    p.add_argument("--trials", type=int, default=4_000_000, help="cell tests")
-    p.add_argument("--seed", type=int, default=20260815)
+    p.add_argument("--trials", type=int, default=DEFAULT_CAL_CELLS, help="cell tests")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_calibrate_cfar)
 
     p = sub.add_parser("af-cut", help="averaged zero-Doppler cut to CSV")
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--mode", choices=("periodic", "aperiodic"), default="periodic")
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=20260815)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="af_cut.csv")
     _add_pa_args(p)
     p.set_defaults(func=_cmd_af_cut)
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated SNR grid in dB")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=20260815)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--factor", type=float, help="skip calibration, use this factor")
     p.add_argument("--distortion-limited", action="store_true")
     p.add_argument("--out", default="pd_curve.csv")
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, default=20.0)
     p.add_argument("--n-per", type=int, default=None)
     p.add_argument("--m-per", type=int, default=None)
-    p.add_argument("--seed", type=int, default=20260815)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="periodogram.csv")
     _add_pa_args(p)
     p.set_defaults(func=_cmd_periodogram)

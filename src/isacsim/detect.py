@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,11 @@ from .signaling import (
 )
 
 _PD_CHUNK = 50
+#: Cell tests of the default CFAR calibration: 400 expected false alarms at
+#: the default P_fa of 1e-4.
+DEFAULT_CAL_CELLS = 4_000_000
+#: Range bin of the weak target whose detection the Pd experiments score.
+WEAK_BIN = 8
 # cells per calibration draw: about 0.5 MB per float64 temporary
 _CAL_BLOCK_CELLS = 65_536
 
@@ -178,9 +183,9 @@ class PdPipeline:
 
     ``pa`` holds the amplifier operating point; ``linear`` bypasses the
     clipper while keeping the same ``g * alpha`` scaling, so linear and
-    nonlinear runs are compared at matched transmit power.  The weak target
-    must be listed in ``targets``; detection succeeds when its bin (within
-    ``tolerance`` bins, for zero-padded grids) beats the threshold.
+    nonlinear runs are compared at matched transmit power.  A Pd experiment
+    needs a target at delay ``WEAK_BIN``; detection succeeds when its bin
+    (within one bin, for zero-padded grids) beats the threshold.
     """
 
     constellation: ConstellationSpec
@@ -189,7 +194,6 @@ class PdPipeline:
     pa: PaConfig
     cfar: CfarConfig
     targets: tuple[Target, ...]
-    weak_bin: int = 8
     linear: bool = False
     distortion_limited: bool = False
     n_per: int | None = None
@@ -212,22 +216,23 @@ class PdCurve:
     trials: int
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = 1.959963984540054) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_halfwidth(successes: int, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ConfigError("trials must be positive")
+    z = 1.959963984540054  # two-sided 95% standard-normal quantile
     p = successes / trials
     denom = 1.0 + z * z / trials
     return (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
 
 
 def sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
-          rng: np.random.Generator, targets: tuple[Target, ...]) -> np.ndarray:
+          rng: np.random.Generator) -> np.ndarray:
     """Channel estimates (..., n, m) of frames carrying the symbols ``sym``.
 
     ``sym`` has shape (..., m, n).  The frames are synthesized, amplified (or
     scaled by ``g * alpha`` when linear), given their prefix and sent through
-    ``targets`` plus noise of variance ``|g|^2 alpha^2 sigma^2 / snr_linear``
+    the pipeline's targets plus noise of variance ``|g|^2 alpha^2 / snr_linear``
     (none when distortion-limited); the division filter takes them back out.
     """
     fc = pipeline.frame
@@ -235,29 +240,29 @@ def sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
     x = synthesize(pipeline.basis, sym)
     tx = np.multiply(pa.g * pa.alpha, x, out=x) if pipeline.linear else sel_amplify(x, pa)
     noise_var = 0.0 if pipeline.distortion_limited else (
-        abs(pa.g) ** 2 * pa.alpha**2 * pa.sigma2 / snr_linear)
-    chan = ChannelConfig(targets=targets, noise_var=noise_var)
+        abs(pa.g) ** 2 * pa.alpha**2 / snr_linear)
+    chan = ChannelConfig(targets=pipeline.targets, noise_var=noise_var)
     rx = apply_channel(add_cp(tx, fc.cp_len), chan, fc.n, rng)
     return division_filter(rx, sym, fc.cp_len)
 
 
 def _detections(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
-                seed: np.random.SeedSequence, targets: tuple[Target, ...]) -> np.ndarray:
+                seed: np.random.SeedSequence) -> np.ndarray:
     """SO-CFAR decisions on the zero-Doppler periodogram range cuts of a
     batch of trials drawn from ``Generator(bit_generator(seed))``."""
     fc, cfar = pipeline.frame, pipeline.cfar
     rng = np.random.Generator(bit_generator(seed))
     sym = draw_symbols(pipeline.constellation, (count, fc.m, fc.n), rng)
-    cuts = range_cut(sense(pipeline, sym, snr_linear, rng, targets), pipeline.grids()[0])
+    cuts = range_cut(sense(pipeline, sym, snr_linear, rng), pipeline.grids()[0])
     return cuts > cfar.factor * _noise_levels(cuts, cfar.window, cfar.guard)
 
 
 def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
               seed: np.random.SeedSequence) -> int:
-    decisions = _detections(pipeline, snr_linear, count, bit_generator, seed, pipeline.targets)
+    decisions = _detections(pipeline, snr_linear, count, bit_generator, seed)
     n_per, _ = pipeline.grids()
     scale = n_per // pipeline.frame.n
-    center = pipeline.weak_bin * scale
+    center = WEAK_BIN * scale
     tolerance = 1 if scale > 1 else 0
     lo = max(0, center - tolerance)
     hi = min(n_per, center + tolerance + 1)
@@ -266,7 +271,7 @@ def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator
 
 def _fa_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
               seed: np.random.SeedSequence) -> int:
-    return int(np.count_nonzero(_detections(pipeline, snr_linear, count, bit_generator, seed, ())))
+    return int(np.count_nonzero(_detections(pipeline, snr_linear, count, bit_generator, seed)))
 
 
 def _chunk_args(pipeline: PdPipeline, snr_linear: float, trials: int,
@@ -299,8 +304,8 @@ def pd_curves(jobs, trials: int, workers: int = 1) -> list[PdCurve]:
     with the chunks of all jobs sent through one pool map."""
     grids, points = [], []
     for pipeline, snr_grid_db, rng in jobs:
-        if not any(t.delay == pipeline.weak_bin for t in pipeline.targets):
-            raise ConfigError(f"no target sits at the weak bin {pipeline.weak_bin}")
+        if not any(t.delay == WEAK_BIN for t in pipeline.targets):
+            raise ConfigError(f"no target sits at the weak bin {WEAK_BIN}")
         grids.append(np.asarray(snr_grid_db, dtype=float))
         points += [_chunk_args(pipeline, 10.0 ** (snr_db / 10.0), trials, r)
                    for snr_db, r in zip(grids[-1], spawn_rngs(rng, grids[-1].size))]
@@ -323,6 +328,7 @@ def noise_only_false_alarm_rate(pipeline: PdPipeline, snr_db: float, trials: int
                                 rng: np.random.Generator, workers: int = 1) -> float:
     """Empirical per-cell false-alarm rate of the full chain with no targets."""
     snr_linear = 10.0 ** (snr_db / 10.0)
-    alarms = sum(_map_chunks(_fa_chunk, _chunk_args(pipeline, snr_linear, trials, rng), workers))
+    args = _chunk_args(replace(pipeline, targets=()), snr_linear, trials, rng)
+    alarms = sum(_map_chunks(_fa_chunk, args, workers))
     n_per, _ = pipeline.grids()
     return alarms / (trials * n_per)

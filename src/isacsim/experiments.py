@@ -29,6 +29,8 @@ from .ambiguity import AfMode, aaf, average_af, sidelobe_metrics, to_db, zero_do
 from .analytic import lag_correlation, sel_eisl, sel_zero_delay_cut, sel_zero_doppler_cut
 from .channel import Target
 from .detect import (
+    DEFAULT_CAL_CELLS,
+    WEAK_BIN,
     CfarConfig,
     PdCurve,
     PdPipeline,
@@ -47,7 +49,7 @@ from .pa import (
     sel_amplify,
 )
 from .radar import periodogram, range_cut
-from .seeding import chunk_counts, derive_rng, spawn_rngs
+from .seeding import DEFAULT_SEED, chunk_counts, derive_rng, spawn_rngs
 from .signaling import (
     BasisKind,
     ConstellationSpec,
@@ -96,7 +98,7 @@ class ExperimentConfig:
     """
 
     scenario: str = ""
-    seed: int = 20260815
+    seed: int = DEFAULT_SEED
     trials: int | None = None
     out_dir: str = "results"
     workers: int = 1
@@ -227,9 +229,9 @@ def scenario(name: str, default_trials: int, runtime_hint: str, description: str
     return register
 
 
-#: A unit reflector at delay 4 and one 10 dB weaker at delay 8, the weak bin
-#: the detection chain scores.
-DEFAULT_TARGETS = (Target(b=1.0, delay=4), Target(b=10.0 ** -0.5, delay=8))
+#: A unit reflector at delay 4 and one 10 dB weaker at the weak bin the
+#: detection chain scores.
+DEFAULT_TARGETS = (Target(b=1.0, delay=4), Target(b=10.0 ** -0.5, delay=WEAK_BIN))
 
 _PSK_QAM = (("16-PSK", "psk"), ("16-QAM", "qam"))
 
@@ -284,8 +286,8 @@ class RunContext:
             raise ConfigError("constellation is not used: the scenario sweeps fixed constellations")
         return parse_constellation(name)
 
-    def basis(self, n: int, default: str = "ofdm") -> SignalingBasis:
-        return parse_basis(self.config.basis or default, n)
+    def basis(self, n: int) -> SignalingBasis:
+        return parse_basis(self.config.basis or "ofdm", n)
 
     def snr_db(self, default: float) -> float:
         """First entry of the configured SNR grid, for single-frame runs."""
@@ -303,7 +305,7 @@ class RunContext:
         """
         if self.config.m_per is not None:
             raise ConfigError("m_per is not used: detection runs on the zero-Doppler range cut")
-        factor = calibrate_cfar(CfarConfig(), 4_000_000, self.rng("cfar-calibration"))
+        factor = calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS, self.rng("cfar-calibration"))
         return CfarConfig(factor=factor)
 
 
@@ -570,7 +572,7 @@ def periodogram_table(pipeline: PdPipeline, snr_db: float,
     normalized to its peak."""
     fc = pipeline.frame
     sym = draw_symbols(pipeline.constellation, (fc.m, fc.n), rng)
-    hhat = sense(pipeline, sym, 10.0 ** (snr_db / 10.0), rng, pipeline.targets)
+    hhat = sense(pipeline, sym, 10.0 ** (snr_db / 10.0), rng)
     per = periodogram(hhat, pipeline.n_per, pipeline.m_per)
     dgrid, kgrid = np.meshgrid(per.delay_bins, per.doppler_bins, indexing="ij")
     return [
@@ -612,7 +614,7 @@ def _scn_cfar_example(ctx: RunContext) -> dict[str, Columns]:
         pipe = _pipeline(ctx, const, fc, targets, cfar, linear, limited)
         rng = ctx.rng(label)
         sym = draw_symbols(const, (fc.m, fc.n), rng)
-        hhat = sense(pipe, sym, 10.0 ** (snr_db / 10.0), rng, targets)
+        hhat = sense(pipe, sym, 10.0 ** (snr_db / 10.0), rng)
         cut = range_cut(hhat, pipe.grids()[0])
         report = so_cfar(cut, cfar)
         out[f"cfar_{label}.csv"] = [
@@ -650,7 +652,7 @@ def _pd_curves(ctx: RunContext, specs: dict[str, tuple]) -> dict[str, PdCurve]:
     # detection frame this keeps the distortion-limited ceilings of the QAM
     # constellations measurably below 1 so the upper detection limits are
     # visible in the curves; at the full frame every plateau saturates.
-    targets = ctx.setting("targets", (Target(b=1.0, delay=4), Target(b=0.1, delay=8)))
+    targets = ctx.setting("targets", (Target(b=1.0, delay=4), Target(b=0.1, delay=WEAK_BIN)))
     frame = ctx.frame(m=3)
     jobs = [(_pipeline(ctx, const, frame, targets, cfar, linear, limited), grid, ctx.rng(tag))
             for const, (_, grid, tag, linear, limited) in zip(consts, specs.values())]

@@ -25,18 +25,16 @@ from .seeding import DEFAULT_CHUNK, chunk_counts, spawn_rngs
 from .signaling import ConstellationSpec, SignalingBasis, draw_symbols, synthesize
 
 
-def backoff_coefficient(p1db: float, ibo: float, sigma2: float) -> float:
-    """Back-off coefficient ``alpha = sqrt(p1db / (ibo * sigma2))``.
+def backoff_coefficient(p1db: float, ibo: float) -> float:
+    """Back-off coefficient ``alpha = sqrt(p1db / ibo)`` for a unit-power input.
 
     ``ibo`` is a linear power ratio (dB conversion happens at the CLI
     boundary).  A coefficient above 1 would push the mean input power past
     the compression reference, which is rejected as a configuration error.
     """
-    if p1db <= 0 or ibo <= 0 or sigma2 <= 0:
-        raise ConfigError(
-            f"backoff inputs must be positive (p1db={p1db}, ibo={ibo}, sigma2={sigma2})"
-        )
-    alpha = math.sqrt(p1db / (ibo * sigma2))
+    if p1db <= 0 or ibo <= 0:
+        raise ConfigError(f"backoff inputs must be positive (p1db={p1db}, ibo={ibo})")
+    alpha = math.sqrt(p1db / ibo)
     if alpha > 1.0 + 1e-12:
         raise ConfigError(
             f"back-off coefficient {alpha:.4f} > 1: mean input power would exceed "
@@ -73,7 +71,6 @@ class PaConfig:
     ibo: float
     g: complex = 1.0
     p1db: float | None = None
-    sigma2: float = 1.0
     alpha: float = field(init=False)
 
     def __post_init__(self):
@@ -85,15 +82,13 @@ class PaConfig:
             raise ConfigError("gain magnitude must be positive")
         p1db = self.v_sat**2 if self.p1db is None else self.p1db
         object.__setattr__(self, "p1db", p1db)
-        object.__setattr__(
-            self, "alpha", backoff_coefficient(p1db, self.ibo, self.sigma2)
-        )
+        object.__setattr__(self, "alpha", backoff_coefficient(p1db, self.ibo))
 
     @property
     def y(self) -> float:
         """Normalized clipping threshold: saturation amplitude over the RMS
         amplitude seen at the clipper (gain included)."""
-        return self.v_sat / (abs(self.g) * self.alpha * math.sqrt(self.sigma2))
+        return self.v_sat / (abs(self.g) * self.alpha)
 
 
 def sel_amplify(signal: np.ndarray, cfg: PaConfig) -> np.ndarray:
@@ -115,7 +110,7 @@ def kappa_gaussian(y: float) -> float:
 
 def output_power_gaussian(y: float) -> float:
     """Gaussian-input mean output power of the limiter, normalized by the
-    mean input power ``(g * alpha)^2 * sigma^2``: equals ``1 - exp(-y^2)``."""
+    mean input power ``(g * alpha)^2``: equals ``1 - exp(-y^2)``."""
     return 1.0 - math.exp(-y * y)
 
 
@@ -135,17 +130,17 @@ class BussgangStats:
     d4: float = 0.0
 
 
-def sdr(stats: BussgangStats, cfg: PaConfig) -> float:
-    """Signal-to-distortion ratio ``|g|^2 * alpha^2 * sigma^2 / sigma_d^2``.
+def sdr(sigma_d2: float, cfg: PaConfig) -> float:
+    """Signal-to-distortion ratio ``|g|^2 * alpha^2 / sigma_d^2`` of a
+    unit-power input whose distortion power is ``sigma_d2``.
 
     Returns ``inf`` for a distortion-free (linear) operating point.
     """
-    if stats.sigma_d2 < 0:
+    if sigma_d2 < 0:
         raise ConfigError("distortion power cannot be negative")
-    num = abs(cfg.g) ** 2 * cfg.alpha**2 * cfg.sigma2
-    if stats.sigma_d2 == 0.0:
+    if sigma_d2 == 0.0:
         return math.inf
-    return num / stats.sigma_d2
+    return abs(cfg.g) ** 2 * cfg.alpha**2 / sigma_d2
 
 
 def snr_eff(snr0: float, sdr_value: float) -> float:
@@ -210,7 +205,4 @@ def estimate_bussgang(
     sigma_d2 = d2_sum / count
     d4 = d4_sum / count
 
-    stats = BussgangStats(kappa=kappa, sigma_d2=sigma_d2, sdr=0.0, y=cfg.y, d4=d4)
-    return BussgangStats(
-        kappa=kappa, sigma_d2=sigma_d2, sdr=sdr(stats, cfg), y=cfg.y, d4=d4
-    )
+    return BussgangStats(kappa=kappa, sigma_d2=sigma_d2, sdr=sdr(sigma_d2, cfg), y=cfg.y, d4=d4)

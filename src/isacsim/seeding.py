@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import ConfigError
 
+#: Base seed of a run that names none.
+DEFAULT_SEED = 20260815
+
 #: Trials per reduction chunk.  Fixed (never derived from the worker count)
 #: so that serial and parallel runs visit identical sub-streams.
 DEFAULT_CHUNK = 64

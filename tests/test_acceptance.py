@@ -283,7 +283,6 @@ def _pd_pipeline(cname, m, linear=False, dl=False):
         pa=pa_compression(1.0),
         cfar=CfarConfig(factor=CAL_FACTOR),
         targets=(Target(b=1.0, delay=4, doppler=0.0), Target(b=0.1, delay=8, doppler=0.0)),
-        weak_bin=8,
         linear=linear,
         distortion_limited=dl,
     )

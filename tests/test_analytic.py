@@ -5,6 +5,7 @@ import pytest
 
 from isacsim import (
     ConfigError,
+    PaConfig,
     average_af,
     clip_probabilities,
     draw_symbols,
@@ -18,9 +19,10 @@ from isacsim import (
     synthesize,
     to_db,
 )
-from isacsim.ambiguity import AfMode, cross_af
+from isacsim.ambiguity import AfMode, _lags, cross_af
 from isacsim.analytic import (
     LagCorrelation,
+    _clip_weights,
     bussgang_af_decompose,
     expected_zero_doppler_bussgang,
     sel_eisl,
@@ -98,7 +100,6 @@ def test_lag_correlation_flat_spectrum_psk():
     assert rho.values[32] == 0.0
     np.testing.assert_allclose(rho.values[1:32], 0.0, atol=1e-12)
     assert not rho.degenerate
-    assert rho.at(-5) == rho.values[5]
 
 
 def test_lag_correlation_constant_envelope_is_degenerate():
@@ -224,6 +225,31 @@ def test_conditioned_cut_requires_full_lag_table():
     x = np.ones(8, dtype=complex)
     with pytest.raises(ConfigError):
         sel_zero_doppler_cut(x, pa_limiter(0.0), short)
+
+
+@pytest.mark.parametrize("mode", [AfMode.PERIODIC, AfMode.APERIODIC])
+def test_clip_weights_match_pairwise_probabilities(mode):
+    # the lag axes sel_zero_doppler_cut (|l|) and sel_eisl (circular
+    # distance) pass in; a sample paired with itself is below-both exactly
+    # when it is below
+    n = 12
+    rho = LagCorrelation(np.linspace(1.0, 0.0, n + 1))
+    lags = _lags(n, mode)
+    if mode is AfMode.PERIODIC:
+        lags = np.minimum(lags, n - lags)
+    cfgs = (PaConfig(1.0, 1.0, g=3.0), PaConfig(1.0, 1.0, g=2.0),
+            pa_limiter(0.0), pa_limiter(6.0))
+    assert len({cfg.y for cfg in cfgs}) == 4
+    for cfg in cfgs:
+        y = cfg.y
+        p_bb, w_mixed, w_above = _clip_weights(cfg, rho, lags)
+        for lag, got in zip(lags, zip(p_bb, w_mixed, w_above)):
+            if lag == 0:
+                assert got[0] == 1.0 - math.exp(-y * y)
+                assert got[1] == 0.0
+            else:
+                want = clip_probabilities(y, float(rho.values[abs(lag)]))
+                assert got == (want.p_below_both, want.p_mixed, want.p_above_both)
 
 
 def test_conditioned_cut_tracks_averaged_empirical_cut():

@@ -1,5 +1,6 @@
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from isacsim.detect import (
     sense,
     wilson_halfwidth,
 )
+from isacsim.experiments import DEFAULT_TARGETS
 from isacsim.seeding import derive_rng
 
 from conftest import pa_compression
@@ -49,7 +51,6 @@ def _pipeline(cname, factor, linear=False, dl=False):
             Target(b=1.0, delay=4, doppler=0.0),
             Target(b=0.1, delay=8, doppler=0.0),
         ),
-        weak_bin=8,
         linear=linear,
         distortion_limited=dl,
     )
@@ -228,7 +229,6 @@ def test_pipeline_requires_target_at_weak_bin(cal_factor):
         pa=pa_compression(1.0),
         cfar=CfarConfig(factor=cal_factor),
         targets=(Target(b=1.0, delay=4, doppler=0.0),),
-        weak_bin=8,
         linear=True,
     )
     with pytest.raises(ConfigError):
@@ -240,10 +240,8 @@ def test_sense_batch_matches_frame_loop(linear):
     # one call over a (batch, m, n) symbol stack equals a loop over its frames
     pipe = _pipeline("16-QAM", None, linear=linear, dl=True)
     sym = draw_symbols(pipe.constellation, (4, 3, 64), derive_rng(102, "det"))
-    batch = sense(pipe, sym, 1.0, derive_rng(103, "det"), pipe.targets)
-    loop = np.stack(
-        [sense(pipe, s, 1.0, derive_rng(0, "det"), pipe.targets) for s in sym]
-    )
+    batch = sense(pipe, sym, 1.0, derive_rng(103, "det"))
+    loop = np.stack([sense(pipe, s, 1.0, derive_rng(0, "det")) for s in sym])
     assert batch.shape == (4, 64, 3)
     np.testing.assert_allclose(batch, loop, atol=1e-12)
 
@@ -309,6 +307,18 @@ def test_noise_only_rate_matches_design_level(cal_factor):
         _pipeline("16-PSK", cal_factor, linear=True), 10.0, 6000, derive_rng(103, "det")
     )
     assert 1e-4 / 3 < rate < 3 * 1e-4
+
+
+def test_noise_only_rate_ignores_the_pipeline_targets(cal_factor):
+    # 120 trials run as chunks of 50, 50 and 20
+    pipe = _pipeline("16-QAM", cal_factor)
+    rates = [
+        noise_only_false_alarm_rate(replace(pipe, targets=targets), 10.0, 120,
+                                    derive_rng(8, "det"), workers=w)
+        for w in (1, 2) for targets in (DEFAULT_TARGETS, ())
+    ]
+    assert rates[0] > 0
+    assert rates == [rates[0]] * 4
 
 
 def test_noise_only_requires_factor():
