@@ -34,6 +34,10 @@ from .seeding import chunk_counts, spawn_rngs
 from .signaling import ConstellationSpec, SignalingBasis, draw_symbols, synthesize
 
 _THETA_POINTS = 4096
+# correlations per block of the quadrature grid: about 0.5 MB per temporary
+_THETA_BLOCK_ROWS = 8
+# samples per block of the lag-correlation draw: about 0.5 MB per complex temporary
+_MC_BLOCK_CELLS = 32_768
 
 
 @dataclass(frozen=True)
@@ -53,22 +57,33 @@ class ClipProbabilities:
         return abs(self.p_below_both + 2 * self.p_mixed + self.p_above_both - 1.0)
 
 
-def _below_integral(y: float, rho: np.ndarray, points: int) -> np.ndarray:
+def _below_integral(y: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over theta of exp(-y^2 [1 + (1-rho)/(1 + 2 sqrt(rho) sin t + rho)]).
 
     Uniform-grid trapezoid on a smooth periodic integrand, evaluated for a
-    whole vector of rho values at once.
+    vector of rho values in blocks of rows.  Returns the means on the
+    ``_THETA_POINTS`` grid and on the doubled grid; the former are the even
+    points of the latter, so each integrand is evaluated once.
     """
-    theta = np.linspace(-np.pi, np.pi, points, endpoint=False)
-    r = rho[:, None]
-    denom = 1.0 + 2.0 * np.sqrt(r) * np.sin(theta)[None, :] + r
-    expo = -(y * y) * (1.0 + (1.0 - r) / denom)
-    return np.exp(expo).mean(axis=1)
+    theta = np.linspace(-np.pi, np.pi, 2 * _THETA_POINTS, endpoint=False)
+    sin = np.sin(theta)[None, :]
+    coarse, fine = np.empty(rho.shape), np.empty(rho.shape)
+    for start in range(0, rho.size, _THETA_BLOCK_ROWS):
+        rows = slice(start, start + _THETA_BLOCK_ROWS)
+        r = rho[rows, None]
+        denom = 1.0 + 2.0 * np.sqrt(r) * sin + r
+        vals = np.exp(-(y * y) * (1.0 + (1.0 - r) / denom))
+        coarse[rows] = vals[:, ::2].mean(axis=1)
+        fine[rows] = vals.mean(axis=1)
+    return coarse, fine
 
 
 def _joint_below_vector(y: float, rho: np.ndarray) -> np.ndarray:
     """``P(both samples below the threshold)`` for an array of lag
-    correlations, with a grid-doubling accuracy check."""
+    correlations, with a grid-doubling accuracy check.
+
+    Each distinct correlation is integrated once: lag grids repeat most of
+    their values (``|l|`` and ``min(l, n - l)``)."""
     rho = np.asarray(rho, dtype=float)
     if y <= 0:
         raise ConfigError(f"normalized threshold must be positive, got {y}")
@@ -79,15 +94,15 @@ def _joint_below_vector(y: float, rho: np.ndarray) -> np.ndarray:
     out[exact] = 1.0 - math.exp(-y * y)
     rest = ~exact
     if np.any(rest):
-        coarse = _below_integral(y, rho[rest], _THETA_POINTS)
-        fine = _below_integral(y, rho[rest], 2 * _THETA_POINTS)
+        distinct, inverse = np.unique(rho[rest], return_inverse=True)
+        coarse, fine = _below_integral(y, distinct)
         defect = float(np.max(np.abs(fine - coarse)))
         if defect > 1e-9:
             raise NumericError(
                 f"envelope-pair integral did not converge: grid-doubling "
                 f"changed the result by {defect:.3e} (y={y})"
             )
-        out[rest] = 1.0 - 2.0 * math.exp(-y * y) + fine
+        out[rest] = 1.0 - 2.0 * math.exp(-y * y) + fine[inverse]
     return out
 
 
@@ -120,12 +135,10 @@ class LagCorrelation:
     degenerate: bool = False
 
 
-def _envelope_autocov(power: np.ndarray) -> np.ndarray:
-    """Circular autocovariance of per-sample power, averaged over rows."""
-    centered = power - power.mean()
+def _circular_autocov(centered: np.ndarray) -> np.ndarray:
+    """Circular autocovariance of each row of a zero-mean power array."""
     spec = np.abs(np.fft.fft(centered, axis=-1)) ** 2
-    acov = np.fft.ifft(spec, axis=-1).real / power.shape[-1]
-    return acov.mean(axis=0)
+    return np.fft.ifft(spec, axis=-1).real / centered.shape[-1]
 
 
 def lag_correlation(
@@ -137,6 +150,11 @@ def lag_correlation(
 ) -> LagCorrelation:
     """Estimate the squared-envelope correlation at every lag ``0..n``.
 
+    The circular autocovariance of per-sample power, centred on its mean
+    over all trials, is averaged over ``trials`` frames.  Frames are drawn,
+    synthesized and transformed in blocks of about ``_MC_BLOCK_CELLS``
+    samples; only the per-sample power of all trials is held at once.
+
     Estimates are clipped to ``[0, 1]``; materially negative ones trigger a
     warning before clipping.  Constant-envelope cases come back degenerate
     with an all-zero body.
@@ -145,14 +163,26 @@ def lag_correlation(
         raise ConfigError(f"basis size {basis.n} does not match n={n}")
     if trials < 1:
         raise ConfigError("at least one trial required")
-    sym = draw_symbols(constellation, (trials, n), rng)
-    x = synthesize(basis, sym)
-    power = np.abs(x) ** 2
-    acov = _envelope_autocov(power)
+    step = max(1, _MC_BLOCK_CELLS // n)
+    blocks = [slice(start, min(start + step, trials)) for start in range(0, trials, step)]
+    power = np.empty((trials, n))
+    for rows in blocks:
+        # bounded-integer draws continue one stream, so blocking keeps the symbols
+        x = synthesize(basis, draw_symbols(constellation, (rows.stop - rows.start, n), rng))
+        np.square(np.abs(x, out=power[rows]), out=power[rows])
+    mean = power.mean()
+    # sum the rows in order, so the total is the one a single axis-0 sum gives
+    total = None
+    for rows in blocks:
+        acov = _circular_autocov(power[rows] - mean)
+        if total is not None:
+            acov[0] += total
+        total = acov.sum(axis=0)
+    acov = total / trials
     var = acov[0]
     values = np.zeros(n + 1)
     values[0] = 1.0
-    if var <= 1e-12 * float(np.mean(power)) ** 2:
+    if var <= 1e-12 * float(mean) ** 2:
         return LagCorrelation(values=values, degenerate=True)
     rho = acov / var
     if np.any(rho[1:] < -0.05):

@@ -114,8 +114,9 @@ def _cmd_pd_curve(args) -> int:
     if args.factor is not None:
         factor = args.factor
     else:
+        # calibrated on cuts as long as the n-bin range cuts it detects on
         factor = calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS,
-                                derive_rng(args.seed, "cli/pd-curve/cal"))
+                                derive_rng(args.seed, "cli/pd-curve/cal"), cut_len=args.n)
     pipeline = _pipeline_from_args(args, cfar=CfarConfig(factor=factor),
                                    distortion_limited=args.distortion_limited)
     curve = pd_experiment(pipeline, grid, args.trials, rng, workers=args.workers)

@@ -51,7 +51,8 @@ _PD_CHUNK = 50
 DEFAULT_CAL_CELLS = 4_000_000
 #: Range bin of the weak target whose detection the Pd experiments score.
 WEAK_BIN = 8
-# cells per calibration draw: about 0.5 MB per float64 temporary
+# cells per calibration draw: each float64 temporary of a block is about
+# 0.5 MB, and no calibration array grows with the cell count
 _CAL_BLOCK_CELLS = 65_536
 
 
@@ -100,7 +101,8 @@ def _noise_levels(cuts: np.ndarray, window: int, guard: int) -> np.ndarray:
     cs = np.zeros(cuts.shape[:-1] + (length + 1,))
     np.cumsum(cuts, axis=-1, out=cs[..., 1:])
     # means[..., j] averages cells j .. j + window - 1
-    means = (cs[..., window:] - cs[..., :-window]) / window
+    means = cs[..., window:] - cs[..., :-window]
+    means /= window
     reach = guard + window
     noise = np.full(cuts.shape, np.inf)
     noise[..., reach:] = means[..., :length - reach]
@@ -136,7 +138,12 @@ def calibrate_cfar(
 
     The empirical P_fa of a factor is the share of noise-only cell-to-noise
     ratios above it, so the smallest factor meeting the target is one order
-    statistic of those ratios.
+    statistic of those ratios: the ``allowed + 1``-th largest, where
+    ``allowed`` is the most alarms the target permits.  The cells are drawn
+    as ``ceil(trials / cut_len)`` cuts of ``cut_len`` cells, block by block,
+    and only the ratios that can still be among the ``allowed + 1`` largest
+    are kept: memory holds one block and at most ``2 (allowed + 1)`` ratios,
+    whatever the number of cells.
 
     ``trials`` counts cell tests; it must be large enough that the expected
     number of false alarms at the target probability is at least 100,
@@ -151,24 +158,28 @@ def calibrate_cfar(
         raise ConfigError("calibration cut length too short for the CFAR geometry")
 
     rows = math.ceil(trials / cut_len)
-    ratios = np.empty((rows, cut_len))
-    # draw in cache-sized blocks so the temporaries stay small; exponential
-    # draws are sequential, so the block size does not change the stream
-    batch = max(1, _CAL_BLOCK_CELLS // cut_len)
-    for start in range(0, rows, batch):
-        cells = rng.exponential(1.0, size=(min(batch, rows - start), cut_len))
-        noise = _noise_levels(cells, cfg.window, cfg.guard)
-        np.divide(cells, noise, out=ratios[start:start + cells.shape[0]])
-    ratios = ratios.ravel()
-    total = ratios.size
+    total = rows * cut_len
     # the most ratios that may lie above the factor; counted with the same
     # ``count / total <= p_fa`` test as the achieved rate, since p_fa is not
     # exact in binary
     allowed = bisect.bisect_right(range(total + 1), cfg.p_fa, key=lambda a: a / total) - 1
-    k = total - allowed - 1
-    ratios.partition(k)  # in place: np.partition would copy every ratio
-    factor = ratios[k]
-    achieved = np.count_nonzero(ratios > factor) / total
+    keep = allowed + 1
+    # candidates hold every ratio above ``floor``, the smallest of the
+    # ``keep`` largest ratios seen so far, so they always contain the
+    # ``keep`` largest ratios of all the cells drawn
+    top, floor = np.empty(0), -np.inf
+    # exponential draws are sequential, so the block size does not change the stream
+    batch = max(1, _CAL_BLOCK_CELLS // cut_len)
+    for start in range(0, rows, batch):
+        cells = rng.exponential(1.0, size=(min(batch, rows - start), cut_len))
+        cells /= _noise_levels(cells, cfg.window, cfg.guard)  # cell-to-noise ratios
+        top = np.concatenate((top, cells[cells > floor]))
+        del cells  # free the block before the next one is drawn
+        if top.size > 2 * keep:
+            top = np.partition(top, top.size - keep)[-keep:].copy()  # frees the rest
+            floor = top[0]
+    factor = np.partition(top, top.size - keep)[top.size - keep]
+    achieved = np.count_nonzero(top > factor) / total
     if abs(achieved - cfg.p_fa) > 0.1 * cfg.p_fa:
         raise CalibrationError(
             f"calibrated factor {factor:.4f} reaches P_fa={achieved:.3e}, "

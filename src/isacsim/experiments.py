@@ -296,16 +296,19 @@ class RunContext:
     def snr_grid(self, default: np.ndarray) -> np.ndarray:
         return np.asarray(self.setting("snr_db_grid", default))
 
-    def cfar(self) -> CfarConfig:
+    def cfar(self, frame: FrameConfig) -> CfarConfig:
         """Default SO-CFAR with its factor calibrated on this run's streams.
 
-        Only the scenarios that detect on the zero-Doppler range cut use it;
-        they never form a Doppler grid, so a configured ``m_per`` would be
+        The calibration cuts are as long as the range cuts the detector runs
+        on: ``n_per`` bins when configured, else the frame's ``n``.  Only the
+        scenarios that detect on the zero-Doppler range cut use it; they
+        never form a Doppler grid, so a configured ``m_per`` would be
         silently ignored and is rejected instead.
         """
         if self.config.m_per is not None:
             raise ConfigError("m_per is not used: detection runs on the zero-Doppler range cut")
-        factor = calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS, self.rng("cfar-calibration"))
+        factor = calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS, self.rng("cfar-calibration"),
+                                cut_len=self.setting("n_per", frame.n))
         return CfarConfig(factor=factor)
 
 
@@ -607,7 +610,7 @@ def _scn_cfar_example(ctx: RunContext) -> dict[str, Columns]:
     fc = ctx.frame()
     const = ctx.constellation("16-QAM")
     targets = ctx.setting("targets", DEFAULT_TARGETS)
-    cfar = ctx.cfar()
+    cfar = ctx.cfar(fc)
     snr_db = ctx.snr_db(15.0)
     out: dict[str, Columns] = {}
     for label, linear, limited in (("linear", True, False), ("nonlinear", False, True)):
@@ -647,13 +650,13 @@ def _pd_curves(ctx: RunContext, specs: dict[str, tuple]) -> dict[str, PdCurve]:
     """Weak-target Pd of each ``name: (constellation, snr_grid_db, tag, linear, limited)``
     spec, all on one pool, calibrating only once every constellation is accepted."""
     consts = [ctx.fixed_constellation(spec[0]) for spec in specs.values()]
-    cfar = ctx.cfar()
+    frame = ctx.frame(m=3)
+    cfar = ctx.cfar(frame)
     # Weak reflector 20 dB below the strong one.  Together with the short
     # detection frame this keeps the distortion-limited ceilings of the QAM
     # constellations measurably below 1 so the upper detection limits are
     # visible in the curves; at the full frame every plateau saturates.
     targets = ctx.setting("targets", (Target(b=1.0, delay=4), Target(b=0.1, delay=WEAK_BIN)))
-    frame = ctx.frame(m=3)
     jobs = [(_pipeline(ctx, const, frame, targets, cfar, linear, limited), grid, ctx.rng(tag))
             for const, (_, grid, tag, linear, limited) in zip(consts, specs.values())]
     return dict(zip(specs, pd_curves(jobs, ctx.trials(), ctx.config.workers)))

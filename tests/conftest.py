@@ -1,5 +1,7 @@
 """Shared helpers: reference oracles and signal generators used across tests."""
 
+import tracemalloc
+
 import numpy as np
 
 from isacsim import (
@@ -89,3 +91,17 @@ def scaled_linear_generator(constellation, basis_name, n, pa):
         return pa.g * pa.alpha * synthesize(basis, sym)
 
     return gen
+
+
+def traced_peak_bytes(fn, *args, **kwargs):
+    """Peak bytes allocated while ``fn(*args, **kwargs)`` runs.
+
+    ``tracemalloc`` sees numpy's data buffers, so this is the call's working
+    set, its result included.
+    """
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -5,6 +5,7 @@ import pytest
 
 from isacsim import (
     ConfigError,
+    NumericError,
     PaConfig,
     average_af,
     clip_probabilities,
@@ -20,9 +21,11 @@ from isacsim import (
     to_db,
 )
 from isacsim.ambiguity import AfMode, _lags, cross_af
+from isacsim import analytic
 from isacsim.analytic import (
     LagCorrelation,
     _clip_weights,
+    _joint_below_vector,
     bussgang_af_decompose,
     expected_zero_doppler_bussgang,
     sel_eisl,
@@ -31,7 +34,13 @@ from isacsim.analytic import (
 )
 from isacsim.seeding import derive_rng
 
-from conftest import pa_compression, pa_limiter, scaled_linear_generator, tx_generator
+from conftest import (
+    pa_compression,
+    pa_limiter,
+    scaled_linear_generator,
+    traced_peak_bytes,
+    tx_generator,
+)
 
 
 # ------------------------------------------------- joint clip probabilities
@@ -53,6 +62,29 @@ def test_fully_correlated_pair_collapses_to_marginal():
         assert joint_below_prob(1.0, rho) == pytest.approx(
             1.0 - math.exp(-1.0), abs=1e-12
         )
+
+
+def test_joint_below_vector_on_repeated_correlations_matches_per_value_loop():
+    # lag grids repeat their correlations; each distinct one is integrated
+    # once, and every entry must equal the value it gets on its own
+    distinct = np.linspace(0.0, 0.9, 17)
+    rho = np.concatenate([distinct, distinct[::-1], [1.0, 0.3, 0.3, 0.0]])
+    expected = np.array([joint_below_prob(1.1, float(r)) for r in rho])
+    np.testing.assert_array_equal(_joint_below_vector(1.1, rho), expected)
+
+
+def test_joint_below_prob_raises_when_grid_doubling_disagrees():
+    # just below the exact-collapse cut-off the integrand is too sharply
+    # peaked for the theta grid, and doubling the grid shows it
+    with pytest.raises(NumericError, match="did not converge"):
+        joint_below_prob(1.0, 0.999999)
+
+
+def test_joint_below_vector_memory_bounded_on_aperiodic_lags():
+    # 255 aperiodic lags on the doubled theta grid take 17 MB per temporary
+    # when integrated all at once
+    rho = np.linspace(0.0, 0.9, 128)[np.abs(np.arange(-127, 128))]
+    assert traced_peak_bytes(_joint_below_vector, 1.1, rho) < 4e6
 
 
 def test_weight_triple_at_unit_threshold():
@@ -106,6 +138,34 @@ def test_lag_correlation_constant_envelope_is_degenerate():
     basis = parse_basis("sc", 16)
     rho = lag_correlation(parse_constellation("16-PSK"), basis, 16, 500, derive_rng(72, "an"))
     assert rho.degenerate
+
+
+@pytest.mark.parametrize("basis_name", ["ofdm", "sc", "cdma"])
+def test_lag_correlation_blocks_match_one_shot_estimate(basis_name):
+    # 4097 trials end in a ragged block; the streamed estimate must equal,
+    # bit for bit, the one computed over all frames at once
+    n, trials = 64, 4097
+    const, basis = parse_constellation("16-QAM"), parse_basis(basis_name, n)
+    assert trials % (analytic._MC_BLOCK_CELLS // n) != 0
+    rho = lag_correlation(const, basis, n, trials, derive_rng(81, "an"))
+    x = synthesize(basis, draw_symbols(const, (trials, n), derive_rng(81, "an")))
+    power = np.abs(x) ** 2
+    spec = np.abs(np.fft.fft(power - power.mean(), axis=-1)) ** 2
+    acov = (np.fft.ifft(spec, axis=-1).real / n).mean(axis=0)
+    expected = np.zeros(n + 1)
+    expected[0] = 1.0
+    expected[1:n] = np.clip(acov[1:n] / acov[0], 0.0, 1.0)
+    np.testing.assert_array_equal(rho.values, expected)
+    assert not rho.degenerate
+
+
+def test_lag_correlation_memory_does_not_grow_with_temporaries():
+    # the one-shot estimate pushed all 4096 frames through about six
+    # same-size complex temporaries (46 MB); only the 4 MB power array is
+    # held whole now
+    const, basis = parse_constellation("16-QAM"), parse_basis("ofdm", 128)
+    peak = traced_peak_bytes(lag_correlation, const, basis, 128, 4096, derive_rng(82, "an"))
+    assert peak < 8e6
 
 
 # ------------------------------------------------------ realization algebra

@@ -30,7 +30,7 @@ from isacsim.detect import (
 from isacsim.experiments import DEFAULT_TARGETS
 from isacsim.seeding import derive_rng
 
-from conftest import pa_compression
+from conftest import pa_compression, traced_peak_bytes
 
 FROZEN_FACTOR = 13.078164525370887
 
@@ -158,15 +158,30 @@ def test_calibration_factor_monotone_in_target_rate():
 
 
 def test_calibration_blocks_match_single_block():
-    cfg, trials, cut_len = CfarConfig(p_fa=1e-3), 100_000, 64
-    rows = math.ceil(trials / cut_len)
-    assert rows % (detect._CAL_BLOCK_CELLS // cut_len) != 0  # last block is ragged
-    factor = calibrate_cfar(cfg, trials, derive_rng(11, "cal"))
-    cells = derive_rng(11, "cal").exponential(1.0, size=(rows, cut_len))
-    ratios = np.sort((cells / detect._noise_levels(cells, cfg.window, cfg.guard)).ravel())
-    total = ratios.size
-    allowed = max(a for a in range(total + 1) if a / total <= cfg.p_fa)
-    assert factor == ratios[total - allowed - 1]
+    # the order statistic of the streamed candidates equals that of all the
+    # ratios drawn at once: with a ragged last block (1e5 cells), with more
+    # candidates than a block holds (P_fa 0.5 keeps 500,001 ratios), and with
+    # a tail compacted six times over 62 blocks (4e6 cells at 1e-4)
+    cut_len = 64
+    batch = detect._CAL_BLOCK_CELLS // cut_len
+    for cfg, trials, seed in ((CfarConfig(p_fa=1e-3), 100_000, 11),
+                              (CfarConfig(p_fa=0.5), 1_000_000, 12),
+                              (CfarConfig(), 4_000_000, 13)):
+        rows = math.ceil(trials / cut_len)
+        assert rows % batch != 0  # last block is ragged
+        factor = calibrate_cfar(cfg, trials, derive_rng(seed, "cal"))
+        cells = derive_rng(seed, "cal").exponential(1.0, size=(rows, cut_len))
+        ratios = np.sort((cells / detect._noise_levels(cells, cfg.window, cfg.guard)).ravel())
+        total = ratios.size
+        allowed = max(a for a in range(total + 1) if a / total <= cfg.p_fa)
+        assert factor == ratios[total - allowed - 1]
+
+
+def test_calibration_memory_does_not_grow_with_cells():
+    # holding every ratio of 4e6 cells takes 32 MB; the streamed calibration
+    # keeps one 65,536-cell block and the 401 largest ratios
+    peak = traced_peak_bytes(calibrate_cfar, CfarConfig(), 4_000_000, derive_rng(7, "cal"))
+    assert peak < 4e6
 
 
 def test_calibration_order_unity_at_even_odds():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import isacsim
-from isacsim import ConfigError, detect, experiments, list_scenarios, run_scenario
+from isacsim import ConfigError, cli, detect, experiments, list_scenarios, run_scenario
 from isacsim.cli import main
 from isacsim.experiments import ExperimentConfig, project_snr
 
@@ -186,6 +186,44 @@ def test_worker_count_does_not_change_output(small_run, tmp_path):
             for name in pd_manifest.files
         }
     assert runs[1] and runs[1] == runs[2]
+
+
+@pytest.fixture
+def calibration_cut_lens(monkeypatch):
+    """Cut length of every CFAR calibration the scenarios and the CLI ask
+    for; each returns a fixed factor instead of calibrating."""
+    cut_lens = []
+
+    def recording(cfg, trials, rng, cut_len=64):
+        cut_lens.append(cut_len)
+        return 13.0
+
+    monkeypatch.setattr(experiments, "calibrate_cfar", recording)
+    monkeypatch.setattr(cli, "calibrate_cfar", recording)
+    return cut_lens
+
+
+@pytest.mark.parametrize("scenario, settings", [
+    ("fig-cfar-example", {"n": 128}),
+    ("fig-pd-curves", {"n": 128}),
+    ("fig-pd-ceilings", {"n": 128}),
+    ("fig-pd-curves", {"n_per": 128}),
+])
+def test_range_cut_scenarios_calibrate_on_the_detector_cut(tmp_path, calibration_cut_lens,
+                                                           scenario, settings):
+    # the detector runs on 128-bin range cuts here; calibrating on 64-cell
+    # cuts would give the one-sided edge cells 36/64 of the tests instead of
+    # 36/128, and the factor would miss its P_fa
+    run_scenario(ExperimentConfig(scenario=scenario, trials=2, snr_db_grid=(10.0,),
+                                  out_dir=str(tmp_path), **settings))
+    assert calibration_cut_lens == [128]
+
+
+def test_cli_pd_curve_calibrates_on_the_detector_cut(tmp_path, calibration_cut_lens):
+    argv = ["pd-curve", "--n", "128", "--m", "3", "--snr-db-grid", "10", "--trials", "2",
+            "--out", str(tmp_path / "pd.csv")]
+    assert main(argv) == 0
+    assert calibration_cut_lens == [128]
 
 
 def test_pd_scenario_rejects_range_grid_shorter_than_frame():
