@@ -31,13 +31,17 @@ from .ambiguity import AfMode, _lags, _xcorr, cross_af
 from .errors import ConfigError, NumericError
 from .pa import PaConfig
 from .seeding import chunk_counts, spawn_rngs
-from .signaling import ConstellationSpec, SignalingBasis, draw_symbols, synthesize
+from .signaling import (
+    ConstellationSpec,
+    SignalingBasis,
+    _row_blocks,
+    draw_symbols,
+    synthesize,
+)
 
 _THETA_POINTS = 4096
 # correlations per block of the quadrature grid: about 0.5 MB per temporary
 _THETA_BLOCK_ROWS = 8
-# samples per block of the lag-correlation draw: about 0.5 MB per complex temporary
-_MC_BLOCK_CELLS = 32_768
 
 
 @dataclass(frozen=True)
@@ -163,11 +167,9 @@ def lag_correlation(
         raise ConfigError(f"basis size {basis.n} does not match n={n}")
     if trials < 1:
         raise ConfigError("at least one trial required")
-    step = max(1, _MC_BLOCK_CELLS // n)
-    blocks = [slice(start, min(start + step, trials)) for start in range(0, trials, step)]
+    blocks = _row_blocks(trials, n)
     power = np.empty((trials, n))
     for rows in blocks:
-        # bounded-integer draws continue one stream, so blocking keeps the symbols
         x = synthesize(basis, draw_symbols(constellation, (rows.stop - rows.start, n), rng))
         np.square(np.abs(x, out=power[rows]), out=power[rows])
     mean = power.mean()

@@ -303,12 +303,17 @@ class RunContext:
         on: ``n_per`` bins when configured, else the frame's ``n``.  Only the
         scenarios that detect on the zero-Doppler range cut use it; they
         never form a Doppler grid, so a configured ``m_per`` would be
-        silently ignored and is rejected instead.
+        silently ignored and is rejected instead, as is an ``n_per`` shorter
+        than the frame, which the range cut would reject only after the
+        calibration.
         """
         if self.config.m_per is not None:
             raise ConfigError("m_per is not used: detection runs on the zero-Doppler range cut")
+        cut_len = self.setting("n_per", frame.n)
+        if cut_len < frame.n:
+            raise ConfigError(f"range grid of {cut_len} bins must cover the {frame.n} subcarriers")
         factor = calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS, self.rng("cfar-calibration"),
-                                cut_len=self.setting("n_per", frame.n))
+                                cut_len=cut_len)
         return CfarConfig(factor=factor)
 
 

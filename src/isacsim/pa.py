@@ -8,7 +8,8 @@ reference power.
 
 The clipped output decomposes into a scaled replica of the input plus a
 statistically uncorrelated distortion term.  ``estimate_bussgang`` measures
-that decomposition by Monte Carlo on the actual (constellation, basis) pair;
+that decomposition by Monte Carlo on the actual (constellation, basis) pair,
+drawing each frame once and merging per-block moments at the pooled scale;
 ``kappa_gaussian`` is the Gaussian-input closed form kept as an independent
 oracle.
 """
@@ -22,7 +23,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .seeding import DEFAULT_CHUNK, chunk_counts, spawn_rngs
-from .signaling import ConstellationSpec, SignalingBasis, draw_symbols, synthesize
+from .signaling import (
+    ConstellationSpec,
+    SignalingBasis,
+    _row_blocks,
+    draw_symbols,
+    synthesize,
+)
 
 
 def backoff_coefficient(p1db: float, ibo: float) -> float:
@@ -157,10 +164,55 @@ def snr_eff(snr0: float, sdr_value: float) -> float:
     return snr0 / (1.0 + snr0 / sdr_value)
 
 
-def _draw_amplified(cfg, basis, constellation, trials, rng):
-    sym = draw_symbols(constellation, (trials, basis.n), rng)
-    x = synthesize(basis, sym)
-    return x, sel_amplify(x, cfg)
+def _block_moments(x, s, work):
+    """Sums of one block of input ``x`` and output ``s`` about the block's own
+    linear scale ``kb = C / P``, where ``P = sum |x|^2`` and
+    ``C = sum conj(x) s``.
+
+    With ``q = |x|^2``, ``d = s - kb x``, ``a = |d|^2`` and ``u = conj(x) d``
+    the tuple is ``(P, C, kb, sum a, sum a^2, sum a q, sum q^2, sum u^2,
+    sum a u, sum q u)``; the last five are what :func:`_shifted_d_sums` needs
+    to move the two ``d`` sums to another scale.  Both arguments are flat and
+    both are overwritten.  ``work`` is a float buffer of at least
+    ``4 * x.size`` values.
+    """
+    size = x.size
+    u = work[:2 * size].view(complex)
+    q, a = work[2 * size:4 * size].reshape(2, size)
+    c = complex(np.multiply(np.conjugate(x, out=u), s, out=u).sum())
+    p = float(np.square(np.abs(x, out=q), out=q).sum())
+    kb = c / p
+    d = np.subtract(s, np.multiply(x, kb, out=u), out=s)
+    np.multiply(np.conjugate(x, out=u), d, out=u)
+    products = x.view(float)[:size]  # x is spent: its buffer takes the products
+    np.add(np.square(d.real, out=a), np.square(d.imag, out=products), out=a)
+
+    def real_sum(w, v):
+        return float(np.multiply(w, v, out=products).sum())
+
+    def complex_sum(w, v):
+        return complex(np.multiply(w, v, out=x).sum())
+
+    mixed = (complex_sum(u, u), complex_sum(a, u), complex_sum(q, u))
+    return (p, c, kb, float(a.sum()), real_sum(a, a), real_sum(a, q), real_sum(q, q), *mixed)
+
+
+def _shifted_d_sums(moments, kappa):
+    """``sum |d|^2`` and ``sum |d|^4`` of one block for ``d = s - kappa x``.
+
+    With ``delta = kappa - kb`` the residual is ``d_b - delta x``, so
+    ``|d|^2 = a - 2 Re(conj(delta) u) + |delta|^2 q``.  ``sum u = C - kb P``
+    vanishes, which leaves the first sum without a cross term; the square
+    gives the second from the block's mixed sums.
+    """
+    p, _, kb, a1, a2, aq, qq, uu, au, qu = moments
+    delta = kappa - kb
+    dc = delta.conjugate()
+    m = abs(delta) ** 2
+    d2 = a1 + m * p
+    d4 = (a2 + m * m * qq + 4.0 * m * aq + 2.0 * (dc * dc * uu).real
+          - 4.0 * (dc * au).real - 4.0 * m * (dc * qu).real)
+    return d2, d4
 
 
 def estimate_bussgang(
@@ -170,38 +222,54 @@ def estimate_bussgang(
     trials: int,
     rng: np.random.Generator,
 ) -> BussgangStats:
-    """Monte-Carlo estimate of the linearization statistics.
+    """Monte-Carlo estimate of the linearization statistics, in one pass.
 
-    Two passes over the same derived sub-streams: the first accumulates the
-    cross- and self-moments that fix ``kappa``, the second regenerates each
-    chunk from its stream's seed sequence and measures the distortion
-    residual against that single ``kappa``.
-    Chunked accumulation in fixed order keeps the result independent of
-    scheduling.
+    Trials are split into fixed-size chunks, each with its own derived
+    sub-stream.  A chunk's frames are drawn, synthesized and amplified in row
+    blocks of about ``_MC_BLOCK_CELLS`` samples that continue the chunk's
+    stream, and each block is reduced to a tuple of moments about its own
+    linear scale (:func:`_block_moments`).  ``kappa`` is the ratio of the
+    summed cross- and self-moments; the tuples are then shifted to it and
+    summed in block order (:func:`_shifted_d_sums`), which gives the
+    distortion power and fourth moment of ``s - kappa x`` without drawing
+    any frame twice.  The fixed order keeps the result independent of
+    scheduling, and no array grows with ``trials``.
     """
     if trials < 1:
         raise ConfigError("at least one trial required")
     sizes = chunk_counts(trials, DEFAULT_CHUNK)
-    streams = spawn_rngs(rng, len(sizes))
-
+    largest = _row_blocks(sizes[0], basis.n)[0]
+    # One allocation, larger than any block temporary, for the work arrays of
+    # every block: freeing it raises glibc's dynamic mmap and trim thresholds
+    # above a block's heap span, so later blocks and calls reuse heap pages
+    # instead of faulting fresh ones in.
+    work = np.empty(4 * (largest.stop - largest.start) * basis.n)
+    blocks = []
     cross = 0.0 + 0.0j
     power = 0.0
-    count = 0
-    for sz, r in zip(sizes, streams):
-        x, s = _draw_amplified(cfg, basis, constellation, sz, r)
-        cross += complex(np.sum(np.conj(x) * s))
-        power += float(np.sum(np.abs(x) ** 2))
-        count += x.size
+    for sz, r in zip(sizes, spawn_rngs(rng, len(sizes))):
+        # numpy's pairwise sum of a chunk adds its two halves last, so a chunk
+        # of one block or of two equal ones keeps the chunk-wide bits of kappa
+        chunk_cross = 0.0 + 0.0j
+        chunk_power = 0.0
+        for rows in _row_blocks(sz, basis.n):
+            shape = (rows.stop - rows.start, basis.n)
+            x = synthesize(basis, draw_symbols(constellation, shape, r)).ravel()
+            moments = _block_moments(x, sel_amplify(x, cfg), work)
+            chunk_cross += moments[1]
+            chunk_power += moments[0]
+            blocks.append(moments)
+        cross += chunk_cross
+        power += chunk_power
     kappa = cross / power
 
     d2_sum = 0.0
     d4_sum = 0.0
-    for sz, r in zip(sizes, streams):
-        replay = np.random.Generator(type(r.bit_generator)(r.bit_generator.seed_seq))
-        x, s = _draw_amplified(cfg, basis, constellation, sz, replay)
-        p = np.abs(s - kappa * x) ** 2
-        d2_sum += float(np.sum(p))
-        d4_sum += float(np.sum(p * p))
+    for moments in blocks:
+        d2, d4 = _shifted_d_sums(moments, kappa)
+        d2_sum += d2
+        d4_sum += d4
+    count = trials * basis.n
     sigma_d2 = d2_sum / count
     d4 = d4_sum / count
 

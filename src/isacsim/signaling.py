@@ -18,6 +18,10 @@ import numpy as np
 
 from .errors import ConfigError
 
+#: Samples per block of a blocked Monte-Carlo draw: about 0.5 MB per complex
+#: temporary.
+_MC_BLOCK_CELLS = 32_768
+
 
 class Scheme(Enum):
     PSK = "psk"
@@ -135,6 +139,17 @@ def draw_symbols(spec: ConstellationSpec, n, rng: np.random.Generator) -> np.nda
     pts = spec.points()
     idx = rng.integers(0, spec.order, size=n)
     return pts[idx]
+
+
+def _row_blocks(rows: int, n: int) -> list[slice]:
+    """Consecutive row slices of about ``_MC_BLOCK_CELLS`` samples that cover
+    ``rows`` frames of ``n`` samples, the last one ragged.
+
+    Bounded-integer draws continue one stream across calls, so drawing the
+    blocks in order gives the symbols of one :func:`draw_symbols` call.
+    """
+    step = max(1, _MC_BLOCK_CELLS // n)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def synthesize(basis: SignalingBasis, symbols: np.ndarray) -> np.ndarray:

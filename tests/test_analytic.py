@@ -21,7 +21,6 @@ from isacsim import (
     to_db,
 )
 from isacsim.ambiguity import AfMode, _lags, cross_af
-from isacsim import analytic
 from isacsim.analytic import (
     LagCorrelation,
     _clip_weights,
@@ -33,6 +32,7 @@ from isacsim.analytic import (
     sel_zero_doppler_cut,
 )
 from isacsim.seeding import derive_rng
+from isacsim.signaling import _MC_BLOCK_CELLS
 
 from conftest import (
     pa_compression,
@@ -146,7 +146,7 @@ def test_lag_correlation_blocks_match_one_shot_estimate(basis_name):
     # bit for bit, the one computed over all frames at once
     n, trials = 64, 4097
     const, basis = parse_constellation("16-QAM"), parse_basis(basis_name, n)
-    assert trials % (analytic._MC_BLOCK_CELLS // n) != 0
+    assert trials % (_MC_BLOCK_CELLS // n) != 0
     rho = lag_correlation(const, basis, n, trials, derive_rng(81, "an"))
     x = synthesize(basis, draw_symbols(const, (trials, n), derive_rng(81, "an")))
     power = np.abs(x) ** 2

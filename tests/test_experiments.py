@@ -226,14 +226,16 @@ def test_cli_pd_curve_calibrates_on_the_detector_cut(tmp_path, calibration_cut_l
     assert calibration_cut_lens == [128]
 
 
-def test_pd_scenario_rejects_range_grid_shorter_than_frame():
+def test_pd_scenario_rejects_range_grid_shorter_than_frame(calibration_cut_lens):
     # a 48-bin delay grid under 64 subcarriers would fold the weak target's
-    # bin onto bin 0 and report Pd = 0
+    # bin onto bin 0 and report Pd = 0; it is rejected before the CFAR
+    # calibration spends its 4e6 cells on 48-cell cuts
     with pytest.raises(ConfigError):
         run_scenario(
             ExperimentConfig(scenario="fig-pd-curves", trials=10, n_per=48,
                              snr_db_grid=(30.0,))
         )
+    assert calibration_cut_lens == []
 
 
 def test_csv_is_parseable(small_run):

@@ -23,9 +23,9 @@ from isacsim import (
     snr_eff,
     synthesize,
 )
-from isacsim.seeding import derive_rng
+from isacsim.seeding import DEFAULT_CHUNK, chunk_counts, derive_rng, spawn_rngs
 
-from conftest import pa_compression, pa_limiter
+from conftest import pa_compression, pa_limiter, traced_peak_bytes
 
 KAPPA_Y1 = 0.7715233514688886  # closed form at threshold == RMS
 POWER_Y1 = 1.0 - math.exp(-1.0)
@@ -280,6 +280,82 @@ def test_bussgang_trend_in_threshold():
         sigmas.append(st.sigma_d2)
     assert all(b > a for a, b in zip(kappas, kappas[1:]))
     assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
+
+
+def _replayed_bussgang(cfg, basis, const, trials, rng):
+    """Two-pass oracle: kappa from a pass over every chunk, then each chunk
+    redrawn from its stream's seed sequence and ``s - kappa x`` measured
+    sample by sample.  Also counts the samples the limiter clipped."""
+    sizes = chunk_counts(trials, DEFAULT_CHUNK)
+    streams = spawn_rngs(rng, len(sizes))
+
+    def draw(rows, r):
+        x = synthesize(basis, draw_symbols(const, (rows, basis.n), r))
+        return x, sel_amplify(x, cfg)
+
+    cross, power, clipped = 0j, 0.0, 0
+    for rows, r in zip(sizes, streams):
+        x, s = draw(rows, r)
+        cross += complex(np.sum(np.conj(x) * s))
+        power += float(np.sum(np.abs(x) ** 2))
+        clipped += int(np.count_nonzero(np.abs(cfg.g * cfg.alpha * x) > cfg.v_sat))
+    kappa = cross / power
+    d2 = d4 = 0.0
+    for rows, r in zip(sizes, streams):
+        x, s = draw(rows, np.random.Generator(type(r.bit_generator)(r.bit_generator.seed_seq)))
+        p = np.abs(s - kappa * x) ** 2
+        d2 += float(np.sum(p))
+        d4 += float(np.sum(p * p))
+    return kappa, d2 / (trials * basis.n), d4 / (trials * basis.n), clipped
+
+
+@pytest.mark.parametrize("n, trials", [(64, 150), (64, 4000), (256, 150), (1024, 150)])
+@pytest.mark.parametrize("name", ["16-PSK", "16-QAM", "64-QAM"])
+def test_one_pass_bussgang_matches_replayed_two_pass(n, trials, name):
+    # 150 trials end in a ragged chunk, and at n = 1024 a chunk is two blocks;
+    # the block moments shifted to the pooled kappa must give the replayed
+    # residual sums to 1e-12.  At 10 dB a short run may clip no sample, and
+    # its residual is rounding noise (see the test below)
+    basis, const = parse_basis("ofdm", n), parse_constellation(name)
+    for i, ibo_db in enumerate((0.0, 4.0, 10.0)):
+        cfg = pa_limiter(ibo_db)
+        st = estimate_bussgang(cfg, basis, const, trials, derive_rng(38, "bg", i))
+        kappa, sigma_d2, d4, clipped = _replayed_bussgang(cfg, basis, const, trials,
+                                                          derive_rng(38, "bg", i))
+        assert abs(st.kappa - kappa) <= 1e-12 * abs(kappa)
+        assert st.sigma_d2 >= 0.0 and st.d4 >= 0.0
+        if clipped or ibo_db < 10.0:
+            assert abs(st.sigma_d2 - sigma_d2) <= 1e-12 * sigma_d2
+            assert abs(st.d4 - d4) <= 1e-12 * d4
+
+
+@pytest.mark.parametrize("basis_name, name, ibo_db", [
+    ("ofdm", "16-QAM", 40.0),  # threshold at 100 RMS, above any 64-sample peak
+    ("sc", "16-PSK", 4.0),  # constant envelope under a threshold of 1.58 RMS
+])
+def test_one_pass_bussgang_without_clipping(basis_name, name, ibo_db):
+    # the residual is rounding noise here, so only kappa is compared; the
+    # shifted sums must stay non-negative and at rounding level
+    cfg = pa_limiter(ibo_db)
+    basis, const = parse_basis(basis_name, 64), parse_constellation(name)
+    st = estimate_bussgang(cfg, basis, const, 150, derive_rng(39, "bg"))
+    kappa, _, _, clipped = _replayed_bussgang(cfg, basis, const, 150, derive_rng(39, "bg"))
+    assert clipped == 0
+    assert abs(st.kappa - kappa) <= 1e-12 * abs(kappa)
+    assert 0.0 <= st.sigma_d2 < 1e-24
+    assert 0.0 <= st.d4 < 1e-48
+    assert sdr(st.sigma_d2, cfg) > 1e20
+
+
+def test_estimate_bussgang_memory_does_not_grow_with_trials():
+    # one pass over 32-row blocks; the replay design peaked at 6.7 MB on its
+    # 64-row chunk arrays, and a design that held chunks for a second pass
+    # would grow with the trial count
+    cfg, basis, const = pa_limiter(0.0), parse_basis("ofdm", 1024), parse_constellation("16-QAM")
+    peaks = [traced_peak_bytes(estimate_bussgang, cfg, basis, const, trials, derive_rng(40, "bg"))
+             for trials in (150, 1000)]
+    assert peaks[1] < 3.5e6
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 # ------------------------------------------------------------------ ratios

@@ -17,7 +17,7 @@ from isacsim import (
     synthesize,
 )
 from isacsim.seeding import derive_rng
-from isacsim.signaling import _hadamard_unitary
+from isacsim.signaling import _hadamard_unitary, _row_blocks
 
 
 # ---------------------------------------------------------------- parsing
@@ -89,6 +89,21 @@ def test_draw_symbols_power_and_membership():
     pts = spec.points()
     dist = np.min(np.abs(sym[..., None] - pts), axis=-1)
     assert dist.max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["4-PSK", "8-PSK", "16-PSK", "32-PSK", "64-PSK",
+                                  "4-QAM", "16-QAM", "64-QAM"])
+def test_draw_symbols_in_row_blocks_equals_one_draw(name):
+    # the blocked Monte-Carlo draws rely on bounded-integer draws continuing
+    # one stream from call to call, also across calls of odd length
+    spec = parse_constellation(name)
+    for rows, n, splits in ((1000, 48, [(r.stop - r.start) for r in _row_blocks(1000, 48)]),
+                            (10, 5, [1, 2, 4, 3])):
+        assert len(set(splits)) > 1 and sum(splits) == rows
+        whole = draw_symbols(spec, (rows, n), derive_rng(4, "sig", rows))
+        rng = derive_rng(4, "sig", rows)
+        blocks = [draw_symbols(spec, (k, n), rng) for k in splits]
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
 
 
 # ----------------------------------------------------------------- bases
