@@ -279,7 +279,9 @@ def expected_zero_doppler_bussgang(
 
 
 def _phase_signal(u: np.ndarray) -> np.ndarray:
-    return np.exp(1j * np.angle(u))
+    """``exp(1j * angle(u))`` as ``u / |u|``; an exact zero maps to 1."""
+    magnitude = np.abs(u)
+    return np.divide(u, magnitude, out=np.ones(u.shape, complex), where=magnitude != 0)
 
 
 def _clip_weights(cfg: PaConfig, rho: LagCorrelation, lags: np.ndarray):

@@ -100,12 +100,34 @@ class PaConfig:
 
 def sel_amplify(signal: np.ndarray, cfg: PaConfig) -> np.ndarray:
     """Amplify a unit-power signal: scale by ``g * alpha``, hard-limit the
-    envelope at ``v_sat`` with the phase of the gain-scaled input preserved."""
+    envelope at ``v_sat`` with the phase of the gain-scaled input preserved.
+
+    A clipped sample ``a = g * alpha * x`` becomes ``a * (v_sat / |a|)``.
+    Rounding can leave its computed envelope an ulp or two above ``v_sat``,
+    so such samples are then shrunk until it is not: ``|out| <= v_sat``
+    holds exactly, in the output's own precision, and at ``g * alpha = 1``
+    amplifying an output again returns it unchanged.
+    """
     signal = np.asarray(signal)
     amplified = cfg.g * cfg.alpha * signal
-    out = np.asarray(amplified, dtype=np.result_type(amplified, 1j))
-    over = np.abs(amplified) > cfg.v_sat
-    out[over] = (cfg.v_sat * cfg.g / abs(cfg.g)) * np.exp(1j * np.angle(signal[over]))
+    out = np.asarray(amplified, dtype=np.result_type(amplified, 1j), order="C")
+    magnitude = np.abs(amplified)
+    clipped = np.flatnonzero(magnitude > cfg.v_sat)
+    magnitude = magnitude.reshape(-1)[clipped]
+    flat = out.reshape(-1)
+    a = flat[clipped]
+    overflowed = np.isinf(magnitude)  # |a| is past the dtype's range: no scale
+    a *= np.divide(cfg.v_sat, magnitude, out=magnitude)
+    if overflowed.any():
+        a[overflowed] = cfg.v_sat * np.exp(1j * np.angle(flat[clipped[overflowed]]))
+    shrink = np.nextafter(a.real.dtype.type(1), 0)
+    high = np.flatnonzero(np.abs(a) > cfg.v_sat)
+    while high.size:
+        a[high] *= shrink
+        # one ulp moves a normal number; a subnormal one needs larger steps
+        shrink *= shrink
+        high = high[np.abs(a[high]) > cfg.v_sat]
+    flat[clipped] = a
     return out
 
 

@@ -20,6 +20,7 @@ from isacsim import (
     synthesize,
     to_db,
 )
+from isacsim import analytic
 from isacsim.ambiguity import AfMode, _lags, cross_af
 from isacsim.analytic import (
     LagCorrelation,
@@ -285,6 +286,27 @@ def test_conditioned_cut_requires_full_lag_table():
     x = np.ones(8, dtype=complex)
     with pytest.raises(ConfigError):
         sel_zero_doppler_cut(x, pa_limiter(0.0), short)
+
+
+def test_phase_signal_maps_exact_zero_to_one(monkeypatch):
+    # antipodal symbols spread by the Hadamard basis cancel exactly in some chips
+    basis = parse_basis("cdma", 8)
+    x = synthesize(basis, np.array([[1, 1, 1, 1, -1, -1, -1, -1]], dtype=complex))[0]
+    cfg = pa_limiter(0.0)
+    u = cfg.g * cfg.alpha * x
+    zero = u == 0
+    assert zero.any() and not zero.all()
+    phi = analytic._phase_signal(u)
+    np.testing.assert_array_equal(phi[zero], 1.0)
+    np.testing.assert_allclose(phi[~zero], np.exp(1j * np.angle(u[~zero])),
+                               rtol=0, atol=4 * np.finfo(float).eps)
+    # the conditioned cut of such a frame is the one the angle formula gives
+    rho = LagCorrelation(np.linspace(1.0, 0.0, 9))
+    cut = sel_zero_doppler_cut(x, cfg, rho)
+    monkeypatch.setattr(analytic, "_phase_signal", lambda v: np.exp(1j * np.angle(v)))
+    by_angle = sel_zero_doppler_cut(x, cfg, rho)
+    assert np.all(np.isfinite(cut))
+    np.testing.assert_allclose(cut, by_angle, rtol=0, atol=1e-12 * np.abs(by_angle).max())
 
 
 @pytest.mark.parametrize("mode", [AfMode.PERIODIC, AfMode.APERIODIC])

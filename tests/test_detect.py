@@ -177,6 +177,19 @@ def test_calibration_blocks_match_single_block():
         assert factor == ratios[total - allowed - 1]
 
 
+def test_blockwise_standard_exponential_equals_one_exponential_draw():
+    # calibrate_cfar refills one block with standard_exponential(out=); the
+    # cells must be the draws of a single exponential(1.0, size) call
+    rows, cut_len = 2500, 64
+    expected = derive_rng(14, "cal").exponential(1.0, size=(rows, cut_len))
+    rng = derive_rng(14, "cal")
+    block = np.empty((detect._CAL_BLOCK_CELLS // cut_len, cut_len))
+    assert rows > len(block) and rows % len(block) != 0  # last block is ragged
+    got = [rng.standard_exponential(out=block[:min(len(block), rows - start)]).copy()
+           for start in range(0, rows, len(block))]
+    np.testing.assert_array_equal(np.concatenate(got), expected)
+
+
 def test_calibration_memory_does_not_grow_with_cells():
     # holding every ratio of 4e6 cells takes 32 MB; the streamed calibration
     # keeps one 65,536-cell block and the 401 largest ratios

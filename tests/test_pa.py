@@ -180,6 +180,57 @@ def test_sel_amplify_bounds_envelope_and_keeps_gain_phase(x, v_sat, drive, g_mag
                                linear[clipped] / np.abs(linear[clipped]), rtol=0, atol=1e-12)
 
 
+_SAMPLES = st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=64)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@settings(max_examples=300, deadline=None)
+@given(x=_SAMPLES, v_sat=st.floats(0.1, 3.0))
+def test_sel_amplify_idempotent_at_unit_gain_property(dtype, x, v_sat):
+    cfg = PaConfig(v_sat=v_sat, ibo=v_sat**2)
+    assert cfg.g * cfg.alpha == 1.0
+    once = sel_amplify(np.asarray(x, dtype=dtype), cfg)
+    assert once.dtype == dtype
+    np.testing.assert_array_equal(sel_amplify(once, cfg), once)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@settings(max_examples=300, deadline=None)
+@given(x=_SAMPLES, v_sat=st.floats(0.1, 3.0), drive=st.floats(1.0, 100.0),
+       g_mag=st.floats(0.1, 10.0), g_phase=st.floats(-math.pi, math.pi))
+def test_sel_amplify_exact_envelope_bound_and_phase_formula(dtype, x, v_sat, drive, g_mag,
+                                                            g_phase):
+    g = g_mag * complex(math.cos(g_phase), math.sin(g_phase))
+    cfg = PaConfig(v_sat=v_sat, ibo=drive * v_sat**2, g=g)
+    x = np.asarray(x, dtype=dtype)
+    out = sel_amplify(x, cfg)
+    assert out.dtype == dtype
+    # the bound holds in the output's own precision, against v_sat rounded to it
+    assert np.all(np.abs(out) <= out.real.dtype.type(v_sat))
+    # clipped samples lie a few ulps of the envelope from the phase formula:
+    # each side rounds its magnitude and phase
+    clipped = np.abs(cfg.g * cfg.alpha * x) > v_sat
+    by_angle = (cfg.v_sat * cfg.g / abs(cfg.g)) * np.exp(1j * np.angle(x[clipped]))
+    eps = np.finfo(out.real.dtype).eps
+    assert np.all(np.abs(out[clipped] - by_angle) <= 4 * eps * v_sat)
+
+
+@pytest.mark.parametrize("x, v_sat", [
+    (np.array([1e300 + 3e299j, -2e305j, 7e307 - 7e307j]), 1.0),  # |a| near the top of float64
+    (np.array([1.5e308 + 1.5e308j, -1.7e308]), 2.0),  # |a| overflows float64
+    (np.array([1e37 - 2e36j, 3e38 + 3e38j], dtype=np.complex64), 1.0),  # overflows float32
+    (np.array([1 + 1j, 3 - 0.1j, -2e-310 + 1e-311j]), 1e-310),  # subnormal envelope
+])
+def test_sel_amplify_guard_ends_on_extreme_magnitudes(x, v_sat):
+    cfg = PaConfig(v_sat=v_sat, ibo=1.0, p1db=1.0)  # unit gain
+    out = sel_amplify(x, cfg)
+    assert out.dtype == x.dtype
+    assert np.all(np.abs(out) <= out.real.dtype.type(v_sat))
+    np.testing.assert_allclose(np.angle(out), np.angle(x), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(np.abs(out), v_sat, rtol=1e-6)
+
+
 def test_sel_amplify_preserves_shape_and_input():
     cfg = pa_limiter(0.0)
     x = (derive_rng(5, "pa").standard_normal((3, 8)) + 0j) * 2
