@@ -53,12 +53,22 @@ def add_noise(signal: np.ndarray, noise_var: float, rng: np.random.Generator) ->
     if noise_var < 0:
         raise ConfigError(f"noise variance must be non-negative, got {noise_var}")
     out = signal.astype(np.result_type(signal, 1j))
-    if noise_var == 0:
-        return out
+    if noise_var > 0:
+        _add_noise(out, noise_var, rng)
+    return out
+
+
+def _add_noise(out: np.ndarray, noise_var: float, rng: np.random.Generator,
+               draw: np.ndarray | None = None) -> None:
+    """Add the noise of :func:`add_noise` to the complex array ``out`` itself.
+
+    Each part's standard normals are drawn into ``draw``, a float array of
+    ``out``'s shape, or into a new array when it is None.
+    """
     scale = np.sqrt(noise_var / 2.0)
     for part in (out.real, out.imag):  # every real part is drawn first
-        part += scale * rng.standard_normal(signal.shape)
-    return out
+        z = rng.standard_normal(out.shape, out=draw)
+        part += np.multiply(scale, z, out=z)
 
 
 def apply_channel(
@@ -75,6 +85,19 @@ def apply_channel(
     shape.  In CP mode every delay must fit inside the prefix so that, after
     CP removal, each symbol sees a purely circular channel.
     """
+    return _apply_channel(frames, cfg, n, rng, _new_array)
+
+
+def _new_array(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A fresh array for each ``buffer`` request of :func:`_apply_channel`."""
+    return np.empty(shape, dtype)
+
+
+def _apply_channel(frames: np.ndarray, cfg: ChannelConfig, n: int, rng: np.random.Generator,
+                   buffer) -> np.ndarray:
+    """:func:`apply_channel` without allocating: ``buffer(name, shape,
+    dtype)`` gives the C-contiguous arrays it works in, one per name (the
+    received frames, each later target's echo and the noise draw)."""
     m, block = frames.shape[-2:]
     cp_len = block - n
     for t in cfg.targets:
@@ -88,7 +111,8 @@ def apply_channel(
                 f"target delay {t.delay} exceeds the per-symbol block of {block} samples"
             )
     serial = frames.reshape(frames.shape[:-2] + (m * block,))
-    received = np.empty_like(serial)
+    out = buffer("received", frames.shape, np.result_type(frames, 1j))
+    received = out.reshape(serial.shape)
     # zero up to the first target's delay; that target writes every later sample
     received[..., :cfg.targets[0].delay if cfg.targets else None] = 0
     symbol_phase_step = 2.0 * np.pi * block / n
@@ -99,8 +123,11 @@ def apply_channel(
         if i == 0:
             np.multiply(gain, delayed, out=received[..., t.delay:])
         else:
-            received[..., t.delay:] += gain * delayed
-    return add_noise(received, cfg.noise_var, rng).reshape(frames.shape)
+            echo = buffer("echo", delayed.shape, np.result_type(gain, delayed))
+            received[..., t.delay:] += np.multiply(gain, delayed, out=echo)
+    if cfg.noise_var > 0:
+        _add_noise(out, cfg.noise_var, rng, buffer("noise", out.shape, float))
+    return out
 
 
 # The benchmark tracer (bench/spans.py) still looks this name up.

@@ -19,29 +19,35 @@ Trials run in chunks of ``_PD_CHUNK``, each on its own spawned stream, so
 the counts do not depend on the worker count.  A Pd curve spawns the chunk
 seed sequences of every SNR point up front and sends all of its chunks to
 one process pool, where each chunk builds its own generator; ``pd_curves``
-sends the chunks of several curves to one pool.
+sends the chunks of several curves to one pool.  The pool takes the chunks
+in tasks of consecutive chunks (one task when serial).  Each task draws its
+symbols and runs the transmitter, the channel, the receiver and the range
+cut in one set of buffers, so its chunks do not allocate those arrays afresh
+and a forked worker's speed does not depend on the heap it inherits.  The pool itself is
+imported only when a run starts one.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelConfig, Target, apply_channel
+from .channel import ChannelConfig, Target, _apply_channel
 from .errors import CalibrationError, ConfigError
-from .pa import PaConfig, sel_amplify
-from .radar import division_filter, range_cut
+from .pa import PaConfig, _limit, sel_amplify
+from .radar import _division_filter, _range_cut, _require_nonzero
 from .seeding import chunk_counts, spawn_rngs
 from .signaling import (
+    BasisKind,
     ConstellationSpec,
     FrameConfig,
     SignalingBasis,
-    add_cp,
-    draw_symbols,
+    _add_cp,
+    _draw_symbols_into,
+    _unitary_idft,
     synthesize,
 )
 
@@ -52,12 +58,10 @@ DEFAULT_CAL_CELLS = 4_000_000
 #: Range bin of the weak target whose detection the Pd experiments score.
 WEAK_BIN = 8
 # cells per calibration draw: each float64 array of a block is about 0.5 MB,
-# and no calibration array grows with the cell count.  Freeing arrays this
-# large also raises glibc's dynamic mmap and trim thresholds above the Pd
-# chain's chunk arrays, so the chain, and the pool workers forked after it,
-# reuse heap pages: with 16,384-cell blocks the two workers of a
-# fig-pd-ceilings pass took 78k minor page faults instead of 9.6k, and the
-# pass about 0.3 s longer.
+# and no calibration array grows with the cell count.  The size changes
+# neither the factor nor, now that the Pd chain works in reused buffers, the
+# page faults of the pool workers forked after a calibration (11.2k for the
+# two workers of a fig-pd-ceilings pass with 16,384-cell blocks or these).
 _CAL_BLOCK_CELLS = 65_536
 
 
@@ -109,10 +113,12 @@ def _noise_levels(cuts: np.ndarray, window: int, guard: int) -> np.ndarray:
     means = cs[..., window:] - cs[..., :-window]
     means /= window
     reach = guard + window
-    noise = np.full(cuts.shape, np.inf)
-    noise[..., reach:] = means[..., :length - reach]
-    np.minimum(noise[..., :length - reach], means[..., guard + 1:],
-               out=noise[..., :length - reach])
+    inner = length - 2 * reach  # cells with both windows
+    lag = means[..., guard + 1:]  # lag[..., i] is the lagging window of cell i
+    noise = np.empty(cuts.shape)
+    noise[..., :reach] = lag[..., :reach]
+    np.minimum(means[..., :inner], lag[..., reach:], out=noise[..., reach:reach + inner])
+    noise[..., reach + inner:] = means[..., inner:length - reach]
     return noise
 
 
@@ -251,31 +257,74 @@ def sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
     the pipeline's targets plus noise of variance ``|g|^2 alpha^2 / snr_linear``
     (none when distortion-limited); the division filter takes them back out.
     """
+    if sym.shape[-1] != pipeline.basis.n:
+        raise ConfigError(
+            f"symbol length {sym.shape[-1]} does not match basis size {pipeline.basis.n}")
+    _require_nonzero(sym)
+    return _sense(pipeline, sym, snr_linear, rng, _Buffers())
+
+
+class _Buffers:
+    """Work arrays of the sensing chain, by name, reused from chunk to chunk.
+
+    Each array grows to the largest shape asked of it, so chunks of any
+    geometry share one allocation per name.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+        """An uninitialized C-contiguous array of ``shape`` and ``dtype``."""
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
+           rng: np.random.Generator, buffers: _Buffers) -> np.ndarray:
+    """:func:`sense` of non-zero symbols of the basis' length, with every
+    frame-sized array of an OFDM chain in ``buffers``."""
     fc = pipeline.frame
     pa = pipeline.pa
-    x = synthesize(pipeline.basis, sym)
-    tx = np.multiply(pa.g * pa.alpha, x, out=x) if pipeline.linear else sel_amplify(x, pa)
+    if pipeline.basis.kind is BasisKind.OFDM_DFT:
+        # synthesized, scaled and limited in one buffer
+        x = _unitary_idft(sym, buffers.get("tx", sym.shape, np.result_type(sym, 1j)))
+        tx = np.multiply(pa.g * pa.alpha, x, out=x)
+        if not pipeline.linear:
+            _limit(tx, pa, np.abs(tx, out=buffers.get("envelope", tx.shape, tx.real.dtype)))
+    else:
+        x = synthesize(pipeline.basis, sym)
+        tx = np.multiply(pa.g * pa.alpha, x, out=x) if pipeline.linear else sel_amplify(x, pa)
+    frames = buffers.get("frames", tx.shape[:-1] + (fc.block_len,), tx.dtype)
+    _add_cp(tx, fc.cp_len, frames)
     noise_var = 0.0 if pipeline.distortion_limited else (
         abs(pa.g) ** 2 * pa.alpha**2 / snr_linear)
     chan = ChannelConfig(targets=pipeline.targets, noise_var=noise_var)
-    rx = apply_channel(add_cp(tx, fc.cp_len), chan, fc.n, rng)
-    return division_filter(rx, sym, fc.cp_len)
+    rx = _apply_channel(frames, chan, fc.n, rng, buffers.get)
+    return _division_filter(rx, sym, fc.cp_len, buffers.get("freq", sym.shape, rx.dtype))
 
 
 def _detections(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
-                seed: np.random.SeedSequence) -> np.ndarray:
+                seed: np.random.SeedSequence, buffers: _Buffers) -> np.ndarray:
     """SO-CFAR decisions on the zero-Doppler periodogram range cuts of a
     batch of trials drawn from ``Generator(bit_generator(seed))``."""
     fc, cfar = pipeline.frame, pipeline.cfar
+    n_per, _ = pipeline.grids()
     rng = np.random.Generator(bit_generator(seed))
-    sym = draw_symbols(pipeline.constellation, (count, fc.m, fc.n), rng)
-    cuts = range_cut(sense(pipeline, sym, snr_linear, rng), pipeline.grids()[0])
+    sym = _draw_symbols_into(pipeline.constellation, rng,
+                             buffers.get("sym", (count, fc.m, fc.n)))
+    cuts = _range_cut(_sense(pipeline, sym, snr_linear, rng, buffers), n_per,
+                      buffers.get("sums", (count, fc.n)), buffers.get("delay", (count, n_per)),
+                      buffers.get("cuts", (count, n_per), float))
     return cuts > cfar.factor * _noise_levels(cuts, cfar.window, cfar.guard)
 
 
 def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
-              seed: np.random.SeedSequence) -> int:
-    decisions = _detections(pipeline, snr_linear, count, bit_generator, seed)
+              seed: np.random.SeedSequence, buffers: _Buffers) -> int:
+    decisions = _detections(pipeline, snr_linear, count, bit_generator, seed, buffers)
     n_per, _ = pipeline.grids()
     scale = n_per // pipeline.frame.n
     center = WEAK_BIN * scale
@@ -286,8 +335,9 @@ def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator
 
 
 def _fa_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
-              seed: np.random.SeedSequence) -> int:
-    return int(np.count_nonzero(_detections(pipeline, snr_linear, count, bit_generator, seed)))
+              seed: np.random.SeedSequence, buffers: _Buffers) -> int:
+    return int(np.count_nonzero(
+        _detections(pipeline, snr_linear, count, bit_generator, seed, buffers)))
 
 
 def _chunk_args(pipeline: PdPipeline, snr_linear: float, trials: int,
@@ -299,20 +349,45 @@ def _chunk_args(pipeline: PdPipeline, snr_linear: float, trials: int,
         raise ConfigError("CFAR factor not set; run calibrate_cfar first")
     if trials < 1:
         raise ConfigError("at least one trial required")
+    # every symbol is one of these points, so the chunks need not check theirs
+    _require_nonzero(pipeline.constellation.points())
     sizes = chunk_counts(trials, _PD_CHUNK)
     bit_generator = type(rng.bit_generator)
     seeds = rng.bit_generator.seed_seq.spawn(len(sizes))
     return [(pipeline, snr_linear, sz, bit_generator, seed) for sz, seed in zip(sizes, seeds)]
 
 
+def ProcessPoolExecutor(*args, **kwargs):
+    """``concurrent.futures.ProcessPoolExecutor(*args, **kwargs)``, imported
+    on the first call, so that a run that starts no pool never loads
+    ``multiprocessing``.  A module-level function, so that callers can
+    replace the name to count pool starts."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(*args, **kwargs)
+
+
+def _run_task(fn, args: list[tuple]) -> list[int]:
+    """``fn(*a, buffers)`` for every chunk in ``args``, all on one set of buffers."""
+    buffers = _Buffers()
+    return [fn(*a, buffers) for a in args]
+
+
 def _map_chunks(fn, args: list[tuple], workers: int) -> list[int]:
-    """``fn(*a)`` for every chunk in ``args``, in order, on one pool."""
+    """``fn(*a, buffers)`` for every chunk in ``args``, in order, on one pool.
+
+    The chunks go out in tasks of consecutive chunks, and each task runs on
+    buffers of its own.
+    """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers == 1:
-        return [fn(*a) for a in args]
+        return _run_task(fn, args)
+    size = max(1, len(args) // (4 * workers))
+    tasks = [args[i:i + size] for i in range(0, len(args), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*args), chunksize=max(1, len(args) // (4 * workers))))
+        return [count for counts in pool.map(_run_task, [fn] * len(tasks), tasks)
+                for count in counts]
 
 
 def pd_curves(jobs, trials: int, workers: int = 1) -> list[PdCurve]:

@@ -111,7 +111,12 @@ def sel_amplify(signal: np.ndarray, cfg: PaConfig) -> np.ndarray:
     signal = np.asarray(signal)
     amplified = cfg.g * cfg.alpha * signal
     out = np.asarray(amplified, dtype=np.result_type(amplified, 1j), order="C")
-    magnitude = np.abs(amplified)
+    return _limit(out, cfg, np.abs(amplified))
+
+
+def _limit(out: np.ndarray, cfg: PaConfig, magnitude: np.ndarray) -> np.ndarray:
+    """The limiter of :func:`sel_amplify`, in place on ``out``, the complex
+    C-contiguous gain-scaled signal, whose envelope ``magnitude`` holds."""
     clipped = np.flatnonzero(magnitude > cfg.v_sat)
     magnitude = magnitude.reshape(-1)[clipped]
     flat = out.reshape(-1)

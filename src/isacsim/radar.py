@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .signaling import BasisKind, SignalingBasis, analyze
+from .signaling import _unitary_dft
 
 
 def division_filter(
@@ -38,9 +38,20 @@ def division_filter(
             f"reference shape {reference_symbols.shape} does not match the received "
             f"frames {received.shape} with a {cp_len}-sample prefix"
         )
+    _require_nonzero(reference_symbols)
+    return _division_filter(received, reference_symbols, cp_len)
+
+
+def _require_nonzero(reference_symbols: np.ndarray) -> None:
     if np.any(reference_symbols == 0):
         raise NumericError("reference symbols contain an exact zero; cannot divide")
-    freq_rows = analyze(SignalingBasis(BasisKind.OFDM_DFT, n), received[..., cp_len:])
+
+
+def _division_filter(received: np.ndarray, reference_symbols: np.ndarray, cp_len: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`division_filter` without its checks; the frequency rows, shape
+    (..., m, n), go into ``out`` when it is given."""
+    freq_rows = _unitary_dft(received[..., cp_len:], out)
     return np.swapaxes(np.divide(freq_rows, reference_symbols, out=freq_rows), -1, -2)
 
 
@@ -51,12 +62,21 @@ def range_cut(hhat: np.ndarray, n_per: int) -> np.ndarray:
     the delay transform is taken, on ``n_per`` bins.  Batched over leading
     axes.
     """
+    if n_per < hhat.shape[-2]:
+        raise ConfigError(
+            f"range grid of {n_per} bins must cover the {hhat.shape[-2]} subcarriers")
+    return _range_cut(hhat, n_per)
+
+
+def _range_cut(hhat: np.ndarray, n_per: int, sums: np.ndarray | None = None,
+               delay: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`range_cut` without its check.  The symbol sums (..., n), the
+    delay transform (..., n_per) and the cut go into ``sums``, ``delay`` and
+    ``out`` when they are given."""
     n, m = hhat.shape[-2:]
-    if n_per < n:
-        raise ConfigError(f"range grid of {n_per} bins must cover the {n} subcarriers")
-    delay = np.fft.ifft(hhat.sum(axis=-1), n=n_per, axis=-1)
+    delay = np.fft.ifft(hhat.sum(axis=-1, out=sums), n=n_per, axis=-1, out=delay)
     delay *= n_per
-    cut = np.abs(delay)
+    cut = np.abs(delay, out=out)
     return np.divide(np.square(cut, out=cut), n * m, out=cut)
 
 

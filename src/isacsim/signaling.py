@@ -136,9 +136,14 @@ def draw_symbols(spec: ConstellationSpec, n, rng: np.random.Generator) -> np.nda
 
     ``n`` may be an int or a shape tuple.
     """
-    pts = spec.points()
-    idx = rng.integers(0, spec.order, size=n)
-    return pts[idx]
+    return _draw_symbols_into(spec, rng, np.empty(n, spec.points().dtype))
+
+
+def _draw_symbols_into(spec: ConstellationSpec, rng: np.random.Generator,
+                       out: np.ndarray) -> np.ndarray:
+    """The symbols of ``draw_symbols(spec, out.shape, rng)``, written into ``out``."""
+    idx = rng.integers(0, spec.order, size=out.shape)
+    return spec.points().take(idx, out=out, mode="clip")  # "clip" writes unbuffered
 
 
 def _row_blocks(rows: int, n: int) -> list[slice]:
@@ -162,9 +167,7 @@ def synthesize(basis: SignalingBasis, symbols: np.ndarray) -> np.ndarray:
             f"symbol length {symbols.shape[-1]} does not match basis size {basis.n}"
         )
     if basis.kind is BasisKind.OFDM_DFT:
-        x = np.fft.ifft(symbols, axis=-1)
-        x *= np.sqrt(basis.n)
-        return x
+        return _unitary_idft(symbols)
     if basis.kind is BasisKind.SC_IDENTITY:
         return np.array(symbols, copy=True)
     return np.matmul(symbols, _hadamard_unitary(basis.n), dtype=np.result_type(symbols, 1.0))
@@ -177,12 +180,24 @@ def analyze(basis: SignalingBasis, samples: np.ndarray) -> np.ndarray:
             f"sample length {samples.shape[-1]} does not match basis size {basis.n}"
         )
     if basis.kind is BasisKind.OFDM_DFT:
-        s = np.fft.fft(samples, axis=-1)
-        s *= 1.0 / np.sqrt(basis.n)  # numpy's complex / real multiplies by the reciprocal
-        return s
+        return _unitary_dft(samples)
     if basis.kind is BasisKind.SC_IDENTITY:
         return np.array(samples, copy=True)
     return np.matmul(samples, _hadamard_unitary(basis.n), dtype=np.result_type(samples, 1.0))
+
+
+def _unitary_idft(symbols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary inverse DFT over the last axis, into ``out`` when it is given."""
+    x = np.fft.ifft(symbols, axis=-1, out=out)
+    x *= np.sqrt(symbols.shape[-1])
+    return x
+
+
+def _unitary_dft(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary forward DFT over the last axis, into ``out`` when it is given."""
+    s = np.fft.fft(samples, axis=-1, out=out)
+    s *= 1.0 / np.sqrt(samples.shape[-1])  # numpy's complex / real multiplies by the reciprocal
+    return s
 
 
 def add_cp(signal: np.ndarray, cp_len: int) -> np.ndarray:
@@ -190,9 +205,12 @@ def add_cp(signal: np.ndarray, cp_len: int) -> np.ndarray:
     n = signal.shape[-1]
     if cp_len < 0 or cp_len > n:
         raise ConfigError(f"CP length must be in [0, {n}], got {cp_len}")
-    if cp_len == 0:
-        return np.array(signal, copy=True)
-    return np.concatenate([signal[..., n - cp_len:], signal], axis=-1)
+    return _add_cp(signal, cp_len)
+
+
+def _add_cp(signal: np.ndarray, cp_len: int, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`add_cp` without its check, into ``out`` when it is given."""
+    return np.concatenate((signal[..., signal.shape[-1] - cp_len:], signal), axis=-1, out=out)
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,21 @@ from hypothesis import strategies as st
 
 from isacsim import (
     CfarConfig,
+    ChannelConfig,
     ConfigError,
     FrameConfig,
     Target,
+    add_cp,
+    apply_channel,
     calibrate_cfar,
+    division_filter,
     draw_symbols,
     parse_basis,
     parse_constellation,
     pd_experiment,
+    sel_amplify,
     so_cfar,
+    synthesize,
 )
 from isacsim import detect
 from isacsim.detect import (
@@ -116,6 +122,24 @@ def test_noise_levels_match_per_cell_loop(window, guard, extra, batch, seed):
         atol = 2 * length * np.finfo(float).eps * cuts[idx].sum()
         np.testing.assert_allclose(got[idx], _noise_levels_loop(cuts[idx], window, guard),
                                    rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("window,guard", [(1, 0), (16, 2), (5, 7)])
+def test_noise_levels_equal_the_inf_fill_formula(window, guard):
+    # the level before the edge cells were written straight from the window
+    # means: an inf fill, the lead means, then the minimum with the lag means
+    rng = np.random.default_rng(window * 100 + guard)
+    for length in (2 * (window + guard) + 2, 64, 131):
+        cuts = rng.exponential(size=(4, 3, length))
+        cs = np.zeros(cuts.shape[:-1] + (length + 1,))
+        np.cumsum(cuts, axis=-1, out=cs[..., 1:])
+        means = (cs[..., window:] - cs[..., :-window]) / window
+        reach = guard + window
+        want = np.full(cuts.shape, np.inf)
+        want[..., reach:] = means[..., :length - reach]
+        want[..., :length - reach] = np.minimum(want[..., :length - reach],
+                                                means[..., guard + 1:])
+        assert np.array_equal(_noise_levels(cuts, window, guard), want)
 
 
 def test_so_cfar_requires_factor_and_1d():
@@ -274,6 +298,28 @@ def test_sense_batch_matches_frame_loop(linear):
     np.testing.assert_allclose(batch, loop, atol=1e-12)
 
 
+@pytest.mark.parametrize("basis", ["ofdm", "cdma"])
+@pytest.mark.parametrize("linear", [True, False])
+def test_sense_equals_the_public_layer_chain(basis, linear):
+    # the buffered chain gives the bits of the public functions it replaces,
+    # with noise and a second, Doppler-shifted target writing its echo
+    pipe = replace(_pipeline("16-QAM", None, linear=linear), basis=parse_basis(basis, 64),
+                   targets=(Target(b=1.0, delay=4), Target(b=0.3, delay=8, doppler=0.2)))
+    sym = draw_symbols(pipe.constellation, (5, 3, 64), derive_rng(104, "det"))
+    snr = 10.0
+    x = synthesize(pipe.basis, sym)
+    pa = pipe.pa
+    tx = pa.g * pa.alpha * x if linear else sel_amplify(x, pa)
+    chan = ChannelConfig(targets=pipe.targets, noise_var=abs(pa.g) ** 2 * pa.alpha**2 / snr)
+    rx = apply_channel(add_cp(tx, 16), chan, 64, derive_rng(105, "det"))
+    want = division_filter(rx, sym, 16)
+    got = sense(pipe, sym, snr, derive_rng(105, "det"))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    with pytest.raises(ConfigError, match="symbol length"):
+        sense(pipe, sym[..., :32], snr, derive_rng(105, "det"))
+
+
 def test_linear_high_snr_detects_always(cal_factor):
     curve = pd_experiment(
         _pipeline("16-PSK", cal_factor, linear=True), [25.0], 200, derive_rng(101, "det")
@@ -390,6 +436,37 @@ def test_pd_curves_equal_separate_pd_experiments(cal_factor):
             assert np.array_equal(got.pd, want.pd)
             assert np.array_equal(got.ci_halfwidth, want.ci_halfwidth)
             assert got.trials == want.trials == 70
+
+
+def test_one_pd_curves_call_equals_each_job_alone(cal_factor):
+    # the buffer shapes change from job to job: small, larger (longer frames,
+    # a finer range grid, a Doppler target), small and larger again; 123
+    # trials run as chunks of 50, 50 and a ragged 23
+    fine = replace(_pipeline("16-PSK", cal_factor, linear=True),
+                   frame=FrameConfig(n=64, m=4, cp_len=16), n_per=128,
+                   targets=(Target(b=1.0, delay=4, doppler=0.3), Target(b=0.1, delay=8)))
+    pipes = [
+        _pipeline("16-QAM", cal_factor),
+        fine,
+        _pipeline("16-QAM", cal_factor, dl=True),
+        replace(fine, constellation=parse_constellation("16-QAM"), linear=False),
+    ]
+    grids = [[8.0, 14.0], [4.0, 8.0], [10.0], [6.0, 12.0]]
+
+    def jobs():
+        return [(p, g, derive_rng(11, "det", i)) for i, (p, g) in enumerate(zip(pipes, grids))]
+
+    alone = [pd_experiment(p, g, 123, r) for p, g, r in jobs()]
+    assert len({pd for curve in alone for pd in curve.pd}) >= 5
+    for workers in (1, 2):
+        for got, want in zip(detect.pd_curves(jobs(), 123, workers), alone, strict=True):
+            assert np.array_equal(got.snr_db, want.snr_db)
+            assert np.array_equal(got.pd, want.pd)
+            assert np.array_equal(got.ci_halfwidth, want.ci_halfwidth)
+    rates = [noise_only_false_alarm_rate(fine, 0.0, 123, derive_rng(12, "det"), workers=w)
+             for w in (1, 2)]
+    assert rates[0] > 0
+    assert rates[0] == rates[1]
 
 
 def test_chunk_args_carry_seed_sequences_not_generators(cal_factor):

@@ -270,17 +270,29 @@ def test_cli_list_machine(capsys):
         assert len(line.split("\t")) >= 2
 
 
-def test_import_and_list_load_no_scipy():
-    # the runtime needs numpy alone, so no command pays scipy's import cost
-    code = ("import sys, isacsim, isacsim.cli, isacsim.experiments\n"
-            "assert isacsim.cli.main(['list']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _last_line_in_fresh_interpreter(code: str) -> str:
     src = str(Path(isacsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_and_list_load_no_scipy():
+    # the runtime needs numpy alone, so no command pays scipy's import cost
+    code = ("import sys, isacsim, isacsim.cli, isacsim.experiments\n"
+            "assert isacsim.cli.main(['list']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _last_line_in_fresh_interpreter(code) == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # only a Pd run with workers > 1 starts a pool, and it imports the pool itself
+    code = ("import sys, isacsim, isacsim.cli, isacsim.experiments\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
+            " if m in sys.modules))")
+    assert _last_line_in_fresh_interpreter(code) == "[]"
 
 
 def test_cli_run_unknown_scenario_exits_2(capsys):
