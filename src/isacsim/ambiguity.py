@@ -17,6 +17,14 @@ view over the conjugate, extended by its own tail (periodic) or by ``N - 1``
 zeros on each side (aperiodic), so no index table is built.  The lag
 products are folded modulo ``K`` (or zero-padded when ``K > N``) before a
 length-``K`` FFT, which reproduces the direct sum exactly for any grid size.
+
+A full surface is built one block of lag rows at a time: each block holds
+about ``_BLOCK_CELLS`` lag products over all batch rows (at least one lag
+row), and is folded, transformed and written into the output (or, in
+:func:`average_af`, squared and summed over the chunk's trials) before the
+next is formed.  The working set is the output plus one block, never the
+whole lag-product tensor.  The FFT runs per row and every other step is
+elementwise, so the blocks give the same bits as one pass over all lags.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .seeding import DEFAULT_CHUNK, chunk_counts, spawn_rngs
+
+#: Lag-product cells, over all batch rows, in one block of a full surface.
+_BLOCK_CELLS = 8_192
 
 
 class AfMode(Enum):
@@ -81,6 +92,20 @@ def _lags(n: int, mode: AfMode) -> np.ndarray:
     return np.arange(n) if mode is AfMode.PERIODIC else np.arange(1 - n, n)
 
 
+def _n_lags(n: int, mode: AfMode) -> int:
+    return n if mode is AfMode.PERIODIC else 2 * n - 1
+
+
+def _doppler_bins(n: int, k_grid: int | None) -> int:
+    """Validated Doppler grid size (``N`` when omitted) for signals of length ``n``."""
+    if n < 2:
+        raise ConfigError("signal length must be at least 2")
+    k = n if k_grid is None else int(k_grid)
+    if k < 1:
+        raise ConfigError(f"Doppler grid must have at least one bin, got {k}")
+    return k
+
+
 def _xcorr(a: np.ndarray, b: np.ndarray, mode: AfMode) -> np.ndarray:
     """FFT cross-correlation ``sum_p a(p) b*(p-l)`` over the mode's lag axis.
 
@@ -97,19 +122,38 @@ def _xcorr(a: np.ndarray, b: np.ndarray, mode: AfMode) -> np.ndarray:
     return np.concatenate([full[..., size - (n - 1):], full[..., :n]], axis=-1)
 
 
-def _lag_products(u: np.ndarray, v: np.ndarray, mode: AfMode) -> np.ndarray:
-    """All delayed products ``u(p) v*(p - l)``; shape (..., n_lags, n).
+def _delayed_conj(v: np.ndarray, mode: AfMode) -> np.ndarray:
+    """Read-only view whose rows are ``v*(p - l)``, one per lag of the mode's axis.
 
-    The windows of the extended conjugate, last first, are ``v*(p - l)``."""
-    n = u.shape[-1]
+    The rows are the windows of the conjugate extended by its own tail
+    (periodic) or by ``n - 1`` zeros on each side (aperiodic), last first."""
+    n = v.shape[-1]
     c = np.conj(v)
     if mode is AfMode.PERIODIC:
         ext = np.concatenate([c[..., 1:], c], axis=-1)
     else:
         ext = np.zeros(c.shape[:-1] + (3 * n - 2,), dtype=c.dtype)
         ext[..., n - 1:2 * n - 1] = c
-    delayed = np.lib.stride_tricks.sliding_window_view(ext, n, axis=-1)[..., ::-1, :]
-    return u[..., None, :] * delayed
+    # the windows of sliding_window_view(ext, n, axis=-1), without its
+    # argument checks, which cost more than a small surface's products
+    windows = np.lib.stride_tricks.as_strided(
+        ext, ext.shape[:-1] + (ext.shape[-1] - n + 1, n), ext.strides + ext.strides[-1:],
+        writeable=False,
+    )
+    return windows[..., ::-1, :]
+
+
+def _lag_products(u: np.ndarray, delayed: np.ndarray, lags: slice = slice(None)) -> np.ndarray:
+    """Products ``u(p) v*(p - l)`` of the lag rows ``lags`` of ``delayed``, a
+    :func:`_delayed_conj` view of ``v``; shape (..., rows, n)."""
+    return u[..., None, :] * delayed[..., lags, :]
+
+
+def _lag_rows(n_rows: int, row_cells: int) -> list[slice]:
+    """Consecutive slices of ``n_rows`` lag rows, each about ``_BLOCK_CELLS``
+    cells (at least one row) when a row holds ``row_cells``; the last is ragged."""
+    step = max(1, _BLOCK_CELLS // row_cells)
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
 def _doppler_transform(prod: np.ndarray, k: int) -> np.ndarray:
@@ -122,6 +166,17 @@ def _doppler_transform(prod: np.ndarray, k: int) -> np.ndarray:
             prod = np.concatenate([prod, np.zeros(shape, dtype=prod.dtype)], axis=-1)
         prod = prod.reshape(prod.shape[:-1] + (-1, k)).sum(axis=-2)
     return np.fft.fft(prod, n=k, axis=-1)
+
+
+def _af_blocks(u: np.ndarray, v: np.ndarray, k: int, mode: AfMode):
+    """Yield ``(lag rows, unscaled Doppler transforms of those rows)`` over the
+    whole lag axis, one block of about ``_BLOCK_CELLS`` lag products at a time.
+
+    The delayed conjugate is built once; each block's products are formed,
+    folded and transformed row by row exactly as for the whole tensor."""
+    delayed = _delayed_conj(v, mode)
+    for rows in _lag_rows(delayed.shape[-2], u.size):
+        yield rows, _doppler_transform(_lag_products(u, delayed, rows), k)
 
 
 def cross_af(
@@ -140,15 +195,16 @@ def cross_af(
     if u.shape != v.shape:
         raise ConfigError(f"shape mismatch {u.shape} vs {v.shape}")
     n = u.shape[-1]
-    if n < 2:
-        raise ConfigError("signal length must be at least 2")
-    k = n if k_grid is None else int(k_grid)
-    if k < 1:
-        raise ConfigError(f"Doppler grid must have at least one bin, got {k}")
+    k = _doppler_bins(n, k_grid)
+    scale = np.sqrt(n)
     if k == 1:
-        return _xcorr(u, v, mode)[..., None] / np.sqrt(n)
-    prod = _lag_products(u, v, mode)
-    return _doppler_transform(prod, k) / np.sqrt(n)
+        return _xcorr(u, v, mode)[..., None] / scale
+    # the dtype of the whole-tensor ``fft(products) / sqrt(n)``
+    dtype = np.result_type(u, v, np.complex64, scale)
+    out = np.empty(u.shape[:-1] + (_n_lags(n, mode), k), dtype)
+    for rows, block in _af_blocks(u, v, k, mode):
+        np.divide(block, scale, out=out[..., rows, :])
+    return out
 
 
 def _surface_from_values(values, n, k, mode):
@@ -182,13 +238,13 @@ def zero_delay_cut(surface: AmbiguitySurface) -> np.ndarray:
 def _mc_chunk_size(n: int, mode: AfMode, k: int) -> int:
     """Trials per averaging chunk, from the problem geometry alone.
 
-    The formula once capped the lag-product tensor of every chunk; since
-    ``K = 1`` runs through the FFT correlation it no longer bounds memory
-    there.  It stays unchanged because the chunk sizes fix how many streams
-    are spawned and how many trials each draws, so it pins the RNG stream
-    layout (and it never depends on the worker count)."""
-    n_lags = n if mode is AfMode.PERIODIC else 2 * n - 1
-    per_trial = n_lags * max(n, k)
+    The formula once capped the lag-product tensor of every chunk.  It bounds
+    no memory for any ``K`` now: ``K = 1`` runs through the FFT correlation
+    and ``K > 1`` surfaces are built in lag blocks.  It stays unchanged
+    because the chunk sizes fix how many streams are spawned and how many
+    trials each draws, so it only pins the RNG stream layout (and it never
+    depends on the worker count)."""
+    per_trial = _n_lags(n, mode) * max(n, k)
     return max(1, min(DEFAULT_CHUNK, 4_000_000 // per_trial))
 
 
@@ -211,20 +267,33 @@ def average_af(
     if trials < 1:
         raise ConfigError("at least one trial required")
     # throwaway draw on a fixed stream, used only to learn the signal length
-    probe = generator(np.random.default_rng(0), 1)
-    n = probe.shape[-1]
-    k = n if k_grid is None else int(k_grid)
-    if k < 1:
-        raise ConfigError(f"Doppler grid must have at least one bin, got {k}")
+    probe = np.shape(generator(np.random.default_rng(0), 1))
+    if len(probe) != 2 or probe[0] != 1:
+        raise ConfigError(f"generator(rng, 1) returned shape {probe}, expected (1, N)")
+    n = probe[1]
+    k = _doppler_bins(n, k_grid)
 
     chunk = _mc_chunk_size(n, mode, k)
     sizes = chunk_counts(trials, chunk)
     streams = spawn_rngs(rng, len(sizes))
+    scale = np.sqrt(n)
     accum = None
     for sz, r in zip(sizes, streams):
         batch = generator(r, sz)
-        a = cross_af(batch, None, k, mode)
-        part = np.sum(np.abs(a) ** 2, axis=0)
+        if np.shape(batch) != (sz, n):
+            raise ConfigError(f"generator(rng, {sz}) returned shape {np.shape(batch)}, "
+                              f"expected {(sz, n)}")
+        if k == 1:
+            part = np.sum(np.abs(cross_af(batch, None, 1, mode)) ** 2, axis=0)
+        else:
+            # the real dtype of |fft(products) / sqrt(n)|**2
+            real = np.finfo(np.result_type(batch, np.complex64, scale)).dtype
+            part = np.empty((_n_lags(n, mode), k), real)
+            # np.sum(np.abs(a) ** 2, axis=0) of the scaled block, squared in
+            # place: small-N chunks run many blocks, so each call counts
+            for rows, block in _af_blocks(batch, batch, k, mode):
+                mag2 = np.abs(block / scale)
+                np.add.reduce(np.square(mag2, out=mag2), axis=0, out=part[rows])
         accum = part if accum is None else accum + part
     values = accum / trials
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AfMode, _lags, _xcorr, cross_af
+from .ambiguity import AfMode, _lag_rows, _lags, _xcorr, cross_af
 from .errors import ConfigError, NumericError
 from .pa import PaConfig
 from .seeding import chunk_counts, spawn_rngs
@@ -230,20 +230,24 @@ def bussgang_af_decompose(
     a_dx = cross_af(d, x, k_grid, mode)
 
     k2 = abs(kappa) ** 2
-    t1 = k2 * a_x
-    t2 = kappa * a_xd
-    t3 = np.conj(kappa) * a_dx
-    t4 = a_d
-    sq = np.abs(t1) ** 2 + np.abs(t2) ** 2 + np.abs(t3) ** 2 + np.abs(t4) ** 2
-    cross = (
-        t1 * np.conj(t2)
-        + t1 * np.conj(t3)
-        + t1 * np.conj(t4)
-        + t2 * np.conj(t3)
-        + t2 * np.conj(t4)
-        + t3 * np.conj(t4)
-    )
-    recombined = sq + 2.0 * cross.real
+    # |kappa^2 A_x + kappa A_xd + kappa* A_dx + A_d|^2, one block of lag rows at a time
+    real = np.finfo(np.result_type(a_x, a_xd, a_dx, a_d, kappa)).dtype
+    recombined = np.empty(a_x.shape, real)
+    for rows in _lag_rows(a_x.shape[-2], a_x[..., 0, :].size):
+        t1 = k2 * a_x[..., rows, :]
+        t2 = kappa * a_xd[..., rows, :]
+        t3 = np.conj(kappa) * a_dx[..., rows, :]
+        t4 = a_d[..., rows, :]
+        sq = np.abs(t1) ** 2 + np.abs(t2) ** 2 + np.abs(t3) ** 2 + np.abs(t4) ** 2
+        cross = (
+            t1 * np.conj(t2)
+            + t1 * np.conj(t3)
+            + t1 * np.conj(t4)
+            + t2 * np.conj(t3)
+            + t2 * np.conj(t4)
+            + t3 * np.conj(t4)
+        )
+        recombined[..., rows, :] = sq + 2.0 * cross.real
     return BussgangAfTerms(
         a_x=a_x, a_xd=a_xd, a_dx=a_dx, a_d=a_d, kappa=kappa, recombined=recombined
     )

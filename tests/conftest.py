@@ -43,6 +43,30 @@ def brute_force_af(x, k_grid=None, mode=AfMode.PERIODIC, y=None):
     return out / np.sqrt(n)
 
 
+def gathered_lag_products(u, v, mode):
+    """Delayed products ``u(p) v*(p - l)`` from an index table; shape (..., n_lags, n)."""
+    n = u.shape[-1]
+    p = np.arange(n)
+    if mode is AfMode.PERIODIC:
+        idx = (p[None, :] - np.arange(n)[:, None]) % n
+        return u[..., None, :] * np.conj(v[..., idx])
+    raw = p[None, :] - np.arange(1 - n, n)[:, None]
+    mask = (raw >= 0) & (raw < n)
+    return u[..., None, :] * np.conj(v[..., np.clip(raw, 0, n - 1)]) * mask
+
+
+def full_tensor_af(u, v, k, mode):
+    """The whole-tensor surface the lag blocks replaced: every lag product at
+    once, folded modulo K (or zero-padded), one FFT, one scaling."""
+    n = u.shape[-1]
+    prod = gathered_lag_products(u, v, mode)
+    if k < n:
+        pad = np.zeros(prod.shape[:-1] + ((-n) % k,), dtype=prod.dtype)
+        prod = np.concatenate([prod, pad], axis=-1)
+        prod = prod.reshape(prod.shape[:-1] + (-1, k)).sum(axis=-2)
+    return np.fft.fft(prod, n=k, axis=-1) / np.sqrt(n)
+
+
 def zadoff_chu(n, root=1):
     """Odd-length Zadoff-Chu sequence (ideal periodic autocorrelation)."""
     assert n % 2 == 1

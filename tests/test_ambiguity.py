@@ -13,10 +13,19 @@ from isacsim import (
     zero_delay_cut,
     zero_doppler_cut,
 )
-from isacsim.ambiguity import AfMode, _lag_products, _mc_chunk_size, cross_af
+from isacsim import ambiguity
+from isacsim.ambiguity import AfMode, _delayed_conj, _lag_products, _mc_chunk_size, cross_af
 from isacsim.seeding import derive_rng
 
-from conftest import brute_force_af, tx_generator, zadoff_chu
+from conftest import (
+    brute_force_af,
+    full_tensor_af,
+    gathered_lag_products,
+    pa_compression,
+    traced_peak_bytes,
+    tx_generator,
+    zadoff_chu,
+)
 
 
 # ------------------------------------------------------------ exact algebra
@@ -110,34 +119,76 @@ def test_aperiodic_symmetry_random_lengths(n, data, seed):
     np.testing.assert_allclose(mag, mirrored, rtol=0, atol=1e-10)
 
 
-def _gathered_lag_products(u, v, mode):
-    """The index-table construction the windowed products replaced."""
-    n = u.shape[-1]
-    p = np.arange(n)
-    if mode is AfMode.PERIODIC:
-        idx = (p[None, :] - np.arange(n)[:, None]) % n
-        return u[..., None, :] * np.conj(v[..., idx])
-    raw = p[None, :] - np.arange(1 - n, n)[:, None]
-    mask = (raw >= 0) & (raw < n)
-    return u[..., None, :] * np.conj(v[..., np.clip(raw, 0, n - 1)]) * mask
+def _random_pair(rng, shape, dtype):
+    u = rng.standard_normal(shape)
+    v = rng.standard_normal(shape)
+    if np.dtype(dtype).kind == "c":
+        u = u + 1j * rng.standard_normal(shape)
+        v = v + 1j * rng.standard_normal(shape)
+    return u.astype(dtype), v.astype(dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
 @pytest.mark.parametrize("mode", [AfMode.PERIODIC, AfMode.APERIODIC])
 def test_lag_products_equal_gathered_products_bit_for_bit(mode, dtype):
+    # every lag, and slices of lag rows as the surface blocks take them
     rng = derive_rng(15, "af")
     for n, batch in [(2, ()), (5, (3,)), (16, (2, 2)), (33, ())]:
-        u = rng.standard_normal(batch + (n,))
-        v = rng.standard_normal(batch + (n,))
-        if dtype is not np.float64:
-            u = u + 1j * rng.standard_normal(batch + (n,))
-            v = v + 1j * rng.standard_normal(batch + (n,))
-        u, v = u.astype(dtype), v.astype(dtype)
+        u, v = _random_pair(rng, batch + (n,), dtype)
+        n_lags = n if mode is AfMode.PERIODIC else 2 * n - 1
         for other in (u, v):
-            got = _lag_products(u, other, mode)
-            want = _gathered_lag_products(u, other, mode)
-            assert got.dtype == want.dtype == dtype
-            assert np.array_equal(got, want)
+            want = gathered_lag_products(u, other, mode)
+            delayed = _delayed_conj(other, mode)
+            cases = [(_lag_products(u, delayed), want)]  # the default: every lag
+            for lags in (slice(0, 1), slice(1, n_lags - 1), slice(n_lags - 1, None)):
+                cases.append((_lag_products(u, delayed, lags), want[..., lags, :]))
+            for got, expected in cases:
+                assert got.dtype == expected.dtype == dtype
+                assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("block_cells", [None, 50])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64, np.float32])
+def test_cross_af_blocks_equal_full_tensor_bit_for_bit(dtype, block_cells, monkeypatch):
+    # the real block size, and one small enough that every case spans several
+    # blocks; N=256 aperiodic has 511 lags, so its last block is ragged
+    if block_cells is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_CELLS", block_cells)
+    rng = derive_rng(16, "af")
+    for n, batch in [(256, ()), (24, (3,)), (13, (2, 2))]:
+        u, v = _random_pair(rng, batch + (n,), dtype)
+        for mode in AfMode:
+            for k in (5, n, n + 9):
+                for other in (None, v):
+                    got = cross_af(u, other, k, mode)
+                    want = full_tensor_af(u, u if other is None else other, k, mode)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", [AfMode.PERIODIC, AfMode.APERIODIC])
+def test_average_af_full_doppler_multi_chunk_equals_full_tensor_sums(mode):
+    # 150 trials at K=N in chunks of 64, 64 and 22, each surface built in blocks
+    n, trials = 64, 150
+    gen = tx_generator("16-QAM", "ofdm", n, pa=pa_compression(1.0))
+    got = average_af(gen, trials, mode=mode, rng=derive_rng(17, "af"), normalize=False)
+    sizes = (64, 64, 22)
+    assert _mc_chunk_size(n, mode, n) == 64
+    accum = None
+    for size, r in zip(sizes, derive_rng(17, "af").spawn(len(sizes))):
+        batch = gen(r, size)
+        part = np.sum(np.abs(full_tensor_af(batch, batch, n, mode)) ** 2, axis=0)
+        accum = part if accum is None else accum + part
+    assert got.values.dtype == accum.dtype
+    assert np.array_equal(got.values, accum / trials)
+
+
+def test_average_af_full_doppler_memory_stays_within_blocks():
+    # a 64-trial chunk at K=N=128 held its whole lag-product tensor and two
+    # same-size surfaces (42.5 MB); the blocked chunk holds one block at a time
+    gen = tx_generator("16-QAM", "ofdm", 128)
+    peak = traced_peak_bytes(average_af, gen, 128, rng=derive_rng(18, "af"), normalize=False)
+    assert peak < 5e6
 
 
 def test_all_ones_gives_flat_ridge():
@@ -268,8 +319,6 @@ def test_aperiodic_metrics_sum_both_sides():
 
 
 def test_clipping_raises_expected_sidelobe_level():
-    from conftest import pa_compression
-
     n = 64
     lin = tx_generator("16-QAM", "ofdm", n)
     nl = tx_generator("16-QAM", "ofdm", n, pa=pa_compression(1.0))
@@ -279,8 +328,6 @@ def test_clipping_raises_expected_sidelobe_level():
 
 
 def test_expected_sidelobe_grows_linearly_with_length():
-    from conftest import pa_compression
-
     pa = pa_compression(1.0)
     sizes = np.array([32, 64, 128, 256])
     eisl = []
@@ -319,6 +366,18 @@ def test_average_af_requires_positive_trials():
     gen = tx_generator("16-QAM", "ofdm", 8)
     with pytest.raises(ConfigError):
         average_af(gen, 0, rng=derive_rng(0, "af"))
+
+
+@pytest.mark.parametrize("k_grid", [1, None])
+def test_average_af_rejects_malformed_batches(k_grid):
+    gen = tx_generator("16-QAM", "ofdm", 8)
+    # a generator that ignores count past 4 (the probe passes, the chunk of 64
+    # does not), and one that returns a 1-D batch
+    capped = lambda rng, count: gen(rng, min(count, 4))  # noqa: E731
+    flat = lambda rng, count: gen(rng, count).ravel()  # noqa: E731
+    for bad in (capped, flat):
+        with pytest.raises(ConfigError, match="returned shape"):
+            average_af(bad, 100, k_grid, rng=derive_rng(0, "af"))
 
 
 def test_batched_cross_af_matches_loop():

@@ -20,7 +20,7 @@ from isacsim import (
     synthesize,
     to_db,
 )
-from isacsim import analytic
+from isacsim import ambiguity, analytic
 from isacsim.ambiguity import AfMode, _lags, cross_af
 from isacsim.analytic import (
     LagCorrelation,
@@ -36,6 +36,7 @@ from isacsim.seeding import derive_rng
 from isacsim.signaling import _MC_BLOCK_CELLS
 
 from conftest import (
+    full_tensor_af,
     pa_compression,
     pa_limiter,
     scaled_linear_generator,
@@ -183,6 +184,72 @@ def test_four_term_split_recombines_exactly(mode, n):
     terms = bussgang_af_decompose(x, d, kappa, k_grid=8, mode=mode)
     direct = np.abs(cross_af(kappa * x + d, k_grid=8, mode=mode)) ** 2
     np.testing.assert_allclose(terms.recombined, direct, rtol=1e-9, atol=1e-12)
+
+
+def _whole_array_recombination(a_x, a_xd, a_dx, a_d, kappa):
+    """The recombination as one expression over whole surfaces."""
+    k2 = abs(kappa) ** 2
+    t1 = k2 * a_x
+    t2 = kappa * a_xd
+    t3 = np.conj(kappa) * a_dx
+    t4 = a_d
+    sq = np.abs(t1) ** 2 + np.abs(t2) ** 2 + np.abs(t3) ** 2 + np.abs(t4) ** 2
+    cross = (
+        t1 * np.conj(t2)
+        + t1 * np.conj(t3)
+        + t1 * np.conj(t4)
+        + t2 * np.conj(t3)
+        + t2 * np.conj(t4)
+        + t3 * np.conj(t4)
+    )
+    return sq + 2.0 * cross.real
+
+
+@pytest.mark.parametrize("block_cells", [None, 300])
+def test_four_term_split_equals_whole_array_evaluation_bit_for_bit(block_cells, monkeypatch):
+    # N=256 aperiodic spans several blocks at the real size, with a ragged
+    # last one; the small size splits every case, batch axes included
+    if block_cells is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_CELLS", block_cells)
+    cfg = pa_limiter(0.0)
+    rng = derive_rng(77, "an")
+    for n, batch, k, mode, kappa in [
+        (256, 1, None, AfMode.APERIODIC, 0.83 - 0.05j),
+        (64, 1, 24, AfMode.PERIODIC, 0.9),
+        (16, 3, 40, AfMode.APERIODIC, 0.8 + 0.1j),
+    ]:
+        x = synthesize(parse_basis("ofdm", n), draw_symbols(parse_constellation("16-QAM"), (batch, n), rng))
+        if batch == 1:
+            x = x[0]
+        d = sel_amplify(x, cfg) - kappa * x
+        terms = bussgang_af_decompose(x, d, kappa, k, mode)
+        kk = n if k is None else k
+        want = {
+            "a_x": full_tensor_af(x, x, kk, mode),
+            "a_d": full_tensor_af(d, d, kk, mode),
+            "a_xd": full_tensor_af(x, d, kk, mode),
+            "a_dx": full_tensor_af(d, x, kk, mode),
+        }
+        want["recombined"] = _whole_array_recombination(
+            want["a_x"], want["a_xd"], want["a_dx"], want["a_d"], kappa
+        )
+        for name, value in want.items():
+            got = getattr(terms, name)
+            assert got.dtype == value.dtype, name
+            assert np.array_equal(got, value), name
+        assert terms.kappa == kappa
+
+
+def test_four_term_split_memory_is_outputs_plus_one_block():
+    # the whole-array recombination held about ten surface-sized temporaries
+    # (19.9 MB peak at N=256 aperiodic); only the five outputs are whole now
+    n = 256
+    rng = derive_rng(78, "an")
+    x = synthesize(parse_basis("ofdm", n), draw_symbols(parse_constellation("16-QAM"), (1, n), rng))[0]
+    d = sel_amplify(x, pa_limiter(0.0)) - 0.83 * x
+    peak = traced_peak_bytes(bussgang_af_decompose, x, d, 0.83, None, AfMode.APERIODIC)
+    outputs = 4 * (2 * n - 1) * n * 16 + (2 * n - 1) * n * 8
+    assert peak < outputs + 2.5e6
 
 
 def test_split_without_distortion_collapses():
