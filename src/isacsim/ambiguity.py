@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .seeding import DEFAULT_CHUNK, chunk_counts, spawn_rngs
+from .seeding import DEFAULT_CHUNK, chunk_rngs
 
 #: Lag-product cells, over all batch rows, in one block of a full surface.
 _BLOCK_CELLS = 8_192
@@ -273,12 +273,9 @@ def average_af(
     n = probe[1]
     k = _doppler_bins(n, k_grid)
 
-    chunk = _mc_chunk_size(n, mode, k)
-    sizes = chunk_counts(trials, chunk)
-    streams = spawn_rngs(rng, len(sizes))
     scale = np.sqrt(n)
     accum = None
-    for sz, r in zip(sizes, streams):
+    for sz, r in chunk_rngs(rng, trials, _mc_chunk_size(n, mode, k)):
         batch = generator(r, sz)
         if np.shape(batch) != (sz, n):
             raise ConfigError(f"generator(rng, {sz}) returned shape {np.shape(batch)}, "

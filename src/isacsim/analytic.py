@@ -30,7 +30,7 @@ import numpy as np
 from .ambiguity import AfMode, _lag_rows, _lags, _xcorr, cross_af
 from .errors import ConfigError, NumericError
 from .pa import PaConfig
-from .seeding import chunk_counts, spawn_rngs
+from .seeding import chunk_rngs
 from .signaling import (
     ConstellationSpec,
     SignalingBasis,
@@ -363,7 +363,7 @@ def sel_eisl(
         raise ConfigError(f"basis size {basis.n} does not match n={n}")
     if trials < 1:
         raise ConfigError("at least one trial required")
-    rng_rho, rng_mc = spawn_rngs(rng, 2)
+    rng_rho, rng_mc = rng.spawn(2)
     rho = lag_correlation(constellation, basis, n, max(trials, 4096), rng_rho)
 
     lags = _lags(n, mode)
@@ -375,10 +375,8 @@ def sel_eisl(
 
     v = cfg.v_sat
     root_n = math.sqrt(n)
-    sizes = chunk_counts(trials, max(1, min(64, 2_000_000 // (4 * n))))
-    streams = spawn_rngs(rng_mc, len(sizes))
     accum = np.zeros(lags.shape[0])
-    for sz, r in zip(sizes, streams):
+    for sz, r in chunk_rngs(rng_mc, trials, max(1, min(64, 2_000_000 // (4 * n)))):
         sym = draw_symbols(constellation, (sz, n), r)
         u = cfg.g * cfg.alpha * synthesize(basis, sym)
         phi = _phase_signal(u)

@@ -4,16 +4,18 @@ The smallest-of CFAR takes, per cell under test, the smaller of the leading
 and lagging training-window means (after guard cells) as the noise level and
 declares a detection when the cell exceeds ``factor`` times it.  Cells too
 close to an edge for one window fall back to the other, full, window.  The
-threshold factor comes from Monte-Carlo calibration against a target
-false-alarm probability rather than a closed form, because the processing
-chain's floor is not exactly exponential once amplifier distortion enters.
+threshold factor is calibrated by Monte Carlo on i.i.d. unit-exponential
+cells (white Gaussian noise), so it meets the target false-alarm probability
+only where the floor is that model; amplifier distortion and a zero-padded
+range grid leave it, and ``noise_only_false_alarm_rate`` measures the chain.
 
-``sense`` is the one sensing chain, batched over frames: synthesize, amplify,
-attach the prefix, propagate through the targets plus noise, and divide by
-the known reference.  ``pd_experiment`` runs it per batch of trials, takes
-the zero-Doppler range cut of each estimate's periodogram, and asks whether
-the weak target's bin beats the CFAR threshold.  The quoted SNR is the ratio
-of unclipped mean transmit power to the per-sample noise variance.
+``sense`` is the one sensing chain, batched over OFDM frames (its division
+filter is a receiver for OFDM only): synthesize, amplify, attach the prefix,
+propagate through the targets plus noise, and divide by the known reference.
+``pd_experiment`` runs it per batch of trials, takes the zero-Doppler range
+cut of each estimate's periodogram, and asks whether the weak target's bin
+beats the CFAR threshold.  The quoted SNR is the ratio of unclipped mean
+transmit power to the per-sample noise variance.
 
 Trials run in chunks of ``_PD_CHUNK``, each on its own spawned stream, so
 the counts do not depend on the worker count.  A Pd curve spawns the chunk
@@ -37,9 +39,9 @@ import numpy as np
 
 from .channel import ChannelConfig, Target, _apply_channel
 from .errors import CalibrationError, ConfigError
-from .pa import PaConfig, _limit, sel_amplify
+from .pa import PaConfig, _limit, sel_amplify  # noqa: F401  (bench/test_bench.py patches it)
 from .radar import _division_filter, _range_cut, _require_nonzero
-from .seeding import chunk_counts, spawn_rngs
+from .seeding import chunk_seeds
 from .signaling import (
     BasisKind,
     ConstellationSpec,
@@ -48,7 +50,6 @@ from .signaling import (
     _add_cp,
     _draw_symbols_into,
     _unitary_idft,
-    synthesize,
 )
 
 _PD_CHUNK = 50
@@ -58,10 +59,8 @@ DEFAULT_CAL_CELLS = 4_000_000
 #: Range bin of the weak target whose detection the Pd experiments score.
 WEAK_BIN = 8
 # cells per calibration draw: each float64 array of a block is about 0.5 MB,
-# and no calibration array grows with the cell count.  The size changes
-# neither the factor nor, now that the Pd chain works in reused buffers, the
-# page faults of the pool workers forked after a calibration (11.2k for the
-# two workers of a fig-pd-ceilings pass with 16,384-cell blocks or these).
+# and no calibration array grows with the cell count.  The size does not
+# change the factor.
 _CAL_BLOCK_CELLS = 65_536
 
 
@@ -221,6 +220,11 @@ class PdPipeline:
     n_per: int | None = None
     m_per: int | None = None
 
+    def __post_init__(self):
+        if self.basis != SignalingBasis(BasisKind.OFDM_DFT, self.frame.n):
+            raise ConfigError(f"the sensing chain needs an OFDM basis of the frame's n="
+                              f"{self.frame.n}, got {self.basis.kind.value} of n={self.basis.n}")
+
     def grids(self) -> tuple[int, int]:
         return (
             self.frame.n if self.n_per is None else self.n_per,
@@ -285,19 +289,14 @@ class _Buffers:
 
 def _sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
            rng: np.random.Generator, buffers: _Buffers) -> np.ndarray:
-    """:func:`sense` of non-zero symbols of the basis' length, with every
-    frame-sized array of an OFDM chain in ``buffers``."""
+    """:func:`sense` of non-zero symbols of the basis' length, in ``buffers``."""
     fc = pipeline.frame
     pa = pipeline.pa
-    if pipeline.basis.kind is BasisKind.OFDM_DFT:
-        # synthesized, scaled and limited in one buffer
-        x = _unitary_idft(sym, buffers.get("tx", sym.shape, np.result_type(sym, 1j)))
-        tx = np.multiply(pa.g * pa.alpha, x, out=x)
-        if not pipeline.linear:
-            _limit(tx, pa, np.abs(tx, out=buffers.get("envelope", tx.shape, tx.real.dtype)))
-    else:
-        x = synthesize(pipeline.basis, sym)
-        tx = np.multiply(pa.g * pa.alpha, x, out=x) if pipeline.linear else sel_amplify(x, pa)
+    # synthesized, scaled and limited in one buffer
+    x = _unitary_idft(sym, buffers.get("tx", sym.shape, np.result_type(sym, 1j)))
+    tx = np.multiply(pa.g * pa.alpha, x, out=x)
+    if not pipeline.linear:
+        _limit(tx, pa, np.abs(tx, out=buffers.get("envelope", tx.shape, tx.real.dtype)))
     frames = buffers.get("frames", tx.shape[:-1] + (fc.block_len,), tx.dtype)
     _add_cp(tx, fc.cp_len, frames)
     noise_var = 0.0 if pipeline.distortion_limited else (
@@ -342,19 +341,17 @@ def _fa_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator
 
 def _chunk_args(pipeline: PdPipeline, snr_linear: float, trials: int,
                 rng: np.random.Generator) -> list[tuple]:
-    """Chunk-task arguments for ``trials`` trials, one spawned seed sequence
-    each.  The workers build the generators, which draw the same streams as
-    ``rng.spawn`` would, so no generator is held while the chunks wait."""
+    """Chunk-task arguments for ``trials`` trials, each with its chunk seed:
+    the workers build the generators, so none is held while the chunks wait."""
     if pipeline.cfar.factor is None:
         raise ConfigError("CFAR factor not set; run calibrate_cfar first")
     if trials < 1:
         raise ConfigError("at least one trial required")
     # every symbol is one of these points, so the chunks need not check theirs
     _require_nonzero(pipeline.constellation.points())
-    sizes = chunk_counts(trials, _PD_CHUNK)
     bit_generator = type(rng.bit_generator)
-    seeds = rng.bit_generator.seed_seq.spawn(len(sizes))
-    return [(pipeline, snr_linear, sz, bit_generator, seed) for sz, seed in zip(sizes, seeds)]
+    return [(pipeline, snr_linear, sz, bit_generator, seed)
+            for sz, seed in chunk_seeds(rng, trials, _PD_CHUNK)]
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -399,7 +396,7 @@ def pd_curves(jobs, trials: int, workers: int = 1) -> list[PdCurve]:
             raise ConfigError(f"no target sits at the weak bin {WEAK_BIN}")
         grids.append(np.asarray(snr_grid_db, dtype=float))
         points += [_chunk_args(pipeline, 10.0 ** (snr_db / 10.0), trials, r)
-                   for snr_db, r in zip(grids[-1], spawn_rngs(rng, grids[-1].size))]
+                   for snr_db, r in zip(grids[-1], rng.spawn(grids[-1].size))]
     counts = iter(_map_chunks(_pd_chunk, [a for args in points for a in args], workers))
     hits = [sum(next(counts) for _ in args) for args in points]
     pd = np.array([h / trials for h in hits], dtype=float)

@@ -49,7 +49,7 @@ from .pa import (
     sel_amplify,
 )
 from .radar import periodogram, range_cut
-from .seeding import DEFAULT_SEED, chunk_counts, derive_rng, spawn_rngs
+from .seeding import DEFAULT_SEED, chunk_rngs, derive_rng
 from .signaling import (
     BasisKind,
     ConstellationSpec,
@@ -299,19 +299,20 @@ class RunContext:
     def cfar(self, frame: FrameConfig) -> CfarConfig:
         """Default SO-CFAR with its factor calibrated on this run's streams.
 
-        The calibration cuts are as long as the range cuts the detector runs
-        on: ``n_per`` bins when configured, else the frame's ``n``.  Only the
-        scenarios that detect on the zero-Doppler range cut use it; they
-        never form a Doppler grid, so a configured ``m_per`` would be
-        silently ignored and is rejected instead, as is an ``n_per`` shorter
-        than the frame, which the range cut would reject only after the
-        calibration.
+        Only the scenarios that detect on the zero-Doppler range cut use it,
+        and the calibration cuts are as long as that cut: ``n_per`` bins when
+        configured, else the frame's ``n``.  Settings they would ignore
+        (``m_per``: they form no Doppler grid) or reject only after the
+        calibration (an ``n_per`` below ``n``, a basis other than OFDM) are
+        rejected first.
         """
         if self.config.m_per is not None:
             raise ConfigError("m_per is not used: detection runs on the zero-Doppler range cut")
         cut_len = self.setting("n_per", frame.n)
         if cut_len < frame.n:
             raise ConfigError(f"range grid of {cut_len} bins must cover the {frame.n} subcarriers")
+        if self.basis(frame.n).kind is not BasisKind.OFDM_DFT:
+            raise ConfigError("the sensing chain needs an OFDM basis")
         factor = calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS, self.rng("cfar-calibration"),
                                 cut_len=cut_len)
         return CfarConfig(factor=factor)
@@ -412,7 +413,7 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
     cond_trials = min(trials, 200)
     xs = np.stack([
         synthesize(basis, draw_symbols(const, fc.n, r))
-        for r in spawn_rngs(ctx.rng("conditioned"), cond_trials)
+        for _, r in chunk_rngs(ctx.rng("conditioned"), cond_trials, 1)
     ])
     # one batched call: the clip weights depend on (pa, rho) only; rows are
     # summed one by one in trial order (np.sum would pair them differently)
@@ -549,22 +550,17 @@ def _scn_zero_delay(ctx: RunContext) -> dict[str, Columns]:
     basis = ctx.basis(fc.n)
     bins = np.arange(fc.n)
     columns: Columns = [("doppler_bin", bins)]
-    chunk = 256
     for cname, clabel in _PSK_QAM:
         const = ctx.fixed_constellation(cname)
         for ibo_db in (0.0, 8.0):
             pa = ctx.pa(ibo_db, compression=False)
             acc = np.zeros(fc.n)
             acc_cond = np.zeros(fc.n)
-            sizes = chunk_counts(trials, chunk)
-            for sz, r in zip(sizes, spawn_rngs(ctx.rng(f"{clabel}/ibo{ibo_db:g}"), len(sizes))):
-                sym = draw_symbols(const, (sz, fc.n), r)
-                x = synthesize(basis, sym)
-                s = sel_amplify(x, pa)
-                cut = np.fft.fft(np.abs(s) ** 2, axis=-1) / math.sqrt(fc.n)
+            for sz, r in chunk_rngs(ctx.rng(f"{clabel}/ibo{ibo_db:g}"), trials, 256):
+                x = synthesize(basis, draw_symbols(const, (sz, fc.n), r))
+                cut = np.fft.fft(np.abs(sel_amplify(x, pa)) ** 2, axis=-1) / math.sqrt(fc.n)
                 acc += (np.abs(cut) ** 2).sum(axis=0)
-                cond = sel_zero_delay_cut(x, pa)
-                acc_cond += (np.abs(cond) ** 2).sum(axis=0)
+                acc_cond += (np.abs(sel_zero_delay_cut(x, pa)) ** 2).sum(axis=0)
             acc /= trials
             acc_cond /= trials
             columns.append((f"{clabel}_ibo{ibo_db:g}_db", to_db(acc / acc[0])))

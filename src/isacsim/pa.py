@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .seeding import DEFAULT_CHUNK, chunk_counts, spawn_rngs
+from .seeding import chunk_rngs
 from .signaling import (
     ConstellationSpec,
     SignalingBasis,
@@ -168,6 +168,12 @@ def sdr(sigma_d2: float, cfg: PaConfig) -> float:
     """Signal-to-distortion ratio ``|g|^2 * alpha^2 / sigma_d^2`` of a
     unit-power input whose distortion power is ``sigma_d2``.
 
+    ``BussgangStats.sdr`` holds the same ratio.  The distortion-limited Pd
+    ceiling tracks ``|kappa|^2 / sigma_d^2`` instead: 12.08 dB against this
+    ratio's 14.33 dB in the Gaussian closed forms at IBO 1 dB (compression-
+    referenced), where ``fig-pd-ceilings`` projected 11.97-12.15 dB.
+    :func:`snr_eff` answers differently depending on which of the two it gets.
+
     Returns ``inf`` for a distortion-free (linear) operating point.
     """
     if sigma_d2 < 0:
@@ -264,8 +270,8 @@ def estimate_bussgang(
     """
     if trials < 1:
         raise ConfigError("at least one trial required")
-    sizes = chunk_counts(trials, DEFAULT_CHUNK)
-    largest = _row_blocks(sizes[0], basis.n)[0]
+    chunks = chunk_rngs(rng, trials)
+    largest = _row_blocks(chunks[0][0], basis.n)[0]
     # One allocation, larger than any block temporary, for the work arrays of
     # every block: freeing it raises glibc's dynamic mmap and trim thresholds
     # above a block's heap span, so later blocks and calls reuse heap pages
@@ -274,7 +280,7 @@ def estimate_bussgang(
     blocks = []
     cross = 0.0 + 0.0j
     power = 0.0
-    for sz, r in zip(sizes, spawn_rngs(rng, len(sizes))):
+    for sz, r in chunks:
         # numpy's pairwise sum of a chunk adds its two halves last, so a chunk
         # of one block or of two equal ones keeps the chunk-wide bits of kappa
         chunk_cross = 0.0 + 0.0j

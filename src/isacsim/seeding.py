@@ -2,9 +2,10 @@
 
 Every stochastic routine in the library draws from streams derived from a
 single base seed plus a stable component tag, and long runs are split into
-fixed-size chunks whose sub-streams come from ``Generator.spawn``.  Partial
-results are always reduced in chunk order, so output is byte-identical
-regardless of how many workers process the chunks.
+fixed-size chunks whose sub-streams come from ``Generator.spawn``, all
+through :func:`chunk_seeds`.  Partial results are always reduced in chunk
+order, so output is byte-identical regardless of how many workers process
+the chunks.
 """
 
 from __future__ import annotations
@@ -40,21 +41,26 @@ def derive_rng(base_seed: int, tag: str, index: int = 0) -> np.random.Generator:
 
 
 def spawn_rngs(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` independent child generators.
-
-    Children depend only on the generator's seed lineage and ``n``'s position
-    in the spawn sequence, not on how much the parent has been used since
-    creation, so calling this first thing keeps runs reproducible.
-    """
+    """``rng.spawn(n)``.  Not called in the package; kept because
+    ``bench/spans.py`` ``LAYERS`` wraps it by name."""
     return rng.spawn(n)
 
 
-def chunk_counts(trials: int, chunk: int = DEFAULT_CHUNK) -> list[int]:
-    """Split ``trials`` into fixed-size chunks (last one ragged)."""
+def chunk_seeds(rng: np.random.Generator, trials: int,
+                chunk: int = DEFAULT_CHUNK) -> list[tuple[int, np.random.SeedSequence]]:
+    """``(size, seed)`` of each ``chunk``-trial chunk of ``trials`` (the last
+    one ragged; none for ``trials < 1``), the seeds in ``rng.spawn`` order:
+    they depend on ``rng``'s seed lineage, not on how much it has drawn."""
     if trials < 1:
         return []
     full, rest = divmod(int(trials), int(chunk))
-    sizes = [chunk] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
+    sizes = [chunk] * full + ([rest] if rest else [])
+    return list(zip(sizes, rng.bit_generator.seed_seq.spawn(len(sizes))))
+
+
+def chunk_rngs(rng: np.random.Generator, trials: int,
+               chunk: int = DEFAULT_CHUNK) -> list[tuple[int, np.random.Generator]]:
+    """:func:`chunk_seeds` with each chunk's generator, built on ``rng``'s
+    bit-generator type: the streams ``rng.spawn`` gives."""
+    return [(size, np.random.Generator(type(rng.bit_generator)(seed)))
+            for size, seed in chunk_seeds(rng, trials, chunk)]

@@ -298,7 +298,9 @@ def test_sense_batch_matches_frame_loop(linear):
     np.testing.assert_allclose(batch, loop, atol=1e-12)
 
 
-@pytest.mark.parametrize("basis", ["ofdm", "cdma"])
+# the chain is OFDM-only; test_pipeline_rejects_a_basis_that_is_not_ofdm
+# checks that other bases are rejected
+@pytest.mark.parametrize("basis", ["ofdm"])
 @pytest.mark.parametrize("linear", [True, False])
 def test_sense_equals_the_public_layer_chain(basis, linear):
     # the buffered chain gives the bits of the public functions it replaces,
@@ -318,6 +320,18 @@ def test_sense_equals_the_public_layer_chain(basis, linear):
     assert np.array_equal(got, want)
     with pytest.raises(ConfigError, match="symbol length"):
         sense(pipe, sym[..., :32], snr, derive_rng(105, "det"))
+
+
+@pytest.mark.parametrize("basis", ["sc", "cdma"])
+def test_pipeline_rejects_a_basis_that_is_not_ofdm(basis):
+    # the division filter undoes the channel only for OFDM frames
+    with pytest.raises(ConfigError, match="OFDM"):
+        replace(_pipeline("16-QAM", None), basis=parse_basis(basis, 64))
+
+
+def test_pipeline_rejects_a_basis_size_other_than_the_frame():
+    with pytest.raises(ConfigError, match="n=64, got ofdm of n=32"):
+        replace(_pipeline("16-QAM", None), basis=parse_basis("ofdm", 32))
 
 
 def test_linear_high_snr_detects_always(cal_factor):

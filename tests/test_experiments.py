@@ -381,6 +381,23 @@ def test_cli_run_constellation_on_fixed_constellation_scenario_exits_2(tmp_path,
     assert calibrations == []
 
 
+@pytest.mark.parametrize("basis", ["sc", "cdma"])
+@pytest.mark.parametrize("scenario", [
+    "fig-periodogram-pair", "fig-cfar-example", "fig-pd-curves", "fig-pd-ceilings",
+])
+def test_cli_run_non_ofdm_basis_on_sensing_scenario_exits_2(tmp_path, capsys,
+                                                            calibration_cut_lens, scenario, basis):
+    # the sensing chain's division filter is a receiver for OFDM only; an SC
+    # run used to write a linear Pd of 0.0 at 10 and 30 dB.  It is rejected
+    # before the CFAR calibration starts
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"trials": 10, "basis": basis, "out_dir": str(tmp_path)}))
+    assert main(["run", scenario, "--config", str(cfg_file)]) == 2
+    assert "OFDM basis" in capsys.readouterr().err
+    assert not (tmp_path / scenario).exists()
+    assert calibration_cut_lens == []
+
+
 def test_pd_ceilings_starts_one_pool(tmp_path, monkeypatch):
     # all six curves share one pool map
     starts = []

@@ -23,7 +23,7 @@ from isacsim import (
     snr_eff,
     synthesize,
 )
-from isacsim.seeding import DEFAULT_CHUNK, chunk_counts, derive_rng, spawn_rngs
+from isacsim.seeding import chunk_seeds, derive_rng
 
 from conftest import pa_compression, pa_limiter, traced_peak_bytes
 
@@ -337,23 +337,23 @@ def _replayed_bussgang(cfg, basis, const, trials, rng):
     """Two-pass oracle: kappa from a pass over every chunk, then each chunk
     redrawn from its stream's seed sequence and ``s - kappa x`` measured
     sample by sample.  Also counts the samples the limiter clipped."""
-    sizes = chunk_counts(trials, DEFAULT_CHUNK)
-    streams = spawn_rngs(rng, len(sizes))
+    chunks = chunk_seeds(rng, trials)
 
-    def draw(rows, r):
+    def draw(rows, seed):
+        r = np.random.Generator(type(rng.bit_generator)(seed))
         x = synthesize(basis, draw_symbols(const, (rows, basis.n), r))
         return x, sel_amplify(x, cfg)
 
     cross, power, clipped = 0j, 0.0, 0
-    for rows, r in zip(sizes, streams):
-        x, s = draw(rows, r)
+    for rows, seed in chunks:
+        x, s = draw(rows, seed)
         cross += complex(np.sum(np.conj(x) * s))
         power += float(np.sum(np.abs(x) ** 2))
         clipped += int(np.count_nonzero(np.abs(cfg.g * cfg.alpha * x) > cfg.v_sat))
     kappa = cross / power
     d2 = d4 = 0.0
-    for rows, r in zip(sizes, streams):
-        x, s = draw(rows, np.random.Generator(type(r.bit_generator)(r.bit_generator.seed_seq)))
+    for rows, seed in chunks:
+        x, s = draw(rows, seed)
         p = np.abs(s - kappa * x) ** 2
         d2 += float(np.sum(p))
         d4 += float(np.sum(p * p))

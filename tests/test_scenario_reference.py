@@ -3,7 +3,9 @@
 Each scenario runs at ``TRIALS`` trials, enough that its averages and Pd
 curves span several seeded chunks (64 trials per ``average_af`` chunk at most,
 50 per Pd chunk), and its CSV columns are compared with
-``tests/data/scenario_reference.json``.  Numeric columns must match to
+``tests/data/scenario_reference.json``.  ``fig-zero-delay`` draws 256 trials
+per chunk, so it is pinned a second time at ``ZERO_DELAY_TRIALS``, which
+spans two of its chunks, under the key ``ZERO_DELAY_KEY``.  Numeric columns must match to
 ``REL_TOL`` of the column's largest finite magnitude, the rule scenario
 outputs keep across refactors and optimizations; integer and string columns
 must match exactly.
@@ -30,6 +32,9 @@ from isacsim.experiments import ExperimentConfig
 REFERENCE = Path(__file__).resolve().parent / "data" / "scenario_reference.json"
 SEED = 20260815
 TRIALS = 130
+# 256 + 44 trials: the second fig-zero-delay chunk is ragged
+ZERO_DELAY_TRIALS = 300
+ZERO_DELAY_KEY = f"fig-zero-delay@{ZERO_DELAY_TRIALS}"
 REL_TOL = 1e-12
 # keeps the long-format periodogram files small
 OVERRIDES = {"fig-periodogram-pair": {"n": 16, "m": 16}}
@@ -44,9 +49,9 @@ def _parse(cells: list[str]) -> list:
     return cells
 
 
-def scenario_columns(name: str, out_dir: Path) -> dict[str, list]:
+def scenario_columns(name: str, out_dir: Path, trials: int = TRIALS) -> dict[str, list]:
     """``{file/column: values}`` of one scenario run at the reference settings."""
-    config = ExperimentConfig(scenario=name, seed=SEED, trials=TRIALS,
+    config = ExperimentConfig(scenario=name, seed=SEED, trials=trials,
                               out_dir=str(out_dir), **OVERRIDES.get(name, {}))
     with warnings.catch_warnings():
         # lag_correlation warns when it clips negative estimates
@@ -96,9 +101,16 @@ def test_scenario_matches_reference(name, reference, tmp_path):
     assert not problems, "\n".join(problems)
 
 
+def test_zero_delay_matches_reference_across_a_chunk_boundary(reference, tmp_path):
+    problems = _mismatches(scenario_columns("fig-zero-delay", tmp_path, ZERO_DELAY_TRIALS),
+                           reference[ZERO_DELAY_KEY])
+    assert not problems, "\n".join(problems)
+
+
 def _write_reference() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         data = {s.name: scenario_columns(s.name, Path(tmp)) for s in list_scenarios()}
+        data[ZERO_DELAY_KEY] = scenario_columns("fig-zero-delay", Path(tmp), ZERO_DELAY_TRIALS)
     REFERENCE.parent.mkdir(exist_ok=True)
     with open(REFERENCE, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)

@@ -5,7 +5,8 @@ import pytest
 
 from isacsim.seeding import (
     DEFAULT_CHUNK,
-    chunk_counts,
+    chunk_rngs,
+    chunk_seeds,
     derive_rng,
     derive_seed,
     spawn_rngs,
@@ -46,13 +47,35 @@ def test_derive_rng_matches_seed_sequence_construction():
     assert tuple(entropy) == (7, zlib.crc32(b"cal"), 3)
 
 
-def test_chunk_counts_partitions():
-    assert chunk_counts(10, 4) == [4, 4, 2]
-    assert chunk_counts(5) == [5]
-    assert chunk_counts(128) == [64, 64]
-    assert chunk_counts(0) == []
-    assert sum(chunk_counts(1000, 7)) == 1000
+def _sizes(trials, chunk=DEFAULT_CHUNK):
+    return [size for size, _ in chunk_seeds(derive_rng(5, "x"), trials, chunk)]
+
+
+def test_chunk_seeds_partitions():
+    assert _sizes(10, 4) == [4, 4, 2]
+    assert _sizes(5) == [5]
+    assert _sizes(128) == [64, 64]
+    assert sum(_sizes(1000, 7)) == 1000
     assert DEFAULT_CHUNK == 64
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+def test_chunk_streams_equal_rng_spawn(bit_generator):
+    # 10 trials in chunks of 4: two full chunks and a ragged one of 2
+    def parent():
+        return np.random.Generator(bit_generator(derive_seed(5, "x")))
+
+    want = parent().spawn(3)
+    seeds = chunk_seeds(parent(), 10, 4)
+    rngs = chunk_rngs(parent(), 10, 4)
+    assert [size for size, _ in seeds] == [size for size, _ in rngs] == [4, 4, 2]
+    for (_, seed), (_, r), w in zip(seeds, rngs, want):
+        assert type(r.bit_generator) is bit_generator
+        assert seed.spawn_key == w.bit_generator.seed_seq.spawn_key
+        draws = w.standard_normal(8)
+        np.testing.assert_array_equal(r.standard_normal(8), draws)
+        np.testing.assert_array_equal(
+            np.random.Generator(bit_generator(seed)).standard_normal(8), draws)
 
 
 def test_spawn_rngs_deterministic_and_distinct():
@@ -76,13 +99,15 @@ def test_spawn_depends_only_on_lineage_position():
     )
 
 
-def test_chunk_counts_rejects_nothing_but_returns_empty():
-    assert chunk_counts(-3) == []
+def test_chunk_seeds_empty_for_no_trials():
+    assert _sizes(0) == []
+    assert _sizes(-3) == []
+    assert chunk_rngs(derive_rng(5, "x"), 0) == []
 
 
 @pytest.mark.parametrize("trials,chunk", [(64, 64), (65, 64), (63, 64)])
 def test_chunk_shape_edges(trials, chunk):
-    sizes = chunk_counts(trials, chunk)
+    sizes = _sizes(trials, chunk)
     assert sum(sizes) == trials
     assert all(s == chunk for s in sizes[:-1])
     assert 0 < sizes[-1] <= chunk
