@@ -13,6 +13,7 @@ from isacsim import (
     estimate_bussgang,
     joint_below_prob,
     lag_correlation,
+    limiter_compression_power,
     parse_basis,
     parse_constellation,
     sel_amplify,
@@ -32,11 +33,12 @@ from isacsim.analytic import (
     sel_zero_delay_cut,
     sel_zero_doppler_cut,
 )
-from isacsim.seeding import derive_rng
+from isacsim.seeding import chunk_rngs, derive_rng
 from isacsim.signaling import _MC_BLOCK_CELLS
 
 from conftest import (
     full_tensor_af,
+    gathered_lag_products,
     pa_compression,
     pa_limiter,
     scaled_linear_generator,
@@ -399,6 +401,67 @@ def test_clip_weights_match_pairwise_probabilities(mode):
             else:
                 want = clip_probabilities(y, float(rho.values[abs(lag)]))
                 assert got == (want.p_below_both, want.p_mixed, want.p_above_both)
+
+
+def _written_out_conditioned_sum(x, cfg, rho, mode, mixed_scale):
+    """The four-term conditioned sum with every term spelled out: below-both
+    ``sum u(p) u*(p-l)``, the one-clipped ``sum u(p) phi*(p-l)`` and
+    ``sum phi(p) u(p-l)``, both-clipped ``sum phi(p) phi*(p-l)``, each
+    weighted by its pairwise probability at the lag's correlation distance
+    (``|l|`` aperiodic, ``min(l, n - l)`` periodic); ``mixed_scale``
+    multiplies the one-clipped weight."""
+    n = x.shape[-1]
+    u = cfg.g * cfg.alpha * x
+    phi = np.exp(1j * np.angle(u))
+    lags = _lags(n, mode)
+    dist = np.minimum(lags, n - lags) if mode is AfMode.PERIODIC else np.abs(lags)
+    probs = [clip_probabilities(cfg.y, float(rho.values[d])) for d in dist]
+    p_bb, p_mixed, p_above = (np.array([getattr(p, f) for p in probs])
+                              for f in ("p_below_both", "p_mixed", "p_above_both"))
+
+    def corr(a, b):  # sum_p a(p) b*(p - l), from an index table
+        return gathered_lag_products(a, b, mode).sum(axis=-1)
+
+    v = cfg.v_sat
+    return (p_bb * corr(u, u)
+            + mixed_scale * p_mixed * v * (corr(u, phi) + corr(phi, np.conj(u)))
+            + p_above * v * v * corr(phi, phi)) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("g", [1.0, 0.8 * np.exp(0.7j)])
+@pytest.mark.parametrize("n", [16, 64])
+def test_conditioned_models_equal_written_out_four_term_sums(n, g):
+    # the model as it stands, including the two recorded faults: the cut
+    # weights each one-clipped sum by twice the one-clipped probability, and
+    # both functions correlate phi with u unconjugated (sum phi(p) u(p-l))
+    const, basis = parse_constellation("16-QAM"), parse_basis("ofdm", n)
+    cfg = PaConfig(1.0, 10 ** 0.1, g=g, p1db=limiter_compression_power(1.0))
+    rho = lag_correlation(const, basis, n, 4096, derive_rng(90, "an", n))
+    x = synthesize(basis, draw_symbols(const, (3, n), derive_rng(91, "an", n)))
+    want = _written_out_conditioned_sum(x, cfg, rho, AfMode.APERIODIC, 2.0)
+    got = sel_zero_doppler_cut(x, cfg, rho)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    trials = 70  # two chunks of sel_eisl's 64 trials, the last ragged
+    for mode in (AfMode.PERIODIC, AfMode.APERIODIC):
+        est = sel_eisl(cfg, const, basis, n, trials, derive_rng(92, "an", n), mode)
+        rng_rho, rng_mc = derive_rng(92, "an", n).spawn(2)
+        rho_mc = lag_correlation(const, basis, n, 4096, rng_rho)
+        per_lag = np.zeros(_lags(n, mode).size)
+        for size, r in chunk_rngs(rng_mc, trials, 64):
+            frames = synthesize(basis, draw_symbols(const, (size, n), r))
+            w = _written_out_conditioned_sum(frames, cfg, rho_mc, mode, 1.0)
+            per_lag += (np.abs(w) ** 2).sum(axis=0)
+        per_lag /= trials
+        if mode is AfMode.PERIODIC:
+            eisl = 2.0 * per_lag[1:].sum()
+        else:
+            eisl = per_lag.sum() - per_lag[n - 1]
+        assert est.mode is mode
+        np.testing.assert_array_equal(est.lags, _lags(n, mode))
+        np.testing.assert_allclose(est.per_lag, per_lag, rtol=0, atol=1e-12 * per_lag.max())
+        assert abs(est.eisl - eisl) <= 1e-12 * eisl
 
 
 def test_conditioned_cut_tracks_averaged_empirical_cut():
