@@ -10,8 +10,9 @@ the phase denominator is the signal length itself.  Surfaces store squared
 magnitudes.
 
 The zero-Doppler cut (``K = 1``) is a plain cross-correlation, computed by
-FFT in O(N log N) (:func:`_xcorr`, the package's one correlation kernel); the
-Monte-Carlo averaging paths and the analytic models all go through it.  For
+FFT in O(N log N) (:func:`_xcorr`).  The Monte-Carlo averaging paths and the
+conditioned analytic models go through it; ``analytic.lag_correlation``
+keeps its own circular autocovariance of sample powers.  For
 ``K > 1`` the delayed copies ``s*(p - l)`` are the rows of a sliding-window
 view over the conjugate, extended by its own tail (periodic) or by ``N - 1``
 zeros on each side (aperiodic), so no index table is built.  The lag

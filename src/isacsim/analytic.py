@@ -201,9 +201,8 @@ def lag_correlation(
 class BussgangAfTerms:
     """Self/cross AF values of one realization and their recombination.
 
-    ``recombined`` expands ``|kappa^2 A_x + kappa A_xd + kappa* A_dx + A_d|^2``
-    term by term (squares plus the six doubled real cross products) and
-    equals the squared AF of ``kappa x + d`` up to rounding.
+    ``recombined`` is ``||kappa|^2 A_x + kappa A_xd + kappa* A_dx + A_d|^2``,
+    the squared AF of ``kappa x + d`` up to rounding.
     """
 
     a_x: np.ndarray
@@ -230,24 +229,13 @@ def bussgang_af_decompose(
     a_dx = cross_af(d, x, k_grid, mode)
 
     k2 = abs(kappa) ** 2
-    # |kappa^2 A_x + kappa A_xd + kappa* A_dx + A_d|^2, one block of lag rows at a time
+    # the squared sum of the four terms, one block of lag rows at a time
     real = np.finfo(np.result_type(a_x, a_xd, a_dx, a_d, kappa)).dtype
     recombined = np.empty(a_x.shape, real)
     for rows in _lag_rows(a_x.shape[-2], a_x[..., 0, :].size):
-        t1 = k2 * a_x[..., rows, :]
-        t2 = kappa * a_xd[..., rows, :]
-        t3 = np.conj(kappa) * a_dx[..., rows, :]
-        t4 = a_d[..., rows, :]
-        sq = np.abs(t1) ** 2 + np.abs(t2) ** 2 + np.abs(t3) ** 2 + np.abs(t4) ** 2
-        cross = (
-            t1 * np.conj(t2)
-            + t1 * np.conj(t3)
-            + t1 * np.conj(t4)
-            + t2 * np.conj(t3)
-            + t2 * np.conj(t4)
-            + t3 * np.conj(t4)
-        )
-        recombined[..., rows, :] = sq + 2.0 * cross.real
+        a_s = (k2 * a_x[..., rows, :] + kappa * a_xd[..., rows, :]
+               + np.conj(kappa) * a_dx[..., rows, :] + a_d[..., rows, :])
+        recombined[..., rows, :] = np.abs(a_s) ** 2
     return BussgangAfTerms(
         a_x=a_x, a_xd=a_xd, a_dx=a_dx, a_d=a_d, kappa=kappa, recombined=recombined
     )
@@ -288,16 +276,37 @@ def _phase_signal(u: np.ndarray) -> np.ndarray:
     return np.divide(u, magnitude, out=np.ones(u.shape, complex), where=magnitude != 0)
 
 
-def _clip_weights(cfg: PaConfig, rho: LagCorrelation, lags: np.ndarray):
-    """Per-lag weights (both-below, one-clipped, both-clipped) on ``lags``.
-
-    At lag 0 the correlation is 1, so below-both is the marginal."""
+def _clip_weights(cfg: PaConfig, rho: LagCorrelation, n: int, mode: AfMode):
+    """Per-lag weights (both-below, one-clipped, both-clipped) on the mode's
+    lag axis, each at the correlation of the lag's distance: ``|l|``
+    aperiodic, ``min(l, n - l)`` periodic.  Lag 0 has correlation 1."""
+    lags = _lags(n, mode)
+    distance = np.minimum(lags, n - lags) if mode is AfMode.PERIODIC else np.abs(lags)
     y = cfg.y
-    p_bb = _joint_below_vector(y, rho.values[np.abs(lags)])
+    p_bb = _joint_below_vector(y, rho.values[distance])
     p_below = 1.0 - math.exp(-y * y)
-    w_mixed = p_below - p_bb
-    w_above = 1.0 - 2.0 * p_below + p_bb
-    return p_bb, w_mixed, w_above
+    return p_bb, p_below - p_bb, 1.0 - 2.0 * p_below + p_bb
+
+
+def _conditioned_cut(x: np.ndarray, cfg: PaConfig, weights, mode: AfMode) -> np.ndarray:
+    """Clipping-conditioned zero-Doppler sum of ``x`` (batches allowed).
+
+    The (below-both, one-clipped, both-clipped) ``weights`` scale the
+    autocorrelation of ``u = g alpha x``, the two one-clipped cross sums of
+    ``u`` and its phase ``phi``, and the autocorrelation of ``phi``.  Known
+    fault, kept while the scenario references pin it: the second cross sum
+    is ``sum phi(p) u(p-l)`` where the model calls for ``sum phi(p)
+    u*(p-l)``.  :func:`sel_zero_doppler_cut` holds the other known fault.
+    """
+    u = cfg.g * cfg.alpha * x
+    phi = _phase_signal(u)
+    w_bb, w_mixed, w_above = weights
+    v = cfg.v_sat
+    return (
+        w_bb * _xcorr(u, u, mode)
+        + w_mixed * v * (_xcorr(u, phi, mode) + _xcorr(phi, np.conj(u), mode))
+        + w_above * v * v * _xcorr(phi, phi, mode)
+    ) / math.sqrt(x.shape[-1])
 
 
 def sel_zero_doppler_cut(
@@ -307,29 +316,21 @@ def sel_zero_doppler_cut(
 
     Evaluates, for the pre-amplifier realization ``x`` (batches allowed on
     leading axes), the probability-weighted combination of the undistorted
-    autocorrelation, the pair of one-sample-clipped cross sums (their sum
-    carries the doubled one-clipped weight), and the both-clipped phase sum.
-    Lag axis: ``1-n..n-1``.
+    autocorrelation, the pair of one-sample-clipped cross sums, and the
+    both-clipped phase sum (:func:`_conditioned_cut`).  Lag axis:
+    ``1-n..n-1``.
+
+    Known faults: the one-clipped weight is doubled here, so the weights sum
+    to ``p_bb + 4 p_mixed + p_above``, not 1; and the kernel's second cross
+    sum lacks a conjugate (see :func:`_conditioned_cut`).
     """
     n = x.shape[-1]
     if rho.values.shape[0] < n + 1:
         raise ConfigError(
             f"lag correlation covers lags up to {rho.values.shape[0] - 1}, need {n}"
         )
-    u = cfg.g * cfg.alpha * x
-    phi = _phase_signal(u)
-    lags = _lags(n, AfMode.APERIODIC)
-    p_bb, w_mixed, w_above = _clip_weights(cfg, rho, lags)
-
-    root_n = math.sqrt(n)
-    a_u = _xcorr(u, u, AfMode.APERIODIC) / root_n
-    c_mixed = _xcorr(u, phi, AfMode.APERIODIC) + _xcorr(phi, np.conj(u), AfMode.APERIODIC)
-    c_above = _xcorr(phi, phi, AfMode.APERIODIC)
-    v = cfg.v_sat
-    return (
-        p_bb * a_u
-        + (2.0 * w_mixed * v * c_mixed + w_above * v * v * c_above) / root_n
-    )
+    p_bb, w_mixed, w_above = _clip_weights(cfg, rho, n, AfMode.APERIODIC)
+    return _conditioned_cut(x, cfg, (p_bb, 2.0 * w_mixed, w_above), AfMode.APERIODIC)
 
 
 @dataclass(frozen=True)
@@ -359,41 +360,23 @@ def sel_eisl(
     Periodic mode evaluates circular lag sums (the cyclic-prefix case) and
     counts signed lag pairs; aperiodic sums all ``2n - 2`` sidelobe lags.
     """
-    if basis.n != n:
-        raise ConfigError(f"basis size {basis.n} does not match n={n}")
     if trials < 1:
         raise ConfigError("at least one trial required")
     rng_rho, rng_mc = rng.spawn(2)
     rho = lag_correlation(constellation, basis, n, max(trials, 4096), rng_rho)
 
-    lags = _lags(n, mode)
-    if mode is AfMode.PERIODIC:
-        rho_lag_index = np.minimum(lags, n - lags)  # circular distance
-    else:
-        rho_lag_index = np.abs(lags)
-    p_bb, w_mixed, w_above = _clip_weights(cfg, rho, rho_lag_index)
-
-    v = cfg.v_sat
-    root_n = math.sqrt(n)
-    accum = np.zeros(lags.shape[0])
+    weights = _clip_weights(cfg, rho, n, mode)
+    accum = np.zeros(weights[0].shape[0])
     for sz, r in chunk_rngs(rng_mc, trials, max(1, min(64, 2_000_000 // (4 * n)))):
-        sym = draw_symbols(constellation, (sz, n), r)
-        u = cfg.g * cfg.alpha * synthesize(basis, sym)
-        phi = _phase_signal(u)
-        w = (
-            p_bb * (_xcorr(u, u, mode) / root_n)
-            + w_mixed * (v / root_n) * _xcorr(u, phi, mode)
-            + w_mixed * (v / root_n) * _xcorr(phi, np.conj(u), mode)
-            + w_above * (v * v / root_n) * _xcorr(phi, phi, mode)
-        )
-        accum += np.sum(np.abs(w) ** 2, axis=0)
+        x = synthesize(basis, draw_symbols(constellation, (sz, n), r))
+        accum += np.sum(np.abs(_conditioned_cut(x, cfg, weights, mode)) ** 2, axis=0)
     per_lag = accum / trials
 
     if mode is AfMode.PERIODIC:
         eisl = 2.0 * float(per_lag[1:].sum())
     else:
         eisl = float(per_lag.sum() - per_lag[n - 1])
-    return SelEislEstimate(eisl=eisl, per_lag=per_lag, lags=lags, mode=mode)
+    return SelEislEstimate(eisl=eisl, per_lag=per_lag, lags=_lags(n, mode), mode=mode)
 
 
 def sel_zero_delay_cut(x: np.ndarray, cfg: PaConfig) -> np.ndarray:

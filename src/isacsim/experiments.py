@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .ambiguity import AfMode, aaf, average_af, sidelobe_metrics, to_db, zero_doppler_cut
-from .analytic import lag_correlation, sel_eisl, sel_zero_delay_cut, sel_zero_doppler_cut
+from .analytic import (expected_zero_doppler_bussgang, lag_correlation, sel_eisl,
+                       sel_zero_delay_cut, sel_zero_doppler_cut)
 from .channel import Target
 from .detect import (
     DEFAULT_CAL_CELLS,
@@ -62,16 +63,23 @@ from .signaling import (
 )
 
 
-_INT_KEYS = ("seed", "trials", "workers", "n", "m", "cp_len", "n_per", "m_per")
-_REAL_KEYS = ("ibo_db", "v_sat", "p1db", "g")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: ``key: (check, what the check asks for)`` of each scalar config field.
+_SCALAR_KEYS = {
+    **dict.fromkeys(("seed", "trials", "workers", "n", "m", "cp_len", "n_per", "m_per"),
+                    (_is_int, "an integer")),
+    **dict.fromkeys(("ibo_db", "v_sat", "p1db", "g"), (_is_real, "a number")),
+    **dict.fromkeys(("scenario", "out_dir", "constellation", "basis"),
+                    (lambda v: isinstance(v, str) and v != "", "a non-empty string")),
+    "plots": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 def _parse_targets(entries) -> tuple[Target, ...]:
@@ -127,10 +135,9 @@ class ExperimentConfig:
         for key, value in data.items():
             if value is None and cls.__dataclass_fields__[key].default is None:
                 continue
-            if key in _INT_KEYS and not _is_int(value):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            if key in _REAL_KEYS and not _is_real(value):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
+            check, wanted = _SCALAR_KEYS.get(key, (None, ""))
+            if check is not None and not check(value):
+                raise ConfigError(f"{key} must be {wanted}, got {value!r}")
         if data.get("targets") is not None:
             data["targets"] = _parse_targets(data["targets"])
         grid = data.get("snr_db_grid")
@@ -276,15 +283,12 @@ class RunContext:
     def constellation(self, default: str) -> ConstellationSpec:
         return parse_constellation(self.config.constellation or default)
 
-    def fixed_constellation(self, name: str) -> ConstellationSpec:
-        """A constellation the scenario sweeps itself.
-
-        Such a scenario would silently ignore a configured ``constellation``,
-        so it is rejected instead.
-        """
-        if self.config.constellation is not None:
-            raise ConfigError("constellation is not used: the scenario sweeps fixed constellations")
-        return parse_constellation(name)
+    def sweeps(self, *keys: str) -> None:
+        """Reject each configured ``key``: the scenario sweeps that setting
+        itself, and would ignore it or apply it to every swept value."""
+        for key in keys:
+            if getattr(self.config, key) is not None:
+                raise ConfigError(f"{key} is not used: the scenario sweeps its own values")
 
     def basis(self, n: int) -> SignalingBasis:
         return parse_basis(self.config.basis or "ofdm", n)
@@ -350,12 +354,13 @@ def _n_sweep(ctx: RunContext, sizes: tuple[int, ...], cells: Callable) -> Column
     16-PSK (label ``psk``) and 16-QAM (``qam``); columns keep the order in
     which they first appear.
     """
+    ctx.sweeps("constellation")
     rows: dict[str, list[float]] = {}
     for n in sizes:
         basis = ctx.basis(n)
         pa = ctx.pa(1.0)
         for cname, label in _PSK_QAM:
-            const = ctx.fixed_constellation(cname)
+            const = parse_constellation(cname)
             for column, value in cells(n, basis, pa, const, label).items():
                 rows.setdefault(column, []).append(value)
     return [("n", np.array(sizes)), *((k, np.array(v)) for k, v in rows.items())]
@@ -370,12 +375,13 @@ def _n_sweep(ctx: RunContext, sizes: tuple[int, ...], cells: Callable) -> Column
           "Averaged zero-Doppler cuts, CP-OFDM N=64, 16-PSK/16-QAM, linear vs IBO 1/4 dB, "
           "with flat per-lag overlays from the measured clipping statistics")
 def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
+    ctx.sweeps("constellation", "ibo_db")
     fc = ctx.frame()
     basis = ctx.basis(fc.n)
     lags = np.arange(fc.n)
     columns: Columns = [("lag", lags)]
     for cname, label in _PSK_QAM:
-        const = ctx.fixed_constellation(cname)
+        const = parse_constellation(cname)
         linear = _averaged_cut(ctx, const, basis, None, f"lin/{label}", normalize=True)
         columns.append((f"linear_{label}", to_db(linear.values[:, 0])))
         for ibo_db in (1.0, 4.0):
@@ -383,14 +389,8 @@ def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
             cut = _averaged_cut(ctx, const, basis, pa, f"ibo{ibo_db:g}/{label}", normalize=True)
             columns.append((f"nonlinear_{label}_ibo{ibo_db:g}", to_db(cut.values[:, 0])))
             stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}/{ibo_db:g}"))
-            per_lag = abs(stats.kappa) ** 4 + stats.sigma_d2**2
-            main = (
-                2 * abs(stats.kappa) ** 4
-                + stats.d4
-                + 2 * abs(stats.kappa) ** 2 * fc.n * stats.sigma_d2
-            )
-            level = 10.0 * math.log10(per_lag / main)
-            overlay = np.full(fc.n, level)
+            pred = expected_zero_doppler_bussgang(stats.kappa, 1.0, stats.sigma_d2, fc.n, stats.d4)
+            overlay = np.full(fc.n, 10.0 * math.log10(pred.per_lag / pred.mainlobe))
             overlay[0] = 0.0
             columns.append((f"analytic_{label}_ibo{ibo_db:g}", overlay))
     return {"zero_doppler_cp.csv": columns}
@@ -440,6 +440,7 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
           "Residual clipping-noise power vs IBO at N=1024 for 16-PSK/16-QAM/64-QAM plus "
           "the Gaussian closed form")
 def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
+    ctx.sweeps("constellation", "ibo_db")
     trials = ctx.trials()
     n = ctx.setting("n", 1024)
     basis = ctx.basis(n)
@@ -452,7 +453,7 @@ def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
         gaussian[i] = output_power_gaussian(y) - kappa_gaussian(y) ** 2
     columns.append(("analytic_gaussian_db", 10.0 * np.log10(gaussian)))
     for cname, label in (("16-PSK", "psk16"), ("16-QAM", "qam16"), ("64-QAM", "qam64")):
-        const = ctx.fixed_constellation(cname)
+        const = parse_constellation(cname)
         vals = np.empty(ibo_grid.size)
         for i, ibo_db in enumerate(ibo_grid):
             pa = ctx.pa(ibo_db, compression=False)
@@ -467,13 +468,14 @@ def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
           "Zero-Doppler cut of the isolated clipping-noise term, N=64, IBO 1 dB, "
           "16-PSK vs 16-QAM, with flat variance overlays")
 def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
+    ctx.sweeps("constellation")
     fc = ctx.frame()
     basis = ctx.basis(fc.n)
     pa = ctx.pa(1.0)
     lags = np.arange(fc.n)
     columns: Columns = [("lag", lags)]
     for cname, label in _PSK_QAM:
-        const = ctx.fixed_constellation(cname)
+        const = parse_constellation(cname)
         stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}"))
         surf = _averaged_cut(ctx, const, basis, pa, f"mc/{label}", kappa=stats.kappa)
         columns.append((f"mc_{label}_db", to_db(surf.values[:, 0], floor=-200.0)))
@@ -545,13 +547,14 @@ def _scn_pslr_vs_n(ctx: RunContext) -> dict[str, Columns]:
           "Averaged zero-delay (Doppler) cuts at saturation back-offs 0 and 8 dB with "
           "conditioned-expectation overlays, 16-PSK and 16-QAM")
 def _scn_zero_delay(ctx: RunContext) -> dict[str, Columns]:
+    ctx.sweeps("constellation", "ibo_db")
     trials = ctx.trials()
     fc = ctx.frame()
     basis = ctx.basis(fc.n)
     bins = np.arange(fc.n)
     columns: Columns = [("doppler_bin", bins)]
     for cname, clabel in _PSK_QAM:
-        const = ctx.fixed_constellation(cname)
+        const = parse_constellation(cname)
         for ibo_db in (0.0, 8.0):
             pa = ctx.pa(ibo_db, compression=False)
             acc = np.zeros(fc.n)
@@ -650,7 +653,8 @@ def _pipeline(ctx: RunContext, const: ConstellationSpec, fc: FrameConfig,
 def _pd_curves(ctx: RunContext, specs: dict[str, tuple]) -> dict[str, PdCurve]:
     """Weak-target Pd of each ``name: (constellation, snr_grid_db, tag, linear, limited)``
     spec, all on one pool, calibrating only once every constellation is accepted."""
-    consts = [ctx.fixed_constellation(spec[0]) for spec in specs.values()]
+    ctx.sweeps("constellation")
+    consts = [parse_constellation(spec[0]) for spec in specs.values()]
     frame = ctx.frame(m=3)
     cfar = ctx.cfar(frame)
     # Weak reflector 20 dB below the strong one.  Together with the short

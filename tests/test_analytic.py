@@ -190,21 +190,7 @@ def test_four_term_split_recombines_exactly(mode, n):
 
 def _whole_array_recombination(a_x, a_xd, a_dx, a_d, kappa):
     """The recombination as one expression over whole surfaces."""
-    k2 = abs(kappa) ** 2
-    t1 = k2 * a_x
-    t2 = kappa * a_xd
-    t3 = np.conj(kappa) * a_dx
-    t4 = a_d
-    sq = np.abs(t1) ** 2 + np.abs(t2) ** 2 + np.abs(t3) ** 2 + np.abs(t4) ** 2
-    cross = (
-        t1 * np.conj(t2)
-        + t1 * np.conj(t3)
-        + t1 * np.conj(t4)
-        + t2 * np.conj(t3)
-        + t2 * np.conj(t4)
-        + t3 * np.conj(t4)
-    )
-    return sq + 2.0 * cross.real
+    return np.abs(abs(kappa) ** 2 * a_x + kappa * a_xd + np.conj(kappa) * a_dx + a_d) ** 2
 
 
 @pytest.mark.parametrize("block_cells", [None, 300])
@@ -380,26 +366,26 @@ def test_phase_signal_maps_exact_zero_to_one(monkeypatch):
 
 @pytest.mark.parametrize("mode", [AfMode.PERIODIC, AfMode.APERIODIC])
 def test_clip_weights_match_pairwise_probabilities(mode):
-    # the lag axes sel_zero_doppler_cut (|l|) and sel_eisl (circular
-    # distance) pass in; a sample paired with itself is below-both exactly
-    # when it is below
+    # each lag reads the correlation at its distance: |l| aperiodic, the
+    # circular min(l, n - l) periodic; a sample paired with itself is
+    # below-both exactly when it is below
     n = 12
     rho = LagCorrelation(np.linspace(1.0, 0.0, n + 1))
     lags = _lags(n, mode)
-    if mode is AfMode.PERIODIC:
-        lags = np.minimum(lags, n - lags)
     cfgs = (PaConfig(1.0, 1.0, g=3.0), PaConfig(1.0, 1.0, g=2.0),
             pa_limiter(0.0), pa_limiter(6.0))
     assert len({cfg.y for cfg in cfgs}) == 4
     for cfg in cfgs:
         y = cfg.y
-        p_bb, w_mixed, w_above = _clip_weights(cfg, rho, lags)
+        p_bb, w_mixed, w_above = _clip_weights(cfg, rho, n, mode)
+        assert p_bb.shape == lags.shape
         for lag, got in zip(lags, zip(p_bb, w_mixed, w_above)):
-            if lag == 0:
+            distance = min(lag, n - lag) if mode is AfMode.PERIODIC else abs(lag)
+            if distance == 0:
                 assert got[0] == 1.0 - math.exp(-y * y)
                 assert got[1] == 0.0
             else:
-                want = clip_probabilities(y, float(rho.values[abs(lag)]))
+                want = clip_probabilities(y, float(rho.values[distance]))
                 assert got == (want.p_below_both, want.p_mixed, want.p_above_both)
 
 

@@ -345,11 +345,22 @@ def test_cli_run_bad_config_exits_2(tmp_path):
     {"targets": [{"b": 1.0}]},
     {"targets": [{"b": "x", "delay": 3}]},
     {"targets": [{"b": 1.0, "delay": 2.5}]},
+    {"constellation": 16},
+    {"constellation": ""},
+    {"basis": 5},
+    {"basis": ""},
+    {"out_dir": 3},
+    {"out_dir": ""},
+    {"scenario": 7},
+    {"scenario": ""},
+    {"plots": 0},
+    {"plots": "false"},
 ])
 def test_cli_run_bad_config_value_exits_2(tmp_path, capsys, override):
+    # fig-zero-doppler-nocp reads both constellation and basis
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"trials": 20, "out_dir": str(tmp_path), **override}))
-    assert main(["run", "fig-zero-doppler-cp", "--config", str(cfg_file)]) == 2
+    assert main(["run", "fig-zero-doppler-nocp", "--config", str(cfg_file)]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -379,6 +390,25 @@ def test_cli_run_constellation_on_fixed_constellation_scenario_exits_2(tmp_path,
     assert "constellation" in capsys.readouterr().err
     assert not (tmp_path / scenario).exists()
     assert calibrations == []
+
+
+@pytest.mark.parametrize("scenario", ["fig-zero-doppler-cp", "fig-distortion-power",
+                                      "fig-zero-delay"])
+def test_cli_run_ibo_db_on_backoff_sweep_scenario_exits_2(tmp_path, capsys, monkeypatch,
+                                                          scenario):
+    # these scenarios sweep their own back-offs; a configured ibo_db used to
+    # replace every swept value, so all their back-off columns came out at one
+    # level.  They reject it before any Monte-Carlo work
+    def monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte-Carlo work started")
+
+    for name in ("average_af", "estimate_bussgang", "chunk_rngs"):
+        monkeypatch.setattr(experiments, name, monte_carlo)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"trials": 10, "ibo_db": 2, "out_dir": str(tmp_path)}))
+    assert main(["run", scenario, "--config", str(cfg_file)]) == 2
+    assert "ibo_db" in capsys.readouterr().err
+    assert not (tmp_path / scenario).exists()
 
 
 @pytest.mark.parametrize("basis", ["sc", "cdma"])
