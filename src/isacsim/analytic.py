@@ -148,11 +148,10 @@ def _circular_autocov(centered: np.ndarray) -> np.ndarray:
 def lag_correlation(
     constellation: ConstellationSpec,
     basis: SignalingBasis,
-    n: int,
     trials: int,
     rng: np.random.Generator,
 ) -> LagCorrelation:
-    """Estimate the squared-envelope correlation at every lag ``0..n``.
+    """Estimate the squared-envelope correlation at every lag ``0..basis.n``.
 
     The circular autocovariance of per-sample power, centred on its mean
     over all trials, is averaged over ``trials`` frames.  Frames are drawn,
@@ -163,10 +162,9 @@ def lag_correlation(
     warning before clipping.  Constant-envelope cases come back degenerate
     with an all-zero body.
     """
-    if basis.n != n:
-        raise ConfigError(f"basis size {basis.n} does not match n={n}")
     if trials < 1:
         raise ConfigError("at least one trial required")
+    n = basis.n
     blocks = _row_blocks(trials, n)
     power = np.empty((trials, n))
     for rows in blocks:
@@ -251,22 +249,23 @@ class BussgangCutPrediction:
 
 
 def expected_zero_doppler_bussgang(
-    kappa: complex, sigma2: float, sigma_d2: float, n: int, d4: float = 0.0
+    kappa: complex, sigma_d2: float, n: int, d4: float = 0.0
 ) -> BussgangCutPrediction:
-    """Expected sidelobe and mainlobe levels under the linearization model.
+    """Expected sidelobe and mainlobe levels of a unit-power input under the
+    linearization model.
 
-    Per sidelobe lag: ``|kappa|^4 sigma^4 + sigma_d^4``; integrated over the
+    Per sidelobe lag: ``|kappa|^4 + sigma_d^4``; integrated over the
     ``2N - 2`` signed sidelobe lags; mainlobe
-    ``2 |kappa|^4 sigma^4 + E|d|^4 + 2 |kappa|^2 N sigma^2 sigma_d^2``.
+    ``2 |kappa|^4 + E|d|^4 + 2 |kappa|^2 N sigma_d^2``.
     ``d4`` is the distortion fourth moment, measured alongside the variance
     (no closed form is attempted for it).
     """
     if n < 2:
         raise ConfigError("need at least two samples")
     k2 = abs(kappa) ** 2
-    per_lag = k2 * k2 * sigma2 * sigma2 + sigma_d2 * sigma_d2
+    per_lag = k2 * k2 + sigma_d2 * sigma_d2
     eisl = (2 * n - 2) * per_lag
-    mainlobe = 2.0 * k2 * k2 * sigma2 * sigma2 + d4 + 2.0 * k2 * n * sigma2 * sigma_d2
+    mainlobe = 2.0 * k2 * k2 + d4 + 2.0 * k2 * n * sigma_d2
     return BussgangCutPrediction(per_lag=per_lag, eisl=eisl, mainlobe=mainlobe)
 
 
@@ -292,13 +291,13 @@ def _conditioned_cut(x: np.ndarray, cfg: PaConfig, weights, mode: AfMode) -> np.
     """Clipping-conditioned zero-Doppler sum of ``x`` (batches allowed).
 
     The (below-both, one-clipped, both-clipped) ``weights`` scale the
-    autocorrelation of ``u = g alpha x``, the two one-clipped cross sums of
+    autocorrelation of ``u = alpha x``, the two one-clipped cross sums of
     ``u`` and its phase ``phi``, and the autocorrelation of ``phi``.  Known
     fault, kept while the scenario references pin it: the second cross sum
     is ``sum phi(p) u(p-l)`` where the model calls for ``sum phi(p)
     u*(p-l)``.  :func:`sel_zero_doppler_cut` holds the other known fault.
     """
-    u = cfg.g * cfg.alpha * x
+    u = cfg.alpha * x
     phi = _phase_signal(u)
     w_bb, w_mixed, w_above = weights
     v = cfg.v_sat
@@ -347,7 +346,6 @@ def sel_eisl(
     cfg: PaConfig,
     constellation: ConstellationSpec,
     basis: SignalingBasis,
-    n: int,
     trials: int,
     rng: np.random.Generator,
     mode: AfMode = AfMode.APERIODIC,
@@ -358,12 +356,14 @@ def sel_eisl(
     sum carries the single one-clipped weight here) and ``E|W(l)|^2`` is
     accumulated, which includes every pairwise expectation of the terms.
     Periodic mode evaluates circular lag sums (the cyclic-prefix case) and
-    counts signed lag pairs; aperiodic sums all ``2n - 2`` sidelobe lags.
+    counts signed lag pairs; aperiodic sums all ``2n - 2`` sidelobe lags of
+    the basis size ``n``.
     """
     if trials < 1:
         raise ConfigError("at least one trial required")
+    n = basis.n
     rng_rho, rng_mc = rng.spawn(2)
-    rho = lag_correlation(constellation, basis, n, max(trials, 4096), rng_rho)
+    rho = lag_correlation(constellation, basis, max(trials, 4096), rng_rho)
 
     weights = _clip_weights(cfg, rho, n, mode)
     accum = np.zeros(weights[0].shape[0])
@@ -388,7 +388,7 @@ def sel_zero_delay_cut(x: np.ndarray, cfg: PaConfig) -> np.ndarray:
     batches allowed on leading axes.
     """
     n = x.shape[-1]
-    u = cfg.g * cfg.alpha * x
+    u = cfg.alpha * x
     y = cfg.y
     scale = 1.0 - math.exp(-y * y)
     cut = scale * np.fft.fft(np.abs(u) ** 2, axis=-1)

@@ -71,9 +71,8 @@ def _cmd_calibrate_cfar(args) -> int:
 
 
 def _pa_from_args(args) -> PaConfig:
-    v_sat = args.v_sat
-    p1db = limiter_compression_power(v_sat) if args.compression else None
-    return PaConfig(v_sat=v_sat, ibo=10.0 ** (args.ibo_db / 10.0), p1db=p1db)
+    p1db = limiter_compression_power(1.0) if args.compression else None
+    return PaConfig(v_sat=1.0, ibo=10.0 ** (args.ibo_db / 10.0), p1db=p1db)
 
 
 def _pipeline_from_args(args, **fields) -> PdPipeline:
@@ -135,7 +134,6 @@ def _cmd_periodogram(args) -> int:
 
 def _add_pa_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ibo-db", type=float, default=1.0, help="input back-off in dB")
-    p.add_argument("--v-sat", type=float, default=1.0, help="saturation magnitude")
     p.add_argument("--compression", action=argparse.BooleanOptionalAction, default=True,
                    help="reference back-off to the 1 dB compression point")
     p.add_argument("--linear", action="store_true", help="bypass the clipper")

@@ -203,7 +203,7 @@ class PdPipeline:
     """Everything the per-trial detection chain needs.
 
     ``pa`` holds the amplifier operating point; ``linear`` bypasses the
-    clipper while keeping the same ``g * alpha`` scaling, so linear and
+    clipper while keeping the same ``alpha`` scaling, so linear and
     nonlinear runs are compared at matched transmit power.  A Pd experiment
     needs a target at delay ``WEAK_BIN``; detection succeeds when its bin
     (within one bin, for zero-padded grids) beats the threshold.
@@ -257,8 +257,8 @@ def sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
     """Channel estimates (..., n, m) of frames carrying the symbols ``sym``.
 
     ``sym`` has shape (..., m, n).  The frames are synthesized, amplified (or
-    scaled by ``g * alpha`` when linear), given their prefix and sent through
-    the pipeline's targets plus noise of variance ``|g|^2 alpha^2 / snr_linear``
+    scaled by ``alpha`` when linear), given their prefix and sent through
+    the pipeline's targets plus noise of variance ``alpha^2 / snr_linear``
     (none when distortion-limited); the division filter takes them back out.
     """
     if sym.shape[-1] != pipeline.basis.n:
@@ -294,13 +294,12 @@ def _sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
     pa = pipeline.pa
     # synthesized, scaled and limited in one buffer
     x = _unitary_idft(sym, buffers.get("tx", sym.shape, np.result_type(sym, 1j)))
-    tx = np.multiply(pa.g * pa.alpha, x, out=x)
+    tx = np.multiply(pa.alpha, x, out=x)
     if not pipeline.linear:
         _limit(tx, pa, np.abs(tx, out=buffers.get("envelope", tx.shape, tx.real.dtype)))
     frames = buffers.get("frames", tx.shape[:-1] + (fc.block_len,), tx.dtype)
     _add_cp(tx, fc.cp_len, frames)
-    noise_var = 0.0 if pipeline.distortion_limited else (
-        abs(pa.g) ** 2 * pa.alpha**2 / snr_linear)
+    noise_var = 0.0 if pipeline.distortion_limited else pa.alpha**2 / snr_linear
     chan = ChannelConfig(targets=pipeline.targets, noise_var=noise_var)
     rx = _apply_channel(frames, chan, fc.n, rng, buffers.get)
     return _division_filter(rx, sym, fc.cp_len, buffers.get("freq", sym.shape, rx.dtype))

@@ -75,7 +75,7 @@ def _is_real(value) -> bool:
 _SCALAR_KEYS = {
     **dict.fromkeys(("seed", "trials", "workers", "n", "m", "cp_len", "n_per", "m_per"),
                     (_is_int, "an integer")),
-    **dict.fromkeys(("ibo_db", "v_sat", "p1db", "g"), (_is_real, "a number")),
+    "ibo_db": (_is_real, "a number"),
     **dict.fromkeys(("scenario", "out_dir", "constellation", "basis"),
                     (lambda v: isinstance(v, str) and v != "", "a non-empty string")),
     "plots": (lambda v: isinstance(v, bool), "true or false"),
@@ -117,9 +117,6 @@ class ExperimentConfig:
     m: int | None = None
     cp_len: int | None = None
     ibo_db: float | None = None
-    v_sat: float | None = None
-    p1db: float | None = None
-    g: float | None = None
     snr_db_grid: tuple[float, ...] | None = None
     targets: tuple[Target, ...] | None = None
     n_per: int | None = None
@@ -275,10 +272,9 @@ class RunContext:
         ``compression`` references the back-off to the 1 dB compression
         point of the limiter; otherwise to the saturation power itself.
         """
-        v_sat = self.setting("v_sat", 1.0)
-        p1db = self.setting("p1db", limiter_compression_power(v_sat) if compression else None)
         ibo = 10.0 ** (self.setting("ibo_db", ibo_db) / 10.0)
-        return PaConfig(v_sat=v_sat, ibo=ibo, g=self.setting("g", 1.0), p1db=p1db)
+        return PaConfig(v_sat=1.0, ibo=ibo,
+                        p1db=limiter_compression_power(1.0) if compression else None)
 
     def constellation(self, default: str) -> ConstellationSpec:
         return parse_constellation(self.config.constellation or default)
@@ -354,7 +350,7 @@ def _n_sweep(ctx: RunContext, sizes: tuple[int, ...], cells: Callable) -> Column
     16-PSK (label ``psk``) and 16-QAM (``qam``); columns keep the order in
     which they first appear.
     """
-    ctx.sweeps("constellation")
+    ctx.sweeps("constellation", "n")
     rows: dict[str, list[float]] = {}
     for n in sizes:
         basis = ctx.basis(n)
@@ -389,7 +385,7 @@ def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
             cut = _averaged_cut(ctx, const, basis, pa, f"ibo{ibo_db:g}/{label}", normalize=True)
             columns.append((f"nonlinear_{label}_ibo{ibo_db:g}", to_db(cut.values[:, 0])))
             stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}/{ibo_db:g}"))
-            pred = expected_zero_doppler_bussgang(stats.kappa, 1.0, stats.sigma_d2, fc.n, stats.d4)
+            pred = expected_zero_doppler_bussgang(stats.kappa, stats.sigma_d2, fc.n, stats.d4)
             overlay = np.full(fc.n, 10.0 * math.log10(pred.per_lag / pred.mainlobe))
             overlay[0] = 0.0
             columns.append((f"analytic_{label}_ibo{ibo_db:g}", overlay))
@@ -408,7 +404,7 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
     lags = np.arange(1 - fc.n, fc.n)
 
     measured = _averaged_cut(ctx, const, basis, pa, "measured", AfMode.APERIODIC)
-    rho = lag_correlation(const, basis, fc.n, 4000, ctx.rng("rho"))
+    rho = lag_correlation(const, basis, 4000, ctx.rng("rho"))
 
     cond_trials = min(trials, 200)
     xs = np.stack([
@@ -459,7 +455,7 @@ def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
             pa = ctx.pa(ibo_db, compression=False)
             stats = estimate_bussgang(pa, basis, const, trials,
                                       ctx.rng(f"{label}/ibo{ibo_db:g}"))
-            vals[i] = stats.sigma_d2 / (abs(pa.g) * pa.alpha) ** 2
+            vals[i] = stats.sigma_d2 / pa.alpha**2
         columns.append((f"mc_{label}_db", 10.0 * np.log10(vals)))
     return {"distortion_power_vs_ibo.csv": columns}
 
@@ -485,8 +481,9 @@ def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
 
 
 def _scn_basis_comparison(ctx: RunContext, cname: str, tag: str) -> dict[str, Columns]:
+    ctx.sweeps("constellation", "basis")
     fc = ctx.frame()
-    const = ctx.constellation(cname)
+    const = parse_constellation(cname)
     pa = ctx.pa(1.0)
     lags = np.arange(fc.n)
     columns: Columns = [("lag", lags)]
@@ -511,7 +508,7 @@ scenario("fig-basis-comparison-qam", 10_000, "~1 min",
 def _scn_eisl_vs_n(ctx: RunContext) -> dict[str, Columns]:
     def cells(n, basis, pa, const, label):
         met = sidelobe_metrics(_averaged_cut(ctx, const, basis, pa, f"mc/{label}/{n}"))
-        est = sel_eisl(pa, const, basis, n, min(ctx.trials(), 2000),
+        est = sel_eisl(pa, const, basis, min(ctx.trials(), 2000),
                        ctx.rng(f"analytic/{label}/{n}"), mode=AfMode.PERIODIC)
         return {f"mc_{label}_db": 10.0 * math.log10(met.eisl),
                 f"analytic_{label}_db": 10.0 * math.log10(est.eisl)}

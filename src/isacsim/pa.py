@@ -76,7 +76,6 @@ class PaConfig:
 
     v_sat: float
     ibo: float
-    g: complex = 1.0
     p1db: float | None = None
     alpha: float = field(init=False)
 
@@ -85,8 +84,6 @@ class PaConfig:
             raise ConfigError(f"saturation amplitude must be positive, got {self.v_sat}")
         if self.ibo <= 0:
             raise ConfigError(f"IBO must be a positive linear ratio, got {self.ibo}")
-        if abs(self.g) <= 0:
-            raise ConfigError("gain magnitude must be positive")
         p1db = self.v_sat**2 if self.p1db is None else self.p1db
         object.__setattr__(self, "p1db", p1db)
         object.__setattr__(self, "alpha", backoff_coefficient(p1db, self.ibo))
@@ -94,29 +91,29 @@ class PaConfig:
     @property
     def y(self) -> float:
         """Normalized clipping threshold: saturation amplitude over the RMS
-        amplitude seen at the clipper (gain included)."""
-        return self.v_sat / (abs(self.g) * self.alpha)
+        amplitude ``alpha`` seen at the clipper."""
+        return self.v_sat / self.alpha
 
 
 def sel_amplify(signal: np.ndarray, cfg: PaConfig) -> np.ndarray:
-    """Amplify a unit-power signal: scale by ``g * alpha``, hard-limit the
-    envelope at ``v_sat`` with the phase of the gain-scaled input preserved.
+    """Amplify a unit-power signal: scale by ``alpha``, hard-limit the
+    envelope at ``v_sat`` with the phase of the input preserved.
 
-    A clipped sample ``a = g * alpha * x`` becomes ``a * (v_sat / |a|)``.
+    A clipped sample ``a = alpha * x`` becomes ``a * (v_sat / |a|)``.
     Rounding can leave its computed envelope an ulp or two above ``v_sat``,
     so such samples are then shrunk until it is not: ``|out| <= v_sat``
-    holds exactly, in the output's own precision, and at ``g * alpha = 1``
+    holds exactly, in the output's own precision, and at ``alpha = 1``
     amplifying an output again returns it unchanged.
     """
     signal = np.asarray(signal)
-    amplified = cfg.g * cfg.alpha * signal
+    amplified = cfg.alpha * signal
     out = np.asarray(amplified, dtype=np.result_type(amplified, 1j), order="C")
     return _limit(out, cfg, np.abs(amplified))
 
 
 def _limit(out: np.ndarray, cfg: PaConfig, magnitude: np.ndarray) -> np.ndarray:
     """The limiter of :func:`sel_amplify`, in place on ``out``, the complex
-    C-contiguous gain-scaled signal, whose envelope ``magnitude`` holds."""
+    C-contiguous scaled signal, whose envelope ``magnitude`` holds."""
     clipped = np.flatnonzero(magnitude > cfg.v_sat)
     magnitude = magnitude.reshape(-1)[clipped]
     flat = out.reshape(-1)
@@ -137,14 +134,14 @@ def _limit(out: np.ndarray, cfg: PaConfig, magnitude: np.ndarray) -> np.ndarray:
 
 
 def kappa_gaussian(y: float) -> float:
-    """Gaussian-input linear scale of the limiter, normalized by ``g * alpha``:
+    """Gaussian-input linear scale of the limiter, normalized by ``alpha``:
     ``1 - exp(-y^2) + (sqrt(pi)/2) * y * erfc(y)``."""
     return 1.0 - math.exp(-y * y) + 0.5 * math.sqrt(math.pi) * y * math.erfc(y)
 
 
 def output_power_gaussian(y: float) -> float:
     """Gaussian-input mean output power of the limiter, normalized by the
-    mean input power ``(g * alpha)^2``: equals ``1 - exp(-y^2)``."""
+    mean input power ``alpha^2``: equals ``1 - exp(-y^2)``."""
     return 1.0 - math.exp(-y * y)
 
 
@@ -153,7 +150,7 @@ class BussgangStats:
     """Measured linearization statistics of the amplified signal.
 
     ``kappa`` relates the unit-power input to the output (so it tends to
-    ``g * alpha`` for a linear amplifier); ``sigma_d2`` is the mean distortion
+    ``alpha`` for a linear amplifier); ``sigma_d2`` is the mean distortion
     power and ``d4`` its fourth moment, both estimated alongside ``kappa``.
     """
 
@@ -165,7 +162,7 @@ class BussgangStats:
 
 
 def sdr(sigma_d2: float, cfg: PaConfig) -> float:
-    """Signal-to-distortion ratio ``|g|^2 * alpha^2 / sigma_d^2`` of a
+    """Signal-to-distortion ratio ``alpha^2 / sigma_d^2`` of a
     unit-power input whose distortion power is ``sigma_d2``.
 
     ``BussgangStats.sdr`` holds the same ratio.  The distortion-limited Pd
@@ -180,7 +177,7 @@ def sdr(sigma_d2: float, cfg: PaConfig) -> float:
         raise ConfigError("distortion power cannot be negative")
     if sigma_d2 == 0.0:
         return math.inf
-    return abs(cfg.g) ** 2 * cfg.alpha**2 / sigma_d2
+    return cfg.alpha**2 / sigma_d2
 
 
 def snr_eff(snr0: float, sdr_value: float) -> float:

@@ -112,7 +112,7 @@ def scaled_linear_generator(constellation, basis_name, n, pa):
 
     def gen(rng, count):
         sym = draw_symbols(const, (count, n), rng)
-        return pa.g * pa.alpha * synthesize(basis, sym)
+        return pa.alpha * synthesize(basis, sym)
 
     return gen
 

@@ -130,7 +130,7 @@ def test_joint_below_prob_against_envelope_pairs():
 
 def test_lag_correlation_flat_spectrum_psk():
     basis = parse_basis("ofdm", 32)
-    rho = lag_correlation(parse_constellation("16-PSK"), basis, 32, 3000, derive_rng(71, "an"))
+    rho = lag_correlation(parse_constellation("16-PSK"), basis, 3000, derive_rng(71, "an"))
     assert rho.values.shape == (33,)
     assert rho.values[0] == 1.0
     assert rho.values[32] == 0.0
@@ -140,7 +140,7 @@ def test_lag_correlation_flat_spectrum_psk():
 
 def test_lag_correlation_constant_envelope_is_degenerate():
     basis = parse_basis("sc", 16)
-    rho = lag_correlation(parse_constellation("16-PSK"), basis, 16, 500, derive_rng(72, "an"))
+    rho = lag_correlation(parse_constellation("16-PSK"), basis, 500, derive_rng(72, "an"))
     assert rho.degenerate
 
 
@@ -151,7 +151,7 @@ def test_lag_correlation_blocks_match_one_shot_estimate(basis_name):
     n, trials = 64, 4097
     const, basis = parse_constellation("16-QAM"), parse_basis(basis_name, n)
     assert trials % (_MC_BLOCK_CELLS // n) != 0
-    rho = lag_correlation(const, basis, n, trials, derive_rng(81, "an"))
+    rho = lag_correlation(const, basis, trials, derive_rng(81, "an"))
     x = synthesize(basis, draw_symbols(const, (trials, n), derive_rng(81, "an")))
     power = np.abs(x) ** 2
     spec = np.abs(np.fft.fft(power - power.mean(), axis=-1)) ** 2
@@ -168,7 +168,7 @@ def test_lag_correlation_memory_does_not_grow_with_temporaries():
     # same-size complex temporaries (46 MB); only the 4 MB power array is
     # held whole now
     const, basis = parse_constellation("16-QAM"), parse_basis("ofdm", 128)
-    peak = traced_peak_bytes(lag_correlation, const, basis, 128, 4096, derive_rng(82, "an"))
+    peak = traced_peak_bytes(lag_correlation, const, basis, 4096, derive_rng(82, "an"))
     assert peak < 8e6
 
 
@@ -275,14 +275,14 @@ def test_cross_terms_average_away():
 # ------------------------------------------------- expected-level bookkeeping
 
 def test_expected_zero_doppler_bussgang_values():
-    pred = expected_zero_doppler_bussgang(1.0, 1.0, 1.0, 64)
+    pred = expected_zero_doppler_bussgang(1.0, 1.0, 64)
     assert pred.per_lag == pytest.approx(2.0, rel=1e-14)
     assert pred.eisl == pytest.approx(126 * 2.0, rel=1e-14)
     assert pred.mainlobe == pytest.approx(2.0 + 2 * 64, rel=1e-14)
-    lin = expected_zero_doppler_bussgang(0.5, 2.0, 0.0, 16)
-    assert lin.per_lag == pytest.approx(0.5**4 * 4.0, rel=1e-14)
+    lin = expected_zero_doppler_bussgang(0.5, 0.0, 16)
+    assert lin.per_lag == pytest.approx(0.5**4, rel=1e-14)
     with pytest.raises(ConfigError):
-        expected_zero_doppler_bussgang(1.0, 1.0, 1.0, 1)
+        expected_zero_doppler_bussgang(1.0, 1.0, 1)
 
 
 def test_iid_sidelobe_formula_against_averaged_surface():
@@ -294,7 +294,7 @@ def test_iid_sidelobe_formula_against_averaged_surface():
     basis = parse_basis("ofdm", n)
     const = parse_constellation("16-QAM")
     st = estimate_bussgang(pa, basis, const, 400, derive_rng(64, "an"))
-    pred = expected_zero_doppler_bussgang(st.kappa, 1.0, st.sigma_d2, n, d4=st.d4)
+    pred = expected_zero_doppler_bussgang(st.kappa, st.sigma_d2, n, d4=st.d4)
     surf = average_af(
         tx_generator("16-QAM", "ofdm", n, pa=pa),
         10_000,
@@ -329,10 +329,10 @@ def test_conditioned_cut_negligible_clipping_is_linear():
     cfg = pa_limiter(10 * math.log10(64.0))
     basis = parse_basis("ofdm", n)
     const = parse_constellation("16-QAM")
-    rho = lag_correlation(const, basis, n, 4000, derive_rng(42, "an"))
+    rho = lag_correlation(const, basis, 4000, derive_rng(42, "an"))
     x = synthesize(basis, draw_symbols(const, (1, n), derive_rng(43, "an")))[0]
     model = sel_zero_doppler_cut(x, cfg, rho)
-    lin = cross_af(cfg.g * cfg.alpha * x, k_grid=1, mode=AfMode.APERIODIC)[:, 0]
+    lin = cross_af(cfg.alpha * x, k_grid=1, mode=AfMode.APERIODIC)[:, 0]
     np.testing.assert_allclose(model, lin, rtol=1e-6)
 
 
@@ -348,7 +348,7 @@ def test_phase_signal_maps_exact_zero_to_one(monkeypatch):
     basis = parse_basis("cdma", 8)
     x = synthesize(basis, np.array([[1, 1, 1, 1, -1, -1, -1, -1]], dtype=complex))[0]
     cfg = pa_limiter(0.0)
-    u = cfg.g * cfg.alpha * x
+    u = cfg.alpha * x
     zero = u == 0
     assert zero.any() and not zero.all()
     phi = analytic._phase_signal(u)
@@ -372,7 +372,8 @@ def test_clip_weights_match_pairwise_probabilities(mode):
     n = 12
     rho = LagCorrelation(np.linspace(1.0, 0.0, n + 1))
     lags = _lags(n, mode)
-    cfgs = (PaConfig(1.0, 1.0, g=3.0), PaConfig(1.0, 1.0, g=2.0),
+    # deep clipping at y = 1/3 and 1/2: v_sat = y at unit drive (alpha = 1)
+    cfgs = (*(PaConfig(v_sat=y, ibo=y**2) for y in (1 / 3, 1 / 2)),
             pa_limiter(0.0), pa_limiter(6.0))
     assert len({cfg.y for cfg in cfgs}) == 4
     for cfg in cfgs:
@@ -397,7 +398,7 @@ def _written_out_conditioned_sum(x, cfg, rho, mode, mixed_scale):
     (``|l|`` aperiodic, ``min(l, n - l)`` periodic); ``mixed_scale``
     multiplies the one-clipped weight."""
     n = x.shape[-1]
-    u = cfg.g * cfg.alpha * x
+    u = cfg.alpha * x
     phi = np.exp(1j * np.angle(u))
     lags = _lags(n, mode)
     dist = np.minimum(lags, n - lags) if mode is AfMode.PERIODIC else np.abs(lags)
@@ -414,15 +415,14 @@ def _written_out_conditioned_sum(x, cfg, rho, mode, mixed_scale):
             + p_above * v * v * corr(phi, phi)) / math.sqrt(n)
 
 
-@pytest.mark.parametrize("g", [1.0, 0.8 * np.exp(0.7j)])
 @pytest.mark.parametrize("n", [16, 64])
-def test_conditioned_models_equal_written_out_four_term_sums(n, g):
+def test_conditioned_models_equal_written_out_four_term_sums(n):
     # the model as it stands, including the two recorded faults: the cut
     # weights each one-clipped sum by twice the one-clipped probability, and
     # both functions correlate phi with u unconjugated (sum phi(p) u(p-l))
     const, basis = parse_constellation("16-QAM"), parse_basis("ofdm", n)
-    cfg = PaConfig(1.0, 10 ** 0.1, g=g, p1db=limiter_compression_power(1.0))
-    rho = lag_correlation(const, basis, n, 4096, derive_rng(90, "an", n))
+    cfg = PaConfig(1.0, 10 ** 0.1, p1db=limiter_compression_power(1.0))
+    rho = lag_correlation(const, basis, 4096, derive_rng(90, "an", n))
     x = synthesize(basis, draw_symbols(const, (3, n), derive_rng(91, "an", n)))
     want = _written_out_conditioned_sum(x, cfg, rho, AfMode.APERIODIC, 2.0)
     got = sel_zero_doppler_cut(x, cfg, rho)
@@ -431,9 +431,9 @@ def test_conditioned_models_equal_written_out_four_term_sums(n, g):
 
     trials = 70  # two chunks of sel_eisl's 64 trials, the last ragged
     for mode in (AfMode.PERIODIC, AfMode.APERIODIC):
-        est = sel_eisl(cfg, const, basis, n, trials, derive_rng(92, "an", n), mode)
+        est = sel_eisl(cfg, const, basis, trials, derive_rng(92, "an", n), mode)
         rng_rho, rng_mc = derive_rng(92, "an", n).spawn(2)
-        rho_mc = lag_correlation(const, basis, n, 4096, rng_rho)
+        rho_mc = lag_correlation(const, basis, 4096, rng_rho)
         per_lag = np.zeros(_lags(n, mode).size)
         for size, r in chunk_rngs(rng_mc, trials, 64):
             frames = synthesize(basis, draw_symbols(const, (size, n), r))
@@ -457,7 +457,7 @@ def test_conditioned_cut_tracks_averaged_empirical_cut():
     pa = pa_compression(1.0)
     basis = parse_basis("ofdm", n)
     psk = parse_constellation("16-PSK")
-    rho = lag_correlation(psk, basis, n, 4000, derive_rng(61, "an"))
+    rho = lag_correlation(psk, basis, 4000, derive_rng(61, "an"))
     mc = average_af(
         tx_generator("16-PSK", "ofdm", n, pa=pa),
         4000,
@@ -482,7 +482,7 @@ def test_conditioned_cut_tracks_averaged_empirical_cut():
 def test_sel_eisl_negligible_clipping_matches_linear_mc():
     cfg = pa_limiter(10 * math.log10(64.0))
     const = parse_constellation("16-QAM")
-    est = sel_eisl(cfg, const, parse_basis("ofdm", 32), 32, 2000, derive_rng(44, "an"))
+    est = sel_eisl(cfg, const, parse_basis("ofdm", 32), 2000, derive_rng(44, "an"))
     gen = scaled_linear_generator("16-QAM", "ofdm", 32, cfg)
     mc = sidelobe_metrics(
         average_af(gen, 2000, k_grid=1, mode=AfMode.APERIODIC,
@@ -495,7 +495,7 @@ def test_sel_eisl_grows_with_subcarrier_count():
     pa = pa_compression(1.0)
     const = parse_constellation("16-QAM")
     values = [
-        sel_eisl(pa, const, parse_basis("ofdm", n), n, 1500, derive_rng(46, "an", i)).eisl
+        sel_eisl(pa, const, parse_basis("ofdm", n), 1500, derive_rng(46, "an", i)).eisl
         for i, n in enumerate((32, 64, 128))
     ]
     assert values[0] < values[1] < values[2]
@@ -505,7 +505,7 @@ def test_sel_eisl_grows_with_subcarrier_count():
 def test_sel_eisl_rises_as_backoff_shrinks(const_name):
     const = parse_constellation(const_name)
     values = [
-        sel_eisl(pa_compression(db), const, parse_basis("ofdm", 64), 64, 1000,
+        sel_eisl(pa_compression(db), const, parse_basis("ofdm", 64), 1000,
                  derive_rng(47, "an", int(db))).eisl
         for db in (8.0, 4.0, 1.0)
     ]
@@ -515,9 +515,7 @@ def test_sel_eisl_rises_as_backoff_shrinks(const_name):
 def test_sel_eisl_validation():
     const = parse_constellation("16-QAM")
     with pytest.raises(ConfigError):
-        sel_eisl(pa_limiter(0.0), const, parse_basis("ofdm", 64), 32, 100, derive_rng(0, "an"))
-    with pytest.raises(ConfigError):
-        sel_eisl(pa_limiter(0.0), const, parse_basis("ofdm", 32), 32, 0, derive_rng(0, "an"))
+        sel_eisl(pa_limiter(0.0), const, parse_basis("ofdm", 32), 0, derive_rng(0, "an"))
 
 
 def test_prefix_extension_can_exceed_unprefixed_sidelobes():
@@ -564,7 +562,7 @@ def test_zero_delay_negligible_clipping_reduces_to_power_spectrum():
     cfg = pa_limiter(10 * math.log10(64.0))
     x = synthesize(basis, draw_symbols(parse_constellation("16-QAM"), (1, n), derive_rng(60, "an")))[0]
     model = sel_zero_delay_cut(x, cfg)
-    u = cfg.g * cfg.alpha * x
+    u = cfg.alpha * x
     np.testing.assert_allclose(model, np.fft.fft(np.abs(u) ** 2) / math.sqrt(n), atol=1e-12)
 
 

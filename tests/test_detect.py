@@ -311,8 +311,8 @@ def test_sense_equals_the_public_layer_chain(basis, linear):
     snr = 10.0
     x = synthesize(pipe.basis, sym)
     pa = pipe.pa
-    tx = pa.g * pa.alpha * x if linear else sel_amplify(x, pa)
-    chan = ChannelConfig(targets=pipe.targets, noise_var=abs(pa.g) ** 2 * pa.alpha**2 / snr)
+    tx = pa.alpha * x if linear else sel_amplify(x, pa)
+    chan = ChannelConfig(targets=pipe.targets, noise_var=pa.alpha**2 / snr)
     rx = apply_channel(add_cp(tx, 16), chan, 64, derive_rng(105, "det"))
     want = division_filter(rx, sym, 16)
     got = sense(pipe, sym, snr, derive_rng(105, "det"))

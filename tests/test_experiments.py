@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -91,6 +92,14 @@ def test_snapshot_roundtrip():
     snap = cfg.snapshot()
     again = ExperimentConfig.from_mapping(snap)
     assert again.snapshot() == snap
+
+
+def test_readme_config_field_list_matches_experiment_config():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"overrides any `ExperimentConfig`\s+field \(([^)]*)\)", readme)
+    assert listed is not None
+    assert [f.strip() for f in listed.group(1).split(",")] == list(
+        ExperimentConfig.__dataclass_fields__)
 
 
 def test_from_json_errors(tmp_path):
@@ -355,6 +364,9 @@ def test_cli_run_bad_config_exits_2(tmp_path):
     {"scenario": ""},
     {"plots": 0},
     {"plots": "false"},
+    {"g": 2},
+    {"p1db": 0.5},
+    {"v_sat": 0.5},
 ])
 def test_cli_run_bad_config_value_exits_2(tmp_path, capsys, override):
     # fig-zero-doppler-nocp reads both constellation and basis
@@ -374,7 +386,8 @@ def test_cli_run_m_per_on_range_cut_scenario_exits_2(tmp_path, capsys, scenario)
 
 
 @pytest.mark.parametrize("scenario", [
-    "fig-zero-doppler-cp", "fig-distortion-power", "fig-distortion-term-cut", "fig-eisl-vs-n",
+    "fig-zero-doppler-cp", "fig-distortion-power", "fig-distortion-term-cut",
+    "fig-basis-comparison-psk", "fig-basis-comparison-qam", "fig-eisl-vs-n",
     "fig-eislr-vs-n", "fig-pslr-vs-n", "fig-zero-delay", "fig-pd-curves", "fig-pd-ceilings",
 ])
 def test_cli_run_constellation_on_fixed_constellation_scenario_exits_2(tmp_path, capsys,
@@ -408,6 +421,29 @@ def test_cli_run_ibo_db_on_backoff_sweep_scenario_exits_2(tmp_path, capsys, monk
     cfg_file.write_text(json.dumps({"trials": 10, "ibo_db": 2, "out_dir": str(tmp_path)}))
     assert main(["run", scenario, "--config", str(cfg_file)]) == 2
     assert "ibo_db" in capsys.readouterr().err
+    assert not (tmp_path / scenario).exists()
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("fig-eisl-vs-n", "n", 32),
+    ("fig-eislr-vs-n", "n", 32),
+    ("fig-pslr-vs-n", "n", 32),
+    ("fig-basis-comparison-psk", "basis", "sc"),
+    ("fig-basis-comparison-qam", "basis", "sc"),
+])
+def test_cli_run_swept_n_or_basis_exits_2(tmp_path, capsys, monkeypatch, scenario, key, value):
+    # the N sweeps set their own sizes and the basis comparisons their own
+    # bases; a configured value used to be ignored, and the run wrote the
+    # default files.  They reject it before any Monte-Carlo work
+    def monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte-Carlo work started")
+
+    for name in ("average_af", "sel_eisl"):
+        monkeypatch.setattr(experiments, name, monte_carlo)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"trials": 10, key: value, "out_dir": str(tmp_path)}))
+    assert main(["run", scenario, "--config", str(cfg_file)]) == 2
+    assert f"{key} is not used" in capsys.readouterr().err
     assert not (tmp_path / scenario).exists()
 
 
@@ -469,6 +505,15 @@ def test_cli_af_cut(tmp_path, capsys):
 def test_cli_af_cut_rejects_bad_constellation(tmp_path):
     out = tmp_path / "cut.csv"
     assert main(["af-cut", "--constellation", "8-QAM", "--out", str(out)]) == 2
+
+
+def test_cli_af_cut_has_no_v_sat_flag(tmp_path, capsys):
+    # the saturation amplitude is fixed at 1: the back-off alone sets y
+    with pytest.raises(SystemExit) as exc:
+        main(["af-cut", "--v-sat", "0.5", "--out", str(tmp_path / "cut.csv")])
+    assert exc.value.code == 2
+    assert "--v-sat" in capsys.readouterr().err
+    assert not (tmp_path / "cut.csv").exists()
 
 
 def test_cli_pd_curve(tmp_path, capsys):

@@ -77,8 +77,6 @@ def test_pa_config_validation():
         PaConfig(v_sat=0.0, ibo=1.0)
     with pytest.raises(ConfigError):
         PaConfig(v_sat=1.0, ibo=0.0)
-    with pytest.raises(ConfigError):
-        PaConfig(v_sat=1.0, ibo=1.0, g=0.0)
 
 
 # ------------------------------------------------- Gaussian limiter moments
@@ -126,27 +124,15 @@ def test_output_power_gaussian():
 def test_sel_amplify_linear_region_exact():
     cfg = pa_limiter(10.0)  # threshold sqrt(10), alpha = 1/sqrt(10)
     x = np.array([0.5 + 0.25j, -1.0j, 0.1])
-    np.testing.assert_array_equal(sel_amplify(x, cfg), cfg.g * cfg.alpha * x)
+    np.testing.assert_array_equal(sel_amplify(x, cfg), cfg.alpha * x)
 
 
 def test_sel_amplify_clips_envelope_preserves_phase():
-    cfg = PaConfig(v_sat=2.0, ibo=4.0, g=3.0)
+    cfg = PaConfig(v_sat=2.0, ibo=4.0)
     x = np.array([10.0 * np.exp(1j * 0.7), 5.0 * np.exp(-1j * 2.1)])
     out = sel_amplify(x, cfg)
     np.testing.assert_allclose(np.abs(out), 2.0, rtol=0, atol=1e-15)
     np.testing.assert_allclose(np.angle(out), np.angle(x), rtol=0, atol=1e-15)
-
-
-def test_sel_amplify_complex_gain_rotates_clipped_samples():
-    # a clipped sample keeps the phase of g * alpha * x, as an unclipped one does
-    out = sel_amplify(np.array([0.1, 3.0]), PaConfig(1.0, 1.0, g=1j))
-    np.testing.assert_allclose(out, [0.1j, 1j], rtol=0, atol=1e-15)
-    cfg = PaConfig(v_sat=2.0, ibo=4.0, g=3.0 * np.exp(-1j * 1.1))
-    x = np.array([10.0 * np.exp(1j * 0.7), 5.0 * np.exp(-1j * 2.1)])
-    out = sel_amplify(x, cfg)
-    np.testing.assert_allclose(np.abs(out), 2.0, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(out / np.abs(out), np.exp(1j * np.angle(cfg.g * x)),
-                               rtol=0, atol=1e-15)
 
 
 def test_sel_amplify_idempotent_at_unit_operating_point():
@@ -163,15 +149,12 @@ def test_sel_amplify_idempotent_at_unit_operating_point():
                min_size=1, max_size=32),
     v_sat=st.floats(0.1, 3.0),
     drive=st.floats(1.0, 100.0),
-    g_mag=st.floats(0.1, 10.0),
-    g_phase=st.floats(-math.pi, math.pi),
 )
-def test_sel_amplify_bounds_envelope_and_keeps_gain_phase(x, v_sat, drive, g_mag, g_phase):
-    g = g_mag * complex(math.cos(g_phase), math.sin(g_phase))
-    cfg = PaConfig(v_sat=v_sat, ibo=drive * v_sat**2, g=g)
+def test_sel_amplify_bounds_envelope_and_keeps_gain_phase(x, v_sat, drive):
+    cfg = PaConfig(v_sat=v_sat, ibo=drive * v_sat**2)
     x = np.asarray(x, dtype=complex)
     out = sel_amplify(x, cfg)
-    linear = cfg.g * cfg.alpha * x
+    linear = cfg.alpha * x
     assert np.all(np.abs(out) <= v_sat * (1 + 1e-14))
     kept = np.abs(linear) <= v_sat
     np.testing.assert_array_equal(out[kept], linear[kept])
@@ -189,7 +172,7 @@ _SAMPLES = st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow
 @given(x=_SAMPLES, v_sat=st.floats(0.1, 3.0))
 def test_sel_amplify_idempotent_at_unit_gain_property(dtype, x, v_sat):
     cfg = PaConfig(v_sat=v_sat, ibo=v_sat**2)
-    assert cfg.g * cfg.alpha == 1.0
+    assert cfg.alpha == 1.0
     once = sel_amplify(np.asarray(x, dtype=dtype), cfg)
     assert once.dtype == dtype
     np.testing.assert_array_equal(sel_amplify(once, cfg), once)
@@ -197,12 +180,9 @@ def test_sel_amplify_idempotent_at_unit_gain_property(dtype, x, v_sat):
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @settings(max_examples=300, deadline=None)
-@given(x=_SAMPLES, v_sat=st.floats(0.1, 3.0), drive=st.floats(1.0, 100.0),
-       g_mag=st.floats(0.1, 10.0), g_phase=st.floats(-math.pi, math.pi))
-def test_sel_amplify_exact_envelope_bound_and_phase_formula(dtype, x, v_sat, drive, g_mag,
-                                                            g_phase):
-    g = g_mag * complex(math.cos(g_phase), math.sin(g_phase))
-    cfg = PaConfig(v_sat=v_sat, ibo=drive * v_sat**2, g=g)
+@given(x=_SAMPLES, v_sat=st.floats(0.1, 3.0), drive=st.floats(1.0, 100.0))
+def test_sel_amplify_exact_envelope_bound_and_phase_formula(dtype, x, v_sat, drive):
+    cfg = PaConfig(v_sat=v_sat, ibo=drive * v_sat**2)
     x = np.asarray(x, dtype=dtype)
     out = sel_amplify(x, cfg)
     assert out.dtype == dtype
@@ -210,8 +190,8 @@ def test_sel_amplify_exact_envelope_bound_and_phase_formula(dtype, x, v_sat, dri
     assert np.all(np.abs(out) <= out.real.dtype.type(v_sat))
     # clipped samples lie a few ulps of the envelope from the phase formula:
     # each side rounds its magnitude and phase
-    clipped = np.abs(cfg.g * cfg.alpha * x) > v_sat
-    by_angle = (cfg.v_sat * cfg.g / abs(cfg.g)) * np.exp(1j * np.angle(x[clipped]))
+    clipped = np.abs(cfg.alpha * x) > v_sat
+    by_angle = cfg.v_sat * np.exp(1j * np.angle(x[clipped]))
     eps = np.finfo(out.real.dtype).eps
     assert np.all(np.abs(out[clipped] - by_angle) <= 4 * eps * v_sat)
 
@@ -271,7 +251,7 @@ def test_estimate_bussgang_linear_regime_recovers_scale():
         50,
         derive_rng(22, "bussgang"),
     )
-    assert abs(st.kappa - cfg.g * cfg.alpha) < 1e-6
+    assert abs(st.kappa - cfg.alpha) < 1e-6
     assert st.sigma_d2 < 1e-12
 
 
@@ -349,7 +329,7 @@ def _replayed_bussgang(cfg, basis, const, trials, rng):
         x, s = draw(rows, seed)
         cross += complex(np.sum(np.conj(x) * s))
         power += float(np.sum(np.abs(x) ** 2))
-        clipped += int(np.count_nonzero(np.abs(cfg.g * cfg.alpha * x) > cfg.v_sat))
+        clipped += int(np.count_nonzero(np.abs(cfg.alpha * x) > cfg.v_sat))
     kappa = cross / power
     d2 = d4 = 0.0
     for rows, seed in chunks:
@@ -423,7 +403,7 @@ def test_sdr_rejects_negative_distortion():
 def test_sdr_two_way_identity(qam_ofdm_stats):
     cfg = pa_limiter(0.0)
     direct = sdr(qam_ofdm_stats.sigma_d2, cfg)
-    via_p1db = abs(cfg.g) ** 2 * cfg.p1db / (cfg.ibo * qam_ofdm_stats.sigma_d2)
+    via_p1db = cfg.p1db / (cfg.ibo * qam_ofdm_stats.sigma_d2)
     assert direct == pytest.approx(via_p1db, rel=1e-12)
 
 
