@@ -73,16 +73,15 @@ class AmbiguitySurface:
 class SidelobeMetrics:
     """Zero-Doppler-cut summary of a surface.
 
-    On a Monte-Carlo-averaged surface the sums estimate expectations, so
-    ``eisl``/``eislr`` carry the averaged interpretation of ``isl``; on a
-    single realization they are the plain integrated level.  Periodic
-    surfaces store each circular lag once, but the sidelobe sum counts the
-    ``+l``/``-l`` pair separately (2N-2 terms), matching the aperiodic
-    convention so the two modes are comparable.
+    On a Monte-Carlo-averaged surface ``isl`` and ``eislr`` estimate the
+    expected levels (EISL, EISLR); on a single realization they are the
+    plain integrated levels.  Periodic surfaces store each circular lag
+    once, but the sidelobe sum counts the ``+l``/``-l`` pair separately
+    (2N-2 terms), matching the aperiodic convention so the two modes are
+    comparable.
     """
 
     isl: float
-    eisl: float
     eislr: float
     pslr: float
     mainlobe: float
@@ -321,7 +320,6 @@ def sidelobe_metrics(surface: AmbiguitySurface) -> SidelobeMetrics:
     peak_side = float(side.max()) if side.size else 0.0
     return SidelobeMetrics(
         isl=isl,
-        eisl=isl,
         eislr=isl / main,
         pslr=peak_side / main,
         mainlobe=main,

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -98,7 +98,8 @@ def _parse_targets(entries) -> tuple[Target, ...]:
 
 @dataclass
 class ExperimentConfig:
-    """Run parameters; unset fields fall back to scenario defaults.
+    """Run parameters; unset fields fall back to scenario defaults, and a set
+    field outside ``RUN_CONTROL`` and the scenario's ``settings`` is an error.
 
     dB-valued keys carry an explicit ``_db`` suffix; everything else is
     linear.  ``targets`` entries are mappings with keys ``b`` (real
@@ -211,6 +212,10 @@ def _sha256(path: Path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
+#: Config fields every scenario accepts: they pick the run, not its model.
+RUN_CONTROL = ("scenario", "seed", "trials", "out_dir", "workers", "plots")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -218,16 +223,21 @@ class Scenario:
     default_trials: int
     runtime_hint: str
     runner: Callable[[RunContext], dict[str, Columns]]
+    #: The config fields besides ``RUN_CONTROL`` that change the outputs; one
+    #: the scenario sweeps, fixes in a file or column name, or ignores is not.
+    settings: tuple[str, ...]
 
 
 _REGISTRY: dict[str, Scenario] = {}
 
 
-def scenario(name: str, default_trials: int, runtime_hint: str, description: str):
+def scenario(name: str, default_trials: int, runtime_hint: str, settings: tuple[str, ...],
+             description: str):
     """Register the decorated runner under ``name``; registration order is
     the order ``list_scenarios`` reports."""
     def register(runner: Callable[[RunContext], dict[str, Columns]]):
-        _REGISTRY[name] = Scenario(name, description, default_trials, runtime_hint, runner)
+        _REGISTRY[name] = Scenario(name, description, default_trials, runtime_hint, runner,
+                                   settings)
         return runner
 
     return register
@@ -279,19 +289,15 @@ class RunContext:
     def constellation(self, default: str) -> ConstellationSpec:
         return parse_constellation(self.config.constellation or default)
 
-    def sweeps(self, *keys: str) -> None:
-        """Reject each configured ``key``: the scenario sweeps that setting
-        itself, and would ignore it or apply it to every swept value."""
-        for key in keys:
-            if getattr(self.config, key) is not None:
-                raise ConfigError(f"{key} is not used: the scenario sweeps its own values")
-
     def basis(self, n: int) -> SignalingBasis:
         return parse_basis(self.config.basis or "ofdm", n)
 
     def snr_db(self, default: float) -> float:
-        """First entry of the configured SNR grid, for single-frame runs."""
-        return self.setting("snr_db_grid", (default,))[0]
+        """The one SNR of a single-frame run; a longer grid is an error."""
+        grid = self.setting("snr_db_grid", (default,))
+        if len(grid) > 1:
+            raise ConfigError(f"snr_db_grid must hold one value for a single frame, got {grid}")
+        return grid[0]
 
     def snr_grid(self, default: np.ndarray) -> np.ndarray:
         return np.asarray(self.setting("snr_db_grid", default))
@@ -301,18 +307,12 @@ class RunContext:
 
         Only the scenarios that detect on the zero-Doppler range cut use it,
         and the calibration cuts are as long as that cut: ``n_per`` bins when
-        configured, else the frame's ``n``.  Settings they would ignore
-        (``m_per``: they form no Doppler grid) or reject only after the
-        calibration (an ``n_per`` below ``n``, a basis other than OFDM) are
-        rejected first.
+        configured, else the frame's ``n``.  An ``n_per`` below ``n``, which
+        the range cut would reject, is rejected before the calibration.
         """
-        if self.config.m_per is not None:
-            raise ConfigError("m_per is not used: detection runs on the zero-Doppler range cut")
         cut_len = self.setting("n_per", frame.n)
         if cut_len < frame.n:
             raise ConfigError(f"range grid of {cut_len} bins must cover the {frame.n} subcarriers")
-        if self.basis(frame.n).kind is not BasisKind.OFDM_DFT:
-            raise ConfigError("the sensing chain needs an OFDM basis")
         factor = calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS, self.rng("cfar-calibration"),
                                 cut_len=cut_len)
         return CfarConfig(factor=factor)
@@ -350,7 +350,6 @@ def _n_sweep(ctx: RunContext, sizes: tuple[int, ...], cells: Callable) -> Column
     16-PSK (label ``psk``) and 16-QAM (``qam``); columns keep the order in
     which they first appear.
     """
-    ctx.sweeps("constellation", "n")
     rows: dict[str, list[float]] = {}
     for n in sizes:
         basis = ctx.basis(n)
@@ -367,14 +366,13 @@ def _n_sweep(ctx: RunContext, sizes: tuple[int, ...], cells: Callable) -> Column
 # ---------------------------------------------------------------------------
 
 
-@scenario("fig-zero-doppler-cp", 10_000, "~1 min",
+@scenario("fig-zero-doppler-cp", 10_000, "~1 min", ("basis", "n"),
           "Averaged zero-Doppler cuts, CP-OFDM N=64, 16-PSK/16-QAM, linear vs IBO 1/4 dB, "
           "with flat per-lag overlays from the measured clipping statistics")
 def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
-    ctx.sweeps("constellation", "ibo_db")
-    fc = ctx.frame()
-    basis = ctx.basis(fc.n)
-    lags = np.arange(fc.n)
+    n = ctx.setting("n", 64)
+    basis = ctx.basis(n)
+    lags = np.arange(n)
     columns: Columns = [("lag", lags)]
     for cname, label in _PSK_QAM:
         const = parse_constellation(cname)
@@ -385,58 +383,57 @@ def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
             cut = _averaged_cut(ctx, const, basis, pa, f"ibo{ibo_db:g}/{label}", normalize=True)
             columns.append((f"nonlinear_{label}_ibo{ibo_db:g}", to_db(cut.values[:, 0])))
             stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}/{ibo_db:g}"))
-            pred = expected_zero_doppler_bussgang(stats.kappa, stats.sigma_d2, fc.n, stats.d4)
-            overlay = np.full(fc.n, 10.0 * math.log10(pred.per_lag / pred.mainlobe))
+            pred = expected_zero_doppler_bussgang(stats.kappa, stats.sigma_d2, n, stats.d4)
+            overlay = np.full(n, 10.0 * math.log10(pred.per_lag / pred.mainlobe))
             overlay[0] = 0.0
             columns.append((f"analytic_{label}_ibo{ibo_db:g}", overlay))
     return {"zero_doppler_cp.csv": columns}
 
 
-@scenario("fig-zero-doppler-nocp", 10_000, "~1 min",
+@scenario("fig-zero-doppler-nocp", 10_000, "~1 min", ("constellation", "basis", "n", "ibo_db"),
           "Aperiodic zero-Doppler cuts without CP, 16-PSK IBO 1 dB: measured average, "
           "conditioned-expectation average, and one single-frame pair")
 def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
     trials = ctx.trials()
-    fc = ctx.frame(cp_len=0)
-    basis = ctx.basis(fc.n)
+    n = ctx.setting("n", 64)
+    basis = ctx.basis(n)
     const = ctx.constellation("16-PSK")
     pa = ctx.pa(1.0)
-    lags = np.arange(1 - fc.n, fc.n)
+    lags = np.arange(1 - n, n)
 
     measured = _averaged_cut(ctx, const, basis, pa, "measured", AfMode.APERIODIC)
     rho = lag_correlation(const, basis, 4000, ctx.rng("rho"))
 
     cond_trials = min(trials, 200)
     xs = np.stack([
-        synthesize(basis, draw_symbols(const, fc.n, r))
+        synthesize(basis, draw_symbols(const, n, r))
         for _, r in chunk_rngs(ctx.rng("conditioned"), cond_trials, 1)
     ])
     # one batched call: the clip weights depend on (pa, rho) only; rows are
     # summed one by one in trial order (np.sum would pair them differently)
     cond = np.abs(sel_zero_doppler_cut(xs, pa, rho)) ** 2
-    acc = np.zeros(2 * fc.n - 1)
+    acc = np.zeros(2 * n - 1)
     for row in cond:
         acc += row
     cond_avg = acc / cond_trials
 
-    peak = measured.values[fc.n - 1, 0]
+    peak = measured.values[n - 1, 0]
     single = zero_doppler_cut(aaf(sel_amplify(xs[-1], pa), k_grid=1))
     single_cond = cond[-1]
     columns: Columns = [
         ("lag", lags),
         ("measured_avg_db", to_db(measured.values[:, 0] / peak)),
-        ("conditioned_avg_db", to_db(cond_avg / cond_avg[fc.n - 1])),
-        ("single_measured_db", to_db(single / single[fc.n - 1])),
-        ("single_conditioned_db", to_db(single_cond / single_cond[fc.n - 1])),
+        ("conditioned_avg_db", to_db(cond_avg / cond_avg[n - 1])),
+        ("single_measured_db", to_db(single / single[n - 1])),
+        ("single_conditioned_db", to_db(single_cond / single_cond[n - 1])),
     ]
     return {"zero_doppler_nocp.csv": columns}
 
 
-@scenario("fig-distortion-power", 1000, "~1 min",
+@scenario("fig-distortion-power", 1000, "~1 min", ("basis", "n"),
           "Residual clipping-noise power vs IBO at N=1024 for 16-PSK/16-QAM/64-QAM plus "
           "the Gaussian closed form")
 def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
-    ctx.sweeps("constellation", "ibo_db")
     trials = ctx.trials()
     n = ctx.setting("n", 1024)
     basis = ctx.basis(n)
@@ -460,15 +457,14 @@ def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
     return {"distortion_power_vs_ibo.csv": columns}
 
 
-@scenario("fig-distortion-term-cut", 10_000, "~1 min",
+@scenario("fig-distortion-term-cut", 10_000, "~1 min", ("basis", "n", "ibo_db"),
           "Zero-Doppler cut of the isolated clipping-noise term, N=64, IBO 1 dB, "
           "16-PSK vs 16-QAM, with flat variance overlays")
 def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
-    ctx.sweeps("constellation")
-    fc = ctx.frame()
-    basis = ctx.basis(fc.n)
+    n = ctx.setting("n", 64)
+    basis = ctx.basis(n)
     pa = ctx.pa(1.0)
-    lags = np.arange(fc.n)
+    lags = np.arange(n)
     columns: Columns = [("lag", lags)]
     for cname, label in _PSK_QAM:
         const = parse_constellation(cname)
@@ -476,33 +472,32 @@ def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
         surf = _averaged_cut(ctx, const, basis, pa, f"mc/{label}", kappa=stats.kappa)
         columns.append((f"mc_{label}_db", to_db(surf.values[:, 0], floor=-200.0)))
         level = 10.0 * math.log10(stats.sigma_d2**2)
-        columns.append((f"analytic_{label}_db", np.full(fc.n, level)))
+        columns.append((f"analytic_{label}_db", np.full(n, level)))
     return {"distortion_term_cut.csv": columns}
 
 
 def _scn_basis_comparison(ctx: RunContext, cname: str, tag: str) -> dict[str, Columns]:
-    ctx.sweeps("constellation", "basis")
-    fc = ctx.frame()
+    n = ctx.setting("n", 64)
     const = parse_constellation(cname)
     pa = ctx.pa(1.0)
-    lags = np.arange(fc.n)
+    lags = np.arange(n)
     columns: Columns = [("lag", lags)]
     for kind, label in ((BasisKind.OFDM_DFT, "ofdm"), (BasisKind.SC_IDENTITY, "sc"),
                         (BasisKind.CDMA_HADAMARD, "cdma")):
-        cut = _averaged_cut(ctx, const, SignalingBasis(kind, fc.n), pa, label, normalize=True)
+        cut = _averaged_cut(ctx, const, SignalingBasis(kind, n), pa, label, normalize=True)
         columns.append((f"{label}_db", to_db(cut.values[:, 0])))
     return {f"basis_comparison_{tag}.csv": columns}
 
 
-scenario("fig-basis-comparison-psk", 10_000, "~1 min",
+scenario("fig-basis-comparison-psk", 10_000, "~1 min", ("n", "ibo_db"),
          "Averaged zero-Doppler cuts of OFDM vs single-carrier vs Hadamard spreading, "
          "16-PSK, IBO 1 dB")(lambda ctx: _scn_basis_comparison(ctx, "16-PSK", "psk16"))
-scenario("fig-basis-comparison-qam", 10_000, "~1 min",
+scenario("fig-basis-comparison-qam", 10_000, "~1 min", ("n", "ibo_db"),
          "Averaged zero-Doppler cuts of OFDM vs single-carrier vs Hadamard spreading, "
          "16-QAM, IBO 1 dB")(lambda ctx: _scn_basis_comparison(ctx, "16-QAM", "qam16"))
 
 
-@scenario("fig-eisl-vs-n", 4000, "~2 min",
+@scenario("fig-eisl-vs-n", 4000, "~2 min", ("basis", "ibo_db"),
           "Expected integrated sidelobe level vs N (periodic lags), measured vs the "
           "conditioned clipping analysis, 16-PSK and 16-QAM at IBO 1 dB")
 def _scn_eisl_vs_n(ctx: RunContext) -> dict[str, Columns]:
@@ -510,13 +505,13 @@ def _scn_eisl_vs_n(ctx: RunContext) -> dict[str, Columns]:
         met = sidelobe_metrics(_averaged_cut(ctx, const, basis, pa, f"mc/{label}/{n}"))
         est = sel_eisl(pa, const, basis, min(ctx.trials(), 2000),
                        ctx.rng(f"analytic/{label}/{n}"), mode=AfMode.PERIODIC)
-        return {f"mc_{label}_db": 10.0 * math.log10(met.eisl),
+        return {f"mc_{label}_db": 10.0 * math.log10(met.isl),
                 f"analytic_{label}_db": 10.0 * math.log10(est.eisl)}
 
     return {"eisl_vs_n.csv": _n_sweep(ctx, (16, 32, 64, 128), cells)}
 
 
-@scenario("fig-eislr-vs-n", 4000, "~2 min",
+@scenario("fig-eislr-vs-n", 4000, "~2 min", ("basis", "ibo_db"),
           "EISL normalized by mainlobe energy vs N, with and without CP, "
           "16-PSK and 16-QAM at IBO 1 dB")
 def _scn_eislr_vs_n(ctx: RunContext) -> dict[str, Columns]:
@@ -530,7 +525,7 @@ def _scn_eislr_vs_n(ctx: RunContext) -> dict[str, Columns]:
     return {"eislr_vs_n.csv": _n_sweep(ctx, (16, 32, 64, 128), cells)}
 
 
-@scenario("fig-pslr-vs-n", 10_000, "~2 min",
+@scenario("fig-pslr-vs-n", 10_000, "~2 min", ("basis", "ibo_db"),
           "Peak-sidelobe-to-mainlobe ratio vs N in {64,128,256}, 16-PSK and 16-QAM, IBO 1 dB")
 def _scn_pslr_vs_n(ctx: RunContext) -> dict[str, Columns]:
     def cells(n, basis, pa, const, label):
@@ -540,25 +535,24 @@ def _scn_pslr_vs_n(ctx: RunContext) -> dict[str, Columns]:
     return {"pslr_vs_n.csv": _n_sweep(ctx, (64, 128, 256), cells)}
 
 
-@scenario("fig-zero-delay", 10_000, "~1 min",
+@scenario("fig-zero-delay", 10_000, "~1 min", ("basis", "n"),
           "Averaged zero-delay (Doppler) cuts at saturation back-offs 0 and 8 dB with "
           "conditioned-expectation overlays, 16-PSK and 16-QAM")
 def _scn_zero_delay(ctx: RunContext) -> dict[str, Columns]:
-    ctx.sweeps("constellation", "ibo_db")
     trials = ctx.trials()
-    fc = ctx.frame()
-    basis = ctx.basis(fc.n)
-    bins = np.arange(fc.n)
+    n = ctx.setting("n", 64)
+    basis = ctx.basis(n)
+    bins = np.arange(n)
     columns: Columns = [("doppler_bin", bins)]
     for cname, clabel in _PSK_QAM:
         const = parse_constellation(cname)
         for ibo_db in (0.0, 8.0):
             pa = ctx.pa(ibo_db, compression=False)
-            acc = np.zeros(fc.n)
-            acc_cond = np.zeros(fc.n)
+            acc = np.zeros(n)
+            acc_cond = np.zeros(n)
             for sz, r in chunk_rngs(ctx.rng(f"{clabel}/ibo{ibo_db:g}"), trials, 256):
-                x = synthesize(basis, draw_symbols(const, (sz, fc.n), r))
-                cut = np.fft.fft(np.abs(sel_amplify(x, pa)) ** 2, axis=-1) / math.sqrt(fc.n)
+                x = synthesize(basis, draw_symbols(const, (sz, n), r))
+                cut = np.fft.fft(np.abs(sel_amplify(x, pa)) ** 2, axis=-1) / math.sqrt(n)
                 acc += (np.abs(cut) ** 2).sum(axis=0)
                 acc_cond += (np.abs(sel_zero_delay_cut(x, pa)) ** 2).sum(axis=0)
             acc /= trials
@@ -587,6 +581,8 @@ def periodogram_table(pipeline: PdPipeline, snr_db: float,
 
 
 @scenario("fig-periodogram-pair", 1, "<10 s",
+          ("constellation", "n", "m", "cp_len", "ibo_db", "snr_db_grid", "targets", "n_per",
+           "m_per"),
           "Single-frame range-Doppler periodograms, linear vs clipped, two targets at "
           "20 dB SNR (long-format CSV)")
 def _scn_periodogram_pair(ctx: RunContext) -> dict[str, Columns]:
@@ -605,14 +601,15 @@ def _scn_periodogram_pair(ctx: RunContext) -> dict[str, Columns]:
 
 
 @scenario("fig-cfar-example", 1, "~30 s",
+          ("constellation", "n", "m", "cp_len", "ibo_db", "snr_db_grid", "targets", "n_per"),
           "Single-frame range cuts with the SO-CFAR threshold trace, linear vs "
           "distortion-limited")
 def _scn_cfar_example(ctx: RunContext) -> dict[str, Columns]:
     fc = ctx.frame()
     const = ctx.constellation("16-QAM")
     targets = ctx.setting("targets", DEFAULT_TARGETS)
-    cfar = ctx.cfar(fc)
     snr_db = ctx.snr_db(15.0)
+    cfar = ctx.cfar(fc)
     out: dict[str, Columns] = {}
     for label, linear, limited in (("linear", True, False), ("nonlinear", False, True)):
         pipe = _pipeline(ctx, const, fc, targets, cfar, linear, limited)
@@ -635,7 +632,7 @@ def _pipeline(ctx: RunContext, const: ConstellationSpec, fc: FrameConfig,
               limited: bool) -> PdPipeline:
     return PdPipeline(
         constellation=const,
-        basis=ctx.basis(fc.n),
+        basis=parse_basis("ofdm", fc.n),
         frame=fc,
         pa=ctx.pa(1.0),
         cfar=cfar,
@@ -649,9 +646,7 @@ def _pipeline(ctx: RunContext, const: ConstellationSpec, fc: FrameConfig,
 
 def _pd_curves(ctx: RunContext, specs: dict[str, tuple]) -> dict[str, PdCurve]:
     """Weak-target Pd of each ``name: (constellation, snr_grid_db, tag, linear, limited)``
-    spec, all on one pool, calibrating only once every constellation is accepted."""
-    ctx.sweeps("constellation")
-    consts = [parse_constellation(spec[0]) for spec in specs.values()]
+    spec, all on one pool."""
     frame = ctx.frame(m=3)
     cfar = ctx.cfar(frame)
     # Weak reflector 20 dB below the strong one.  Together with the short
@@ -659,8 +654,8 @@ def _pd_curves(ctx: RunContext, specs: dict[str, tuple]) -> dict[str, PdCurve]:
     # constellations measurably below 1 so the upper detection limits are
     # visible in the curves; at the full frame every plateau saturates.
     targets = ctx.setting("targets", (Target(b=1.0, delay=4), Target(b=0.1, delay=WEAK_BIN)))
-    jobs = [(_pipeline(ctx, const, frame, targets, cfar, linear, limited), grid, ctx.rng(tag))
-            for const, (_, grid, tag, linear, limited) in zip(consts, specs.values())]
+    jobs = [(_pipeline(ctx, parse_constellation(cname), frame, targets, cfar, linear, limited),
+             grid, ctx.rng(tag)) for cname, grid, tag, linear, limited in specs.values()]
     return dict(zip(specs, pd_curves(jobs, ctx.trials(), ctx.config.workers)))
 
 
@@ -674,6 +669,7 @@ def _pd_columns(curve) -> Columns:
 
 
 @scenario("fig-pd-curves", 1000, "~2 min",
+          ("n", "m", "cp_len", "snr_db_grid", "targets", "n_per"),
           "Weak-target detection probability vs SNR for 16-PSK/16-QAM under linear, "
           "IBO 1 dB, and distortion-limited operation (short M=3 frame, -20 dB target)")
 def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
@@ -699,6 +695,7 @@ def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
 
 
 @scenario("fig-pd-ceilings", 1000, "~2 min",
+          ("n", "m", "cp_len", "ibo_db", "snr_db_grid", "targets", "n_per"),
           "Distortion-limited detection plateaus for 16-PSK/16-QAM/64-QAM plus linear "
           "reference curves and the SNR projection of each plateau (short M=3 frame)")
 def _scn_pd_ceilings(ctx: RunContext) -> dict[str, Columns]:
@@ -754,6 +751,11 @@ def run_scenario(config: ExperimentConfig) -> RunManifest:
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
     scn = _REGISTRY[config.scenario]
+    unused = [f.name for f in fields(config) if f.name not in RUN_CONTROL + scn.settings
+              and getattr(config, f.name) is not None]
+    if unused:
+        raise ConfigError(f"{scn.name} does not use {', '.join(unused)}; its settings are "
+                          f"{', '.join(scn.settings)}")
     ctx = RunContext(config, scn)
     start = time.monotonic()
     try:

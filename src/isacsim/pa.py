@@ -157,7 +157,6 @@ class BussgangStats:
     kappa: complex
     sigma_d2: float
     sdr: float
-    y: float
     d4: float = 0.0
 
 
@@ -303,4 +302,4 @@ def estimate_bussgang(
     sigma_d2 = d2_sum / count
     d4 = d4_sum / count
 
-    return BussgangStats(kappa=kappa, sigma_d2=sigma_d2, sdr=sdr(sigma_d2, cfg), y=cfg.y, d4=d4)
+    return BussgangStats(kappa=kappa, sigma_d2=sigma_d2, sdr=sdr(sigma_d2, cfg), d4=d4)

@@ -121,7 +121,7 @@ def test_accept_03_iid_eisl_formula(capsys):
                 gen = tx_generator(cname, "ofdm", n, pa=pa)
                 surf = average_af(gen, 10_000, k_grid=n, mode=AfMode.PERIODIC,
                                   rng=derive_rng(300 + idx, "acc"), normalize=False)
-                eisl = sidelobe_metrics(surf).eisl
+                eisl = sidelobe_metrics(surf).isl
                 st = estimate_bussgang(pa, parse_basis("ofdm", n),
                                        parse_constellation(cname), 400,
                                        derive_rng(330 + idx, "acc"))
@@ -179,7 +179,7 @@ def test_accept_04_joint_clip_probability(capsys):
 def _mean_zero_doppler_level_db(cname, seed):
     gen = tx_generator(cname, "ofdm", 64, pa=pa_compression(1.0))
     surf = average_af(gen, 10_000, k_grid=1, rng=derive_rng(seed, "acc"))
-    return 10 * math.log10(sidelobe_metrics(surf).eisl / (2 * 63))
+    return 10 * math.log10(sidelobe_metrics(surf).isl / (2 * 63))
 
 
 def test_accept_05_reference_sidelobe_level(capsys):

@@ -302,7 +302,7 @@ def test_average_af_aperiodic_layout():
 def test_all_ones_metrics_freeze_pair_counting():
     m = sidelobe_metrics(paf(np.ones(8, dtype=complex)))
     assert m.mainlobe == pytest.approx(8.0, rel=1e-12)
-    assert m.eisl == pytest.approx(2 * 7 * 8.0, rel=1e-12)  # +l/-l counted separately
+    assert m.isl == pytest.approx(2 * 7 * 8.0, rel=1e-12)  # +l/-l counted separately
     assert m.eislr == pytest.approx(2 * 7.0, rel=1e-12)
     assert m.pslr == pytest.approx(1.0, rel=1e-12)
 
@@ -334,7 +334,7 @@ def test_expected_sidelobe_grows_linearly_with_length():
     for n in sizes:
         gen = tx_generator("16-QAM", "ofdm", int(n), pa=pa)
         s = average_af(gen, 500, k_grid=1, rng=derive_rng(11, "af", int(n)), normalize=False)
-        eisl.append(sidelobe_metrics(s).eisl)
+        eisl.append(sidelobe_metrics(s).isl)
     eisl = np.asarray(eisl)
     coef = np.polyfit(sizes, eisl, 1)
     fit = np.polyval(coef, sizes)

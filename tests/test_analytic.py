@@ -303,7 +303,7 @@ def test_iid_sidelobe_formula_against_averaged_surface():
         rng=derive_rng(65, "an"),
         normalize=False,
     )
-    mc_eisl = sidelobe_metrics(surf).eisl
+    mc_eisl = sidelobe_metrics(surf).isl
     rel = abs(mc_eisl - pred.eisl) / mc_eisl
     assert rel < 0.05, (
         f"i.i.d. model eisl={pred.eisl:.2f} vs MC {mc_eisl:.2f} "
@@ -487,7 +487,7 @@ def test_sel_eisl_negligible_clipping_matches_linear_mc():
     mc = sidelobe_metrics(
         average_af(gen, 2000, k_grid=1, mode=AfMode.APERIODIC,
                    rng=derive_rng(45, "an"), normalize=False)
-    ).eisl
+    ).isl
     assert abs(est.eisl - mc) / mc < 0.05
 
 
@@ -527,12 +527,12 @@ def test_prefix_extension_can_exceed_unprefixed_sidelobes():
         average_af(tx_generator("16-PSK", "ofdm", 64, pa=pa, cp_len=32), 2500,
                    k_grid=1, mode=AfMode.APERIODIC, rng=derive_rng(50, "an"),
                    normalize=False)
-    ).eisl
+    ).isl
     bare = sidelobe_metrics(
         average_af(tx_generator("16-QAM", "ofdm", 64, pa=pa), 2500,
                    k_grid=1, mode=AfMode.APERIODIC, rng=derive_rng(51, "an"),
                    normalize=False)
-    ).eisl
+    ).isl
     assert cp > 1.1 * bare
 
 
@@ -541,7 +541,7 @@ def test_prefix_extension_can_exceed_unprefixed_sidelobes():
 def _mean_sidelobe_db(const_name, pa, seed):
     gen = tx_generator(const_name, "ofdm", 64, pa=pa)
     m = sidelobe_metrics(average_af(gen, 1500, k_grid=1, rng=derive_rng(seed, "an")))
-    return float(to_db(np.array([m.eisl / (2 * 63)]))[0])
+    return float(to_db(np.array([m.isl / (2 * 63)]))[0])
 
 
 def test_distortion_rise_larger_for_psk_but_qam_stays_above():

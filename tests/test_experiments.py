@@ -376,13 +376,102 @@ def test_cli_run_bad_config_value_exits_2(tmp_path, capsys, override):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scenario", ["fig-cfar-example", "fig-pd-curves", "fig-pd-ceilings"])
-def test_cli_run_m_per_on_range_cut_scenario_exits_2(tmp_path, capsys, scenario):
-    # these scenarios detect on the zero-Doppler range cut and never read m_per
+#: The settings each scenario declares, in registry order: the config fields
+#: besides the run-control ones that change its outputs.
+DECLARED = {
+    "fig-zero-doppler-cp": ("basis", "n"),
+    "fig-zero-doppler-nocp": ("constellation", "basis", "n", "ibo_db"),
+    "fig-distortion-power": ("basis", "n"),
+    "fig-distortion-term-cut": ("basis", "n", "ibo_db"),
+    "fig-basis-comparison-psk": ("n", "ibo_db"),
+    "fig-basis-comparison-qam": ("n", "ibo_db"),
+    "fig-eisl-vs-n": ("basis", "ibo_db"),
+    "fig-eislr-vs-n": ("basis", "ibo_db"),
+    "fig-pslr-vs-n": ("basis", "ibo_db"),
+    "fig-zero-delay": ("basis", "n"),
+    "fig-periodogram-pair": ("constellation", "n", "m", "cp_len", "ibo_db", "snr_db_grid",
+                             "targets", "n_per", "m_per"),
+    "fig-cfar-example": ("constellation", "n", "m", "cp_len", "ibo_db", "snr_db_grid",
+                         "targets", "n_per"),
+    "fig-pd-curves": ("n", "m", "cp_len", "snr_db_grid", "targets", "n_per"),
+    "fig-pd-ceilings": ("n", "m", "cp_len", "ibo_db", "snr_db_grid", "targets", "n_per"),
+}
+
+#: One valid value of each setting, unlike any scenario's default.
+SETTING_VALUES = {
+    "constellation": "64-QAM", "basis": "sc", "n": 128, "m": 2, "cp_len": 32, "ibo_db": 4,
+    "snr_db_grid": [5], "targets": [{"b": 0.5, "delay": 8}], "n_per": 128, "m_per": 128,
+}
+#: Further values an undeclared setting is rejected with: the rule does not
+#: look at the value, so not even the OFDM basis of the sensing chain passes.
+ALSO_REJECTED = {"basis": ("ofdm",)}
+
+
+def test_declared_settings_table_covers_every_pair():
+    assert list(DECLARED) == [s.name for s in list_scenarios()]
+    assert list(SETTING_VALUES) == [f for f in ExperimentConfig.__dataclass_fields__
+                                    if f not in experiments.RUN_CONTROL]
+
+
+@pytest.fixture(scope="module")
+def default_files():
+    """``{scenario: {file: sha256}}`` of runs without settings, filled as the
+    declared-pair cases ask for them."""
+    return {}
+
+
+def _run_with(tmp_path, scenario, settings):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"trials": 10, "m_per": 2, "out_dir": str(tmp_path)}))
-    assert main(["run", scenario, "--config", str(cfg_file)]) == 2
-    assert "m_per" in capsys.readouterr().err
+    cfg_file.write_text(json.dumps({"trials": 20, "out_dir": str(tmp_path), **settings}))
+    return main(["run", scenario, "--config", str(cfg_file)])
+
+
+def _run_files(tmp_path, scenario, settings):
+    assert _run_with(tmp_path, scenario, settings) == 0
+    run_dir = tmp_path / scenario
+    return {p.name: _sha256(p) for p in run_dir.iterdir() if p.suffix == ".csv"}
+
+
+def _assert_rejected_before_work(tmp_path, capsys, monkeypatch, scenario, key, value):
+    def monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte-Carlo work started")
+
+    for name in ("average_af", "estimate_bussgang", "chunk_rngs", "sel_eisl", "lag_correlation",
+                 "sense", "pd_curves", "calibrate_cfar"):
+        monkeypatch.setattr(experiments, name, monte_carlo)
+    assert _run_with(tmp_path, scenario, {key: value}) == 2
+    assert f"{scenario} does not use {key};" in capsys.readouterr().err
+    assert not (tmp_path / scenario).exists()
+
+
+# lag_correlation warns when it clips negative estimates, as it does at 20 trials
+@pytest.mark.filterwarnings("ignore:negative squared-envelope")
+@pytest.mark.parametrize("scenario, key", [
+    (scenario, key) for scenario in DECLARED for key in SETTING_VALUES
+])
+def test_scenario_settings_rule(tmp_path_factory, capsys, monkeypatch, default_files,
+                                scenario, key):
+    if key not in DECLARED[scenario]:
+        # the scenario would sweep over the setting, write it into a file
+        # named for another value, or ignore it
+        for value in (SETTING_VALUES[key], *ALSO_REJECTED.get(key, ())):
+            _assert_rejected_before_work(tmp_path_factory.mktemp("rejected"), capsys,
+                                         monkeypatch, scenario, key, value)
+        return
+    # a declared setting changes at least one output file
+    monkeypatch.setattr(experiments, "calibrate_cfar", lambda *a, **kw: 13.0)
+    if scenario not in default_files:
+        default_files[scenario] = _run_files(tmp_path_factory.mktemp("default"), scenario, {})
+    files = _run_files(tmp_path_factory.mktemp("set"), scenario, {key: SETTING_VALUES[key]})
+    assert any(files.get(name) != digest for name, digest in default_files[scenario].items())
+
+
+# Pairs of the rule above, each with the value it was first reported with.
+
+@pytest.mark.parametrize("scenario", ["fig-cfar-example", "fig-pd-curves", "fig-pd-ceilings"])
+def test_cli_run_m_per_on_range_cut_scenario_exits_2(tmp_path, capsys, monkeypatch, scenario):
+    # these scenarios detect on the zero-Doppler range cut and never read m_per
+    _assert_rejected_before_work(tmp_path, capsys, monkeypatch, scenario, "m_per", 2)
 
 
 @pytest.mark.parametrize("scenario", [
@@ -392,17 +481,9 @@ def test_cli_run_m_per_on_range_cut_scenario_exits_2(tmp_path, capsys, scenario)
 ])
 def test_cli_run_constellation_on_fixed_constellation_scenario_exits_2(tmp_path, capsys,
                                                                         monkeypatch, scenario):
-    # these scenarios sweep their own constellations and never read the override;
-    # they reject it before any Monte-Carlo work, the CFAR calibration included
-    calibrations = []
-    monkeypatch.setattr(experiments, "calibrate_cfar", lambda *a, **kw: calibrations.append(a))
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"trials": 10, "constellation": "64-QAM",
-                                    "out_dir": str(tmp_path)}))
-    assert main(["run", scenario, "--config", str(cfg_file)]) == 2
-    assert "constellation" in capsys.readouterr().err
-    assert not (tmp_path / scenario).exists()
-    assert calibrations == []
+    # these scenarios sweep their own constellations and never read the override
+    _assert_rejected_before_work(tmp_path, capsys, monkeypatch, scenario, "constellation",
+                                 "64-QAM")
 
 
 @pytest.mark.parametrize("scenario", ["fig-zero-doppler-cp", "fig-distortion-power",
@@ -411,17 +492,8 @@ def test_cli_run_ibo_db_on_backoff_sweep_scenario_exits_2(tmp_path, capsys, monk
                                                           scenario):
     # these scenarios sweep their own back-offs; a configured ibo_db used to
     # replace every swept value, so all their back-off columns came out at one
-    # level.  They reject it before any Monte-Carlo work
-    def monte_carlo(*args, **kwargs):
-        raise AssertionError("Monte-Carlo work started")
-
-    for name in ("average_af", "estimate_bussgang", "chunk_rngs"):
-        monkeypatch.setattr(experiments, name, monte_carlo)
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"trials": 10, "ibo_db": 2, "out_dir": str(tmp_path)}))
-    assert main(["run", scenario, "--config", str(cfg_file)]) == 2
-    assert "ibo_db" in capsys.readouterr().err
-    assert not (tmp_path / scenario).exists()
+    # level
+    _assert_rejected_before_work(tmp_path, capsys, monkeypatch, scenario, "ibo_db", 2)
 
 
 @pytest.mark.parametrize("scenario, key, value", [
@@ -434,34 +506,37 @@ def test_cli_run_ibo_db_on_backoff_sweep_scenario_exits_2(tmp_path, capsys, monk
 def test_cli_run_swept_n_or_basis_exits_2(tmp_path, capsys, monkeypatch, scenario, key, value):
     # the N sweeps set their own sizes and the basis comparisons their own
     # bases; a configured value used to be ignored, and the run wrote the
-    # default files.  They reject it before any Monte-Carlo work
-    def monte_carlo(*args, **kwargs):
-        raise AssertionError("Monte-Carlo work started")
-
-    for name in ("average_af", "sel_eisl"):
-        monkeypatch.setattr(experiments, name, monte_carlo)
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"trials": 10, key: value, "out_dir": str(tmp_path)}))
-    assert main(["run", scenario, "--config", str(cfg_file)]) == 2
-    assert f"{key} is not used" in capsys.readouterr().err
-    assert not (tmp_path / scenario).exists()
+    # default files
+    _assert_rejected_before_work(tmp_path, capsys, monkeypatch, scenario, key, value)
 
 
 @pytest.mark.parametrize("basis", ["sc", "cdma"])
 @pytest.mark.parametrize("scenario", [
     "fig-periodogram-pair", "fig-cfar-example", "fig-pd-curves", "fig-pd-ceilings",
 ])
-def test_cli_run_non_ofdm_basis_on_sensing_scenario_exits_2(tmp_path, capsys,
-                                                            calibration_cut_lens, scenario, basis):
+def test_cli_run_non_ofdm_basis_on_sensing_scenario_exits_2(tmp_path, capsys, monkeypatch,
+                                                            scenario, basis):
     # the sensing chain's division filter is a receiver for OFDM only; an SC
-    # run used to write a linear Pd of 0.0 at 10 and 30 dB.  It is rejected
-    # before the CFAR calibration starts
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"trials": 10, "basis": basis, "out_dir": str(tmp_path)}))
-    assert main(["run", scenario, "--config", str(cfg_file)]) == 2
-    assert "OFDM basis" in capsys.readouterr().err
+    # run used to write a linear Pd of 0.0 at 10 and 30 dB
+    _assert_rejected_before_work(tmp_path, capsys, monkeypatch, scenario, "basis", basis)
+
+
+@pytest.mark.parametrize("scenario", ["fig-periodogram-pair", "fig-cfar-example"])
+def test_single_frame_scenario_rejects_several_snr_values(tmp_path, capsys, calibration_cut_lens,
+                                                          scenario):
+    # one frame is sensed at one SNR; the rest of a longer grid used to be
+    # dropped without notice.  It is rejected before the CFAR calibration
+    assert _run_with(tmp_path, scenario, {"snr_db_grid": [15, 30, 45]}) == 2
+    assert "snr_db_grid" in capsys.readouterr().err
     assert not (tmp_path / scenario).exists()
     assert calibration_cut_lens == []
+
+
+def test_readme_settings_table_matches_scenario_declarations():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(fig-[\w-]+)` \| ([^|]*) \|", readme, re.MULTILINE)
+    assert [(name, tuple(re.findall(r"`(\w+)`", settings))) for name, settings in rows] == [
+        (s.name, s.settings) for s in list_scenarios()]
 
 
 def test_pd_ceilings_starts_one_pool(tmp_path, monkeypatch):

@@ -239,7 +239,7 @@ def test_estimate_bussgang_matches_gaussian_closed_forms(qam_ofdm_stats):
     assert abs(abs(st.kappa) - KAPPA_Y1) / KAPPA_Y1 < 0.005
     assert abs(st.sigma_d2 - SIGMA_D2_Y1) / SIGMA_D2_Y1 < 0.02
     assert abs(st.kappa.imag) < 1e-3
-    assert st.y == 1.0
+    assert pa_limiter(0.0).y == 1.0
 
 
 def test_estimate_bussgang_linear_regime_recovers_scale():
