@@ -24,7 +24,6 @@ from .ambiguity import (
 from .analytic import (
     BussgangAfTerms,
     ClipProbabilities,
-    LagCorrelation,
     bussgang_af_decompose,
     clip_probabilities,
     expected_zero_doppler_bussgang,

@@ -11,21 +11,22 @@ magnitudes.
 
 The zero-Doppler cut (``K = 1``) is a plain cross-correlation, computed by
 FFT in O(N log N) (:func:`_xcorr`).  The Monte-Carlo averaging paths and the
-conditioned analytic models go through it; ``analytic.lag_correlation``
-keeps its own circular autocovariance of sample powers.  For
+conditioned analytic models go through it.  For
 ``K > 1`` the delayed copies ``s*(p - l)`` are the rows of a sliding-window
 view over the conjugate, extended by its own tail (periodic) or by ``N - 1``
 zeros on each side (aperiodic), so no index table is built.  The lag
 products are folded modulo ``K`` (or zero-padded when ``K > N``) before a
 length-``K`` FFT, which reproduces the direct sum exactly for any grid size.
 
-A full surface is built one block of lag rows at a time: each block holds
-about ``_BLOCK_CELLS`` lag products over all batch rows (at least one lag
-row), and is folded, transformed and written into the output (or, in
-:func:`average_af`, squared and summed over the chunk's trials) before the
-next is formed.  The working set is the output plus one block, never the
-whole lag-product tensor.  The FFT runs per row and every other step is
-elementwise, so the blocks give the same bits as one pass over all lags.
+A full surface is built one block of lag rows at a time (:func:`_af_blocks`):
+each block holds about ``_BLOCK_CELLS`` lag products over all batch rows (at
+least one lag row), and is folded, transformed, scaled and written into the
+output before the next is formed.  :func:`paf` and :func:`aaf` square each
+block into the float surface, and :func:`average_af` squares and sums it
+over the chunk's trials, so no surface-sized complex array is held.  The
+working set is the output plus one block, never the whole lag-product tensor.
+The FFT runs per row and every other step is elementwise, so the blocks give
+the same bits as one pass over all lags.
 """
 
 from __future__ import annotations
@@ -145,8 +146,14 @@ def _delayed_conj(v: np.ndarray, mode: AfMode) -> np.ndarray:
 
 def _lag_products(u: np.ndarray, delayed: np.ndarray, lags: slice = slice(None)) -> np.ndarray:
     """Products ``u(p) v*(p - l)`` of the lag rows ``lags`` of ``delayed``, a
-    :func:`_delayed_conj` view of ``v``; shape (..., rows, n)."""
-    return u[..., None, :] * delayed[..., lags, :]
+    :func:`_delayed_conj` view of ``v``; shape (..., rows, n).
+
+    The rows are copied out of the view and multiplied in place.  numpy
+    buffers both the broadcast ``u`` and the overlapping windows of a
+    product into a new array, in buffers of 8,192 elements (one block);
+    the in-place product buffers only ``u``."""
+    prod = delayed[..., lags, :].astype(np.result_type(u, delayed))
+    return np.multiply(u[..., None, :], prod, out=prod)
 
 
 def _lag_rows(n_rows: int, row_cells: int) -> list[slice]:
@@ -168,15 +175,27 @@ def _doppler_transform(prod: np.ndarray, k: int) -> np.ndarray:
     return np.fft.fft(prod, n=k, axis=-1)
 
 
-def _af_blocks(u: np.ndarray, v: np.ndarray, k: int, mode: AfMode):
-    """Yield ``(lag rows, unscaled Doppler transforms of those rows)`` over the
-    whole lag axis, one block of about ``_BLOCK_CELLS`` lag products at a time.
+def _af_dtype(*arrays) -> np.dtype:
+    """Complex dtype of the scaled AF values of ``arrays``: that of
+    ``fft(products) / sqrt(n)``, whose scale is a float64."""
+    return np.result_type(*arrays, np.complex64, np.float64)
 
-    The delayed conjugate is built once; each block's products are formed,
-    folded and transformed row by row exactly as for the whole tensor."""
+
+def _af_blocks(u: np.ndarray, v: np.ndarray, k: int, mode: AfMode):
+    """Yield ``(lag rows, scaled complex AF values of those rows)`` over the
+    whole lag axis.
+
+    ``K = 1`` yields one block from the FFT correlation.  Otherwise the
+    delayed conjugate is built once, and each block of about
+    ``_BLOCK_CELLS`` lag products is formed, folded, transformed and scaled
+    row by row exactly as for the whole tensor."""
+    scale = np.sqrt(u.shape[-1])
+    if k == 1:
+        yield slice(None), _xcorr(u, v, mode)[..., None] / scale
+        return
     delayed = _delayed_conj(v, mode)
     for rows in _lag_rows(delayed.shape[-2], u.size):
-        yield rows, _doppler_transform(_lag_products(u, delayed, rows), k)
+        yield rows, _doppler_transform(_lag_products(u, delayed, rows), k) / scale
 
 
 def cross_af(
@@ -196,14 +215,12 @@ def cross_af(
         raise ConfigError(f"shape mismatch {u.shape} vs {v.shape}")
     n = u.shape[-1]
     k = _doppler_bins(n, k_grid)
-    scale = np.sqrt(n)
+    blocks = _af_blocks(u, v, k, mode)
     if k == 1:
-        return _xcorr(u, v, mode)[..., None] / scale
-    # the dtype of the whole-tensor ``fft(products) / sqrt(n)``
-    dtype = np.result_type(u, v, np.complex64, scale)
-    out = np.empty(u.shape[:-1] + (_n_lags(n, mode), k), dtype)
-    for rows, block in _af_blocks(u, v, k, mode):
-        np.divide(block, scale, out=out[..., rows, :])
+        return next(blocks)[1]
+    out = np.empty(u.shape[:-1] + (_n_lags(n, mode), k), _af_dtype(u, v))
+    for rows, block in blocks:
+        out[..., rows, :] = block
     return out
 
 
@@ -211,18 +228,26 @@ def _surface_from_values(values, n, k, mode):
     return AmbiguitySurface(values=values, delays=_lags(n, mode), dopplers=np.arange(k), mode=mode)
 
 
+def _squared_surface(signal: np.ndarray, k_grid: int | None, mode: AfMode) -> AmbiguitySurface:
+    """``|cross_af(signal)|**2``, squared one block at a time into the surface."""
+    n = signal.shape[-1]
+    k = _doppler_bins(n, k_grid)
+    real = np.finfo(_af_dtype(signal)).dtype
+    values = np.empty(signal.shape[:-1] + (_n_lags(n, mode), k), real)
+    for rows, block in _af_blocks(signal, signal, k, mode):
+        mag = values[..., rows, :]
+        np.square(np.abs(block, out=mag), out=mag)
+    return _surface_from_values(values, n, k, mode)
+
+
 def paf(signal: np.ndarray, k_grid: int | None = None) -> AmbiguitySurface:
     """Periodic ambiguity surface (squared magnitudes) of one signal."""
-    a = cross_af(signal, None, k_grid, AfMode.PERIODIC)
-    k = a.shape[-1]
-    return _surface_from_values(np.abs(a) ** 2, signal.shape[-1], k, AfMode.PERIODIC)
+    return _squared_surface(signal, k_grid, AfMode.PERIODIC)
 
 
 def aaf(signal: np.ndarray, k_grid: int | None = None) -> AmbiguitySurface:
     """Aperiodic ambiguity surface; delay axis spans ``1-N .. N-1``."""
-    a = cross_af(signal, None, k_grid, AfMode.APERIODIC)
-    k = a.shape[-1]
-    return _surface_from_values(np.abs(a) ** 2, signal.shape[-1], k, AfMode.APERIODIC)
+    return _squared_surface(signal, k_grid, AfMode.APERIODIC)
 
 
 def zero_doppler_cut(surface: AmbiguitySurface) -> np.ndarray:
@@ -273,7 +298,6 @@ def average_af(
     n = probe[1]
     k = _doppler_bins(n, k_grid)
 
-    scale = np.sqrt(n)
     accum = None
     for sz, r in chunk_rngs(rng, trials, _mc_chunk_size(n, mode, k)):
         batch = generator(r, sz)
@@ -283,13 +307,11 @@ def average_af(
         if k == 1:
             part = np.sum(np.abs(cross_af(batch, None, 1, mode)) ** 2, axis=0)
         else:
-            # the real dtype of |fft(products) / sqrt(n)|**2
-            real = np.finfo(np.result_type(batch, np.complex64, scale)).dtype
-            part = np.empty((_n_lags(n, mode), k), real)
-            # np.sum(np.abs(a) ** 2, axis=0) of the scaled block, squared in
-            # place: small-N chunks run many blocks, so each call counts
+            part = np.empty((_n_lags(n, mode), k), np.finfo(_af_dtype(batch)).dtype)
+            # np.sum(np.abs(a) ** 2, axis=0) of each block, squared in place:
+            # small-N chunks run many blocks, so each call counts
             for rows, block in _af_blocks(batch, batch, k, mode):
-                mag2 = np.abs(block / scale)
+                mag2 = np.abs(block)
                 np.add.reduce(np.square(mag2, out=mag2), axis=0, out=part[rows])
         accum = part if accum is None else accum + part
     values = accum / trials

@@ -14,30 +14,37 @@ Two complementary models are implemented.
   envelope model (:func:`joint_below_prob`, :func:`sel_zero_doppler_cut`,
   :func:`sel_eisl`, :func:`sel_zero_delay_cut`).
 
-The joint-probability lag dependence enters through the normalized
-correlation of squared envelopes, estimated empirically per constellation
-and basis (:func:`lag_correlation`) since no closed form is available.
+The joint probabilities depend on the lag through the correlation ``rho``
+of the squared envelopes ``|x(p)|^2`` and ``|x(p - l)|^2``
+(:func:`lag_correlation`).  For i.i.d. unit-power symbols with ``E X^2 = 0``
+over a unitary basis whose entries all have modulus ``1/sqrt(n)`` (OFDM,
+Hadamard), every lag ``l != 0`` has covariance ``(m4 - 2)/n`` and variance
+``1 + (m4 - 2)/n``, with ``m4 = E|X|^4``, so
+
+    rho = (m4 - 2) / (n + m4 - 2).
+
+Single-carrier samples are the symbols themselves, so ``rho = 0``.  Every
+PSK and square QAM has ``m4 < 2``, so ``rho`` is negative, and the clip to
+``[0, 1]`` gives the weights of uncorrelated envelopes.  2-PSK is the one
+non-circular case (``E X^2 != 0``): its covariance also depends on
+``p + q``, and averaged over ``p`` it is ``-2/n`` at odd lags and 0 at even
+lags on OFDM.  It is never positive, so the clipped weights are the same.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .ambiguity import AfMode, _lag_rows, _lags, _xcorr, cross_af
+from .ambiguity import (AfMode, _af_blocks, _af_dtype, _doppler_bins, _lags, _n_lags, _xcorr,
+                        cross_af)
 from .errors import ConfigError, NumericError
 from .pa import PaConfig
 from .seeding import chunk_rngs
-from .signaling import (
-    ConstellationSpec,
-    SignalingBasis,
-    _row_blocks,
-    draw_symbols,
-    synthesize,
-)
+from .signaling import BasisKind, ConstellationSpec, SignalingBasis, draw_symbols, synthesize
 
 _THETA_POINTS = 4096
 # correlations per block of the quadrature grid: about 0.5 MB per temporary
@@ -125,74 +132,18 @@ def clip_probabilities(y: float, rho: float) -> ClipProbabilities:
     return ClipProbabilities(p_below_both=p_bb, p_mixed=p_mixed, p_above_both=p_above_both)
 
 
-@dataclass
-class LagCorrelation:
-    """Normalized covariance of squared envelopes versus lag.
+def lag_correlation(constellation: ConstellationSpec, basis: SignalingBasis) -> float:
+    """Correlation of the squared envelopes ``|x(p)|^2`` and ``|x(p - l)|^2``
+    at every lag ``l != 0``, in closed form: ``(m4 - 2) / (n + m4 - 2)``
+    with ``m4 = E|X|^4`` of the unit-power constellation, and 0 on the
+    single-carrier basis (and without a non-zero lag, ``n = 1``).
 
-    ``values[l]`` for ``l = 0..n``; ``values[0]`` is 1 by construction and
-    ``values[n]`` is 0 (samples a full symbol apart belong to independent
-    symbols).  ``degenerate`` marks constant-envelope signals, whose variance
-    is zero and for which no correlation is defined.
+    Not clipped; :func:`_clip_weights` clips it to ``[0, 1]``.
     """
-
-    values: np.ndarray
-    degenerate: bool = False
-
-
-def _circular_autocov(centered: np.ndarray) -> np.ndarray:
-    """Circular autocovariance of each row of a zero-mean power array."""
-    spec = np.abs(np.fft.fft(centered, axis=-1)) ** 2
-    return np.fft.ifft(spec, axis=-1).real / centered.shape[-1]
-
-
-def lag_correlation(
-    constellation: ConstellationSpec,
-    basis: SignalingBasis,
-    trials: int,
-    rng: np.random.Generator,
-) -> LagCorrelation:
-    """Estimate the squared-envelope correlation at every lag ``0..basis.n``.
-
-    The circular autocovariance of per-sample power, centred on its mean
-    over all trials, is averaged over ``trials`` frames.  Frames are drawn,
-    synthesized and transformed in blocks of about ``_MC_BLOCK_CELLS``
-    samples; only the per-sample power of all trials is held at once.
-
-    Estimates are clipped to ``[0, 1]``; materially negative ones trigger a
-    warning before clipping.  Constant-envelope cases come back degenerate
-    with an all-zero body.
-    """
-    if trials < 1:
-        raise ConfigError("at least one trial required")
-    n = basis.n
-    blocks = _row_blocks(trials, n)
-    power = np.empty((trials, n))
-    for rows in blocks:
-        x = synthesize(basis, draw_symbols(constellation, (rows.stop - rows.start, n), rng))
-        np.square(np.abs(x, out=power[rows]), out=power[rows])
-    mean = power.mean()
-    # sum the rows in order, so the total is the one a single axis-0 sum gives
-    total = None
-    for rows in blocks:
-        acov = _circular_autocov(power[rows] - mean)
-        if total is not None:
-            acov[0] += total
-        total = acov.sum(axis=0)
-    acov = total / trials
-    var = acov[0]
-    values = np.zeros(n + 1)
-    values[0] = 1.0
-    if var <= 1e-12 * float(mean) ** 2:
-        return LagCorrelation(values=values, degenerate=True)
-    rho = acov / var
-    if np.any(rho[1:] < -0.05):
-        warnings.warn(
-            "negative squared-envelope correlation estimates clipped to 0",
-            stacklevel=2,
-        )
-    values[1:n] = np.clip(rho[1:n], 0.0, 1.0)
-    values[n] = 0.0
-    return LagCorrelation(values=values, degenerate=False)
+    if basis.kind is BasisKind.SC_IDENTITY or basis.n < 2:
+        return 0.0
+    m4 = float(np.mean(np.abs(constellation.points()) ** 4))
+    return (m4 - 2.0) / (basis.n + m4 - 2.0)
 
 
 @dataclass
@@ -200,15 +151,32 @@ class BussgangAfTerms:
     """Self/cross AF values of one realization and their recombination.
 
     ``recombined`` is ``||kappa|^2 A_x + kappa A_xd + kappa* A_dx + A_d|^2``,
-    the squared AF of ``kappa x + d`` up to rounding.
+    the squared AF of ``kappa x + d`` up to rounding.  The four terms are
+    computed by :func:`~isacsim.ambiguity.cross_af` when first read.
     """
 
-    a_x: np.ndarray
-    a_xd: np.ndarray
-    a_dx: np.ndarray
-    a_d: np.ndarray
+    x: np.ndarray
+    d: np.ndarray
     kappa: complex
+    k_grid: int | None
+    mode: AfMode
     recombined: np.ndarray
+
+    @cached_property
+    def a_x(self) -> np.ndarray:
+        return cross_af(self.x, None, self.k_grid, self.mode)
+
+    @cached_property
+    def a_xd(self) -> np.ndarray:
+        return cross_af(self.x, self.d, self.k_grid, self.mode)
+
+    @cached_property
+    def a_dx(self) -> np.ndarray:
+        return cross_af(self.d, self.x, self.k_grid, self.mode)
+
+    @cached_property
+    def a_d(self) -> np.ndarray:
+        return cross_af(self.d, None, self.k_grid, self.mode)
 
 
 def bussgang_af_decompose(
@@ -218,25 +186,28 @@ def bussgang_af_decompose(
     k_grid: int | None = None,
     mode: AfMode = AfMode.PERIODIC,
 ) -> BussgangAfTerms:
-    """Four-term AF split of ``s = kappa x + d`` on the full (lag, Doppler) grid."""
+    """Four-term AF split of ``s = kappa x + d`` on the full (lag, Doppler) grid.
+
+    ``recombined`` is summed and squared one block of lag rows at a time,
+    from the four terms' blocks; no term is held whole until it is read."""
     if x.shape != d.shape:
         raise ConfigError(f"shape mismatch {x.shape} vs {d.shape}")
-    a_x = cross_af(x, None, k_grid, mode)
-    a_d = cross_af(d, None, k_grid, mode)
-    a_xd = cross_af(x, d, k_grid, mode)
-    a_dx = cross_af(d, x, k_grid, mode)
-
+    n = x.shape[-1]
+    k = _doppler_bins(n, k_grid)
     k2 = abs(kappa) ** 2
-    # the squared sum of the four terms, one block of lag rows at a time
-    real = np.finfo(np.result_type(a_x, a_xd, a_dx, a_d, kappa)).dtype
-    recombined = np.empty(a_x.shape, real)
-    for rows in _lag_rows(a_x.shape[-2], a_x[..., 0, :].size):
-        a_s = (k2 * a_x[..., rows, :] + kappa * a_xd[..., rows, :]
-               + np.conj(kappa) * a_dx[..., rows, :] + a_d[..., rows, :])
-        recombined[..., rows, :] = np.abs(a_s) ** 2
-    return BussgangAfTerms(
-        a_x=a_x, a_xd=a_xd, a_dx=a_dx, a_d=a_d, kappa=kappa, recombined=recombined
-    )
+    real = np.finfo(_af_dtype(x, d, kappa)).dtype
+    recombined = np.empty(x.shape[:-1] + (_n_lags(n, mode), k), real)
+    xx, xd, dx, dd = (_af_blocks(u, v, k, mode) for u, v in ((x, x), (x, d), (d, x), (d, d)))
+    # the terms' blocks are drawn in step, each held only beside the running sum
+    for rows, a_x in xx:
+        a_s = k2 * a_x
+        a_s += kappa * next(xd)[1]
+        a_s += np.conj(kappa) * next(dx)[1]
+        a_s += next(dd)[1]
+        mag = recombined[..., rows, :]
+        np.square(np.abs(a_s, out=mag), out=mag)
+    return BussgangAfTerms(x=x, d=d, kappa=kappa, k_grid=k_grid, mode=mode,
+                           recombined=recombined)
 
 
 @dataclass(frozen=True)
@@ -275,14 +246,15 @@ def _phase_signal(u: np.ndarray) -> np.ndarray:
     return np.divide(u, magnitude, out=np.ones(u.shape, complex), where=magnitude != 0)
 
 
-def _clip_weights(cfg: PaConfig, rho: LagCorrelation, n: int, mode: AfMode):
+def _clip_weights(cfg: PaConfig, constellation: ConstellationSpec, basis: SignalingBasis,
+                  mode: AfMode):
     """Per-lag weights (both-below, one-clipped, both-clipped) on the mode's
-    lag axis, each at the correlation of the lag's distance: ``|l|``
-    aperiodic, ``min(l, n - l)`` periodic.  Lag 0 has correlation 1."""
-    lags = _lags(n, mode)
-    distance = np.minimum(lags, n - lags) if mode is AfMode.PERIODIC else np.abs(lags)
+    lag axis of ``basis.n`` samples.  Lag 0 has correlation 1; every other
+    lag has :func:`lag_correlation`, clipped to ``[0, 1]``."""
+    lags = _lags(basis.n, mode)
+    rho = np.clip(lag_correlation(constellation, basis), 0.0, 1.0)
     y = cfg.y
-    p_bb = _joint_below_vector(y, rho.values[distance])
+    p_bb = _joint_below_vector(y, np.where(lags == 0, 1.0, rho))
     p_below = 1.0 - math.exp(-y * y)
     return p_bb, p_below - p_bb, 1.0 - 2.0 * p_below + p_bb
 
@@ -309,26 +281,23 @@ def _conditioned_cut(x: np.ndarray, cfg: PaConfig, weights, mode: AfMode) -> np.
 
 
 def sel_zero_doppler_cut(
-    x: np.ndarray, cfg: PaConfig, rho: LagCorrelation
+    x: np.ndarray, cfg: PaConfig, constellation: ConstellationSpec, basis: SignalingBasis
 ) -> np.ndarray:
     """Clipping-conditioned model of the aperiodic zero-Doppler cut.
 
-    Evaluates, for the pre-amplifier realization ``x`` (batches allowed on
-    leading axes), the probability-weighted combination of the undistorted
-    autocorrelation, the pair of one-sample-clipped cross sums, and the
-    both-clipped phase sum (:func:`_conditioned_cut`).  Lag axis:
-    ``1-n..n-1``.
+    Evaluates, for the pre-amplifier realization ``x`` of ``constellation``
+    symbols over ``basis`` (batches allowed on leading axes), the
+    probability-weighted combination of the undistorted autocorrelation, the
+    pair of one-sample-clipped cross sums, and the both-clipped phase sum
+    (:func:`_conditioned_cut`).  Lag axis: ``1-n..n-1``.
 
     Known faults: the one-clipped weight is doubled here, so the weights sum
     to ``p_bb + 4 p_mixed + p_above``, not 1; and the kernel's second cross
     sum lacks a conjugate (see :func:`_conditioned_cut`).
     """
-    n = x.shape[-1]
-    if rho.values.shape[0] < n + 1:
-        raise ConfigError(
-            f"lag correlation covers lags up to {rho.values.shape[0] - 1}, need {n}"
-        )
-    p_bb, w_mixed, w_above = _clip_weights(cfg, rho, n, AfMode.APERIODIC)
+    if x.shape[-1] != basis.n:
+        raise ConfigError(f"frames of {x.shape[-1]} samples, basis of size {basis.n}")
+    p_bb, w_mixed, w_above = _clip_weights(cfg, constellation, basis, AfMode.APERIODIC)
     return _conditioned_cut(x, cfg, (p_bb, 2.0 * w_mixed, w_above), AfMode.APERIODIC)
 
 
@@ -362,10 +331,10 @@ def sel_eisl(
     if trials < 1:
         raise ConfigError("at least one trial required")
     n = basis.n
-    rng_rho, rng_mc = rng.spawn(2)
-    rho = lag_correlation(constellation, basis, max(trials, 4096), rng_rho)
-
-    weights = _clip_weights(cfg, rho, n, mode)
+    # the first child once drew the Monte-Carlo lag correlation; spawning
+    # both keeps the frames' stream
+    _, rng_mc = rng.spawn(2)
+    weights = _clip_weights(cfg, constellation, basis, mode)
     accum = np.zeros(weights[0].shape[0])
     for sz, r in chunk_rngs(rng_mc, trials, max(1, min(64, 2_000_000 // (4 * n)))):
         x = synthesize(basis, draw_symbols(constellation, (sz, n), r))

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .ambiguity import AfMode, aaf, average_af, sidelobe_metrics, to_db, zero_doppler_cut
-from .analytic import (expected_zero_doppler_bussgang, lag_correlation, sel_eisl,
-                       sel_zero_delay_cut, sel_zero_doppler_cut)
+from .analytic import (expected_zero_doppler_bussgang, sel_eisl, sel_zero_delay_cut,
+                       sel_zero_doppler_cut)
 from .channel import Target
 from .detect import (
     DEFAULT_CAL_CELLS,
@@ -402,16 +402,15 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
     lags = np.arange(1 - n, n)
 
     measured = _averaged_cut(ctx, const, basis, pa, "measured", AfMode.APERIODIC)
-    rho = lag_correlation(const, basis, 4000, ctx.rng("rho"))
 
     cond_trials = min(trials, 200)
     xs = np.stack([
         synthesize(basis, draw_symbols(const, n, r))
         for _, r in chunk_rngs(ctx.rng("conditioned"), cond_trials, 1)
     ])
-    # one batched call: the clip weights depend on (pa, rho) only; rows are
-    # summed one by one in trial order (np.sum would pair them differently)
-    cond = np.abs(sel_zero_doppler_cut(xs, pa, rho)) ** 2
+    # one batched call: the clip weights depend on (pa, const, basis) only;
+    # rows are summed one by one in trial order (np.sum would pair them differently)
+    cond = np.abs(sel_zero_doppler_cut(xs, pa, const, basis)) ** 2
     acc = np.zeros(2 * n - 1)
     for row in cond:
         acc += row
@@ -453,7 +452,7 @@ def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
             stats = estimate_bussgang(pa, basis, const, trials,
                                       ctx.rng(f"{label}/ibo{ibo_db:g}"))
             vals[i] = stats.sigma_d2 / pa.alpha**2
-        columns.append((f"mc_{label}_db", 10.0 * np.log10(vals)))
+        columns.append((f"mc_{label}_db", to_db(vals)))
     return {"distortion_power_vs_ibo.csv": columns}
 
 

@@ -7,8 +7,12 @@ from isacsim import (
     ConfigError,
     aaf,
     average_af,
+    draw_symbols,
     paf,
+    parse_basis,
+    parse_constellation,
     sidelobe_metrics,
+    synthesize,
     to_db,
     zero_delay_cut,
     zero_doppler_cut,
@@ -166,6 +170,24 @@ def test_cross_af_blocks_equal_full_tensor_bit_for_bit(dtype, block_cells, monke
                     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("block_cells", [None, 50])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
+def test_surfaces_equal_squared_full_tensor_bit_for_bit(dtype, block_cells, monkeypatch):
+    # paf/aaf square block by block what np.abs(cross_af(...)) ** 2 squared
+    # whole; K=1 is the one FFT-correlation block
+    if block_cells is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_CELLS", block_cells)
+    rng = derive_rng(19, "af")
+    for n, batch in [(256, ()), (24, (3,))]:
+        u, _ = _random_pair(rng, batch + (n,), dtype)
+        for surface, mode in ((paf, AfMode.PERIODIC), (aaf, AfMode.APERIODIC)):
+            for k in (1, 5, n, n + 9):
+                got = surface(u, k).values
+                want = np.abs(cross_af(u, None, k, mode)) ** 2
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("mode", [AfMode.PERIODIC, AfMode.APERIODIC])
 def test_average_af_full_doppler_multi_chunk_equals_full_tensor_sums(mode):
     # 150 trials at K=N in chunks of 64, 64 and 22, each surface built in blocks
@@ -189,6 +211,17 @@ def test_average_af_full_doppler_memory_stays_within_blocks():
     gen = tx_generator("16-QAM", "ofdm", 128)
     peak = traced_peak_bytes(average_af, gen, 128, rng=derive_rng(18, "af"), normalize=False)
     assert peak < 5e6
+
+
+def test_aaf_memory_is_output_plus_one_block():
+    # the complex surface and two float surfaces were held whole (3.15 MB
+    # peak at N=256 against 1.05 MB of output); each block is squared into
+    # the output now
+    n = 256
+    x = synthesize(parse_basis("ofdm", n), draw_symbols(parse_constellation("16-QAM"), n,
+                                                        derive_rng(20, "af")))
+    output = (2 * n - 1) * n * 8
+    assert traced_peak_bytes(aaf, x) < output + 0.5e6
 
 
 def test_all_ones_gives_flat_ridge():

@@ -24,7 +24,6 @@ from isacsim import (
 from isacsim import ambiguity, analytic
 from isacsim.ambiguity import AfMode, _lags, cross_af
 from isacsim.analytic import (
-    LagCorrelation,
     _clip_weights,
     _joint_below_vector,
     bussgang_af_decompose,
@@ -34,7 +33,6 @@ from isacsim.analytic import (
     sel_zero_doppler_cut,
 )
 from isacsim.seeding import chunk_rngs, derive_rng
-from isacsim.signaling import _MC_BLOCK_CELLS
 
 from conftest import (
     full_tensor_af,
@@ -129,47 +127,61 @@ def test_joint_below_prob_against_envelope_pairs():
 # --------------------------------------------------------- lag correlations
 
 def test_lag_correlation_flat_spectrum_psk():
-    basis = parse_basis("ofdm", 32)
-    rho = lag_correlation(parse_constellation("16-PSK"), basis, 3000, derive_rng(71, "an"))
-    assert rho.values.shape == (33,)
-    assert rho.values[0] == 1.0
-    assert rho.values[32] == 0.0
-    np.testing.assert_allclose(rho.values[1:32], 0.0, atol=1e-12)
-    assert not rho.degenerate
+    # constant-modulus symbols (m4 = 1) over a flat-spectrum basis: the
+    # frame energy is fixed, so every lag correlates at -1/(n - 1), which
+    # the clip to [0, 1] turns into uncorrelated weights
+    for order in (4, 16):
+        for n in (16, 32, 64):
+            rho = lag_correlation(parse_constellation(f"{order}-PSK"), parse_basis("ofdm", n))
+            assert rho == pytest.approx(-1.0 / (n - 1), rel=1e-12)
 
 
-def test_lag_correlation_constant_envelope_is_degenerate():
-    basis = parse_basis("sc", 16)
-    rho = lag_correlation(parse_constellation("16-PSK"), basis, 500, derive_rng(72, "an"))
-    assert rho.degenerate
+def test_lag_correlation_is_zero_on_single_carrier():
+    # single-carrier samples are the i.i.d. symbols; constant-envelope PSK
+    # frames have no envelope variance at all
+    for name in ("2-PSK", "16-PSK", "16-QAM", "64-QAM"):
+        assert lag_correlation(parse_constellation(name), parse_basis("sc", 16)) == 0.0
 
 
-@pytest.mark.parametrize("basis_name", ["ofdm", "sc", "cdma"])
-def test_lag_correlation_blocks_match_one_shot_estimate(basis_name):
-    # 4097 trials end in a ragged block; the streamed estimate must equal,
-    # bit for bit, the one computed over all frames at once
-    n, trials = 64, 4097
-    const, basis = parse_constellation("16-QAM"), parse_basis(basis_name, n)
-    assert trials % (_MC_BLOCK_CELLS // n) != 0
-    rho = lag_correlation(const, basis, trials, derive_rng(81, "an"))
-    x = synthesize(basis, draw_symbols(const, (trials, n), derive_rng(81, "an")))
-    power = np.abs(x) ** 2
-    spec = np.abs(np.fft.fft(power - power.mean(), axis=-1)) ** 2
-    acov = (np.fft.ifft(spec, axis=-1).real / n).mean(axis=0)
-    expected = np.zeros(n + 1)
-    expected[0] = 1.0
-    expected[1:n] = np.clip(acov[1:n] / acov[0], 0.0, 1.0)
-    np.testing.assert_array_equal(rho.values, expected)
-    assert not rho.degenerate
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("basis_name", ["ofdm", "cdma"])
+@pytest.mark.parametrize("const_name", ["16-PSK", "16-QAM", "64-QAM"])
+def test_lag_correlation_matches_raw_monte_carlo(const_name, basis_name, n):
+    # the unclipped per-lag correlation of |x|^2 over 16,000 frames, with
+    # the known mean 1; the bound of 5 standard errors per lag was fixed
+    # before measuring (about 560 lags over the 12 cases)
+    const, basis = parse_constellation(const_name), parse_basis(basis_name, n)
+    frames, rng = 16_000, derive_rng(83, f"an/{const_name}/{basis_name}", n)
+    blocks = []  # per-frame circular autocovariance of the power
+    for _ in range(frames // 4000):
+        power = np.abs(synthesize(basis, draw_symbols(const, (4000, n), rng))) ** 2
+        spec = np.abs(np.fft.fft(power - 1.0, axis=-1)) ** 2
+        blocks.append(np.fft.ifft(spec, axis=-1).real / n)
+    acov = np.concatenate(blocks)
+    var = acov[:, 0].mean()
+    rho_hat = acov[:, 1:].mean(axis=0) / var
+    se = (acov[:, 1:] - rho_hat * acov[:, :1]).std(axis=0, ddof=1) / (math.sqrt(frames) * var)
+    rho = lag_correlation(const, basis)
+    assert rho < 0
+    z = np.abs(rho_hat - rho) / se
+    worst = int(z.argmax())
+    assert z[worst] < 5.0, f"lag {worst + 1}: MC {rho_hat[worst]:.5f} vs closed form {rho:.5f}"
 
 
-def test_lag_correlation_memory_does_not_grow_with_temporaries():
-    # the one-shot estimate pushed all 4096 frames through about six
-    # same-size complex temporaries (46 MB); only the 4 MB power array is
-    # held whole now
-    const, basis = parse_constellation("16-QAM"), parse_basis("ofdm", 128)
-    peak = traced_peak_bytes(lag_correlation, const, basis, 4096, derive_rng(82, "an"))
-    assert peak < 8e6
+def test_clip_weights_are_uncorrelated_for_every_psk_and_qam():
+    # the clipped correlation is 0 at every non-zero lag, so the weights
+    # there are the ones of independent envelopes
+    cfg = pa_limiter(0.0)
+    y = cfg.y
+    lone = clip_probabilities(y, 0.0)
+    for name in ("2-PSK", "8-PSK", "16-PSK", "4-QAM", "16-QAM", "64-QAM", "256-QAM"):
+        for basis in (parse_basis("ofdm", 8), parse_basis("cdma", 16), parse_basis("sc", 8)):
+            for mode in (AfMode.PERIODIC, AfMode.APERIODIC):
+                p_bb, w_mixed, w_above = _clip_weights(cfg, parse_constellation(name), basis, mode)
+                side = _lags(basis.n, mode) != 0
+                assert np.all(p_bb[side] == lone.p_below_both)
+                assert np.all(w_mixed[side] == lone.p_mixed)
+                assert np.all(w_above[side] == lone.p_above_both)
 
 
 # ------------------------------------------------------ realization algebra
@@ -238,6 +250,21 @@ def test_four_term_split_memory_is_outputs_plus_one_block():
     peak = traced_peak_bytes(bussgang_af_decompose, x, d, 0.83, None, AfMode.APERIODIC)
     outputs = 4 * (2 * n - 1) * n * 16 + (2 * n - 1) * n * 8
     assert peak < outputs + 2.5e6
+
+
+def test_four_term_split_recombined_alone_is_output_plus_blocks():
+    # the four complex terms were built up front (8.4 MB at N=256
+    # aperiodic); unread, none is built now, and the recombination holds
+    # one block of each term at a time
+    n = 256
+    const, basis = parse_constellation("16-QAM"), parse_basis("ofdm", n)
+    x = synthesize(basis, draw_symbols(const, n, derive_rng(79, "an")))
+    d = sel_amplify(x, pa_limiter(0.0)) - 0.83 * x
+    peak = traced_peak_bytes(
+        lambda: bussgang_af_decompose(x, d, 0.83, None, AfMode.APERIODIC).recombined
+    )
+    output = (2 * n - 1) * n * 8
+    assert peak < output + 1e6
 
 
 def test_split_without_distortion_collapses():
@@ -314,13 +341,13 @@ def test_iid_sidelobe_formula_against_averaged_surface():
 
 # ------------------------------------------------- conditioned zero-Doppler
 
-def _averaged_model_cut(const_name, n, pa, rho, trials, rng):
+def _averaged_model_cut(const_name, n, pa, trials, rng):
     basis = parse_basis("ofdm", n)
     const = parse_constellation(const_name)
     acc = np.zeros(2 * n - 1)
     for _ in range(trials):
         x = synthesize(basis, draw_symbols(const, (1, n), rng))[0]
-        acc += np.abs(sel_zero_doppler_cut(x, pa, rho)) ** 2
+        acc += np.abs(sel_zero_doppler_cut(x, pa, const, basis)) ** 2
     return acc / trials
 
 
@@ -329,18 +356,17 @@ def test_conditioned_cut_negligible_clipping_is_linear():
     cfg = pa_limiter(10 * math.log10(64.0))
     basis = parse_basis("ofdm", n)
     const = parse_constellation("16-QAM")
-    rho = lag_correlation(const, basis, 4000, derive_rng(42, "an"))
     x = synthesize(basis, draw_symbols(const, (1, n), derive_rng(43, "an")))[0]
-    model = sel_zero_doppler_cut(x, cfg, rho)
+    model = sel_zero_doppler_cut(x, cfg, const, basis)
     lin = cross_af(cfg.alpha * x, k_grid=1, mode=AfMode.APERIODIC)[:, 0]
     np.testing.assert_allclose(model, lin, rtol=1e-6)
 
 
-def test_conditioned_cut_requires_full_lag_table():
-    short = LagCorrelation(np.array([1.0, 0.0, 0.0]))
+def test_conditioned_cut_requires_matching_basis():
     x = np.ones(8, dtype=complex)
-    with pytest.raises(ConfigError):
-        sel_zero_doppler_cut(x, pa_limiter(0.0), short)
+    const = parse_constellation("16-QAM")
+    with pytest.raises(ConfigError, match="frames of 8 samples, basis of size 16"):
+        sel_zero_doppler_cut(x, pa_limiter(0.0), const, parse_basis("ofdm", 16))
 
 
 def test_phase_signal_maps_exact_zero_to_one(monkeypatch):
@@ -356,53 +382,52 @@ def test_phase_signal_maps_exact_zero_to_one(monkeypatch):
     np.testing.assert_allclose(phi[~zero], np.exp(1j * np.angle(u[~zero])),
                                rtol=0, atol=4 * np.finfo(float).eps)
     # the conditioned cut of such a frame is the one the angle formula gives
-    rho = LagCorrelation(np.linspace(1.0, 0.0, 9))
-    cut = sel_zero_doppler_cut(x, cfg, rho)
+    const = parse_constellation("2-PSK")
+    cut = sel_zero_doppler_cut(x, cfg, const, basis)
     monkeypatch.setattr(analytic, "_phase_signal", lambda v: np.exp(1j * np.angle(v)))
-    by_angle = sel_zero_doppler_cut(x, cfg, rho)
+    by_angle = sel_zero_doppler_cut(x, cfg, const, basis)
     assert np.all(np.isfinite(cut))
     np.testing.assert_allclose(cut, by_angle, rtol=0, atol=1e-12 * np.abs(by_angle).max())
 
 
 @pytest.mark.parametrize("mode", [AfMode.PERIODIC, AfMode.APERIODIC])
-def test_clip_weights_match_pairwise_probabilities(mode):
-    # each lag reads the correlation at its distance: |l| aperiodic, the
-    # circular min(l, n - l) periodic; a sample paired with itself is
-    # below-both exactly when it is below
+def test_clip_weights_match_pairwise_probabilities(mode, monkeypatch):
+    # lag 0 pairs a sample with itself, which is below-both exactly when it
+    # is below; every other lag reads lag_correlation, clipped to [0, 1]
     n = 12
-    rho = LagCorrelation(np.linspace(1.0, 0.0, n + 1))
+    const, basis = parse_constellation("16-QAM"), parse_basis("ofdm", n)
     lags = _lags(n, mode)
     # deep clipping at y = 1/3 and 1/2: v_sat = y at unit drive (alpha = 1)
     cfgs = (*(PaConfig(v_sat=y, ibo=y**2) for y in (1 / 3, 1 / 2)),
             pa_limiter(0.0), pa_limiter(6.0))
     assert len({cfg.y for cfg in cfgs}) == 4
-    for cfg in cfgs:
-        y = cfg.y
-        p_bb, w_mixed, w_above = _clip_weights(cfg, rho, n, mode)
-        assert p_bb.shape == lags.shape
-        for lag, got in zip(lags, zip(p_bb, w_mixed, w_above)):
-            distance = min(lag, n - lag) if mode is AfMode.PERIODIC else abs(lag)
-            if distance == 0:
-                assert got[0] == 1.0 - math.exp(-y * y)
-                assert got[1] == 0.0
-            else:
-                want = clip_probabilities(y, float(rho.values[distance]))
-                assert got == (want.p_below_both, want.p_mixed, want.p_above_both)
+    for rho, clipped in ((0.37, 0.37), (-0.2, 0.0), (1.4, 1.0)):
+        monkeypatch.setattr(analytic, "lag_correlation", lambda c, b, rho=rho: rho)
+        for cfg in cfgs:
+            y = cfg.y
+            p_bb, w_mixed, w_above = _clip_weights(cfg, const, basis, mode)
+            assert p_bb.shape == lags.shape
+            want = clip_probabilities(y, clipped)
+            for lag, got in zip(lags, zip(p_bb, w_mixed, w_above)):
+                if lag == 0:
+                    assert got[0] == 1.0 - math.exp(-y * y)
+                    assert got[1] == 0.0
+                else:
+                    assert got == (want.p_below_both, want.p_mixed, want.p_above_both)
 
 
 def _written_out_conditioned_sum(x, cfg, rho, mode, mixed_scale):
     """The four-term conditioned sum with every term spelled out: below-both
     ``sum u(p) u*(p-l)``, the one-clipped ``sum u(p) phi*(p-l)`` and
     ``sum phi(p) u(p-l)``, both-clipped ``sum phi(p) phi*(p-l)``, each
-    weighted by its pairwise probability at the lag's correlation distance
-    (``|l|`` aperiodic, ``min(l, n - l)`` periodic); ``mixed_scale``
-    multiplies the one-clipped weight."""
+    weighted by its pairwise probability at correlation 1 (lag 0) or
+    ``rho`` (every other lag); ``mixed_scale`` multiplies the one-clipped
+    weight."""
     n = x.shape[-1]
     u = cfg.alpha * x
     phi = np.exp(1j * np.angle(u))
     lags = _lags(n, mode)
-    dist = np.minimum(lags, n - lags) if mode is AfMode.PERIODIC else np.abs(lags)
-    probs = [clip_probabilities(cfg.y, float(rho.values[d])) for d in dist]
+    probs = [clip_probabilities(cfg.y, 1.0 if lag == 0 else rho) for lag in lags]
     p_bb, p_mixed, p_above = (np.array([getattr(p, f) for p in probs])
                               for f in ("p_below_both", "p_mixed", "p_above_both"))
 
@@ -422,22 +447,21 @@ def test_conditioned_models_equal_written_out_four_term_sums(n):
     # both functions correlate phi with u unconjugated (sum phi(p) u(p-l))
     const, basis = parse_constellation("16-QAM"), parse_basis("ofdm", n)
     cfg = PaConfig(1.0, 10 ** 0.1, p1db=limiter_compression_power(1.0))
-    rho = lag_correlation(const, basis, 4096, derive_rng(90, "an", n))
+    rho = max(lag_correlation(const, basis), 0.0)
     x = synthesize(basis, draw_symbols(const, (3, n), derive_rng(91, "an", n)))
     want = _written_out_conditioned_sum(x, cfg, rho, AfMode.APERIODIC, 2.0)
-    got = sel_zero_doppler_cut(x, cfg, rho)
+    got = sel_zero_doppler_cut(x, cfg, const, basis)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     trials = 70  # two chunks of sel_eisl's 64 trials, the last ragged
     for mode in (AfMode.PERIODIC, AfMode.APERIODIC):
         est = sel_eisl(cfg, const, basis, trials, derive_rng(92, "an", n), mode)
-        rng_rho, rng_mc = derive_rng(92, "an", n).spawn(2)
-        rho_mc = lag_correlation(const, basis, 4096, rng_rho)
+        _, rng_mc = derive_rng(92, "an", n).spawn(2)
         per_lag = np.zeros(_lags(n, mode).size)
         for size, r in chunk_rngs(rng_mc, trials, 64):
             frames = synthesize(basis, draw_symbols(const, (size, n), r))
-            w = _written_out_conditioned_sum(frames, cfg, rho_mc, mode, 1.0)
+            w = _written_out_conditioned_sum(frames, cfg, rho, mode, 1.0)
             per_lag += (np.abs(w) ** 2).sum(axis=0)
         per_lag /= trials
         if mode is AfMode.PERIODIC:
@@ -456,8 +480,6 @@ def test_conditioned_cut_tracks_averaged_empirical_cut():
     n = 64
     pa = pa_compression(1.0)
     basis = parse_basis("ofdm", n)
-    psk = parse_constellation("16-PSK")
-    rho = lag_correlation(psk, basis, 4000, derive_rng(61, "an"))
     mc = average_af(
         tx_generator("16-PSK", "ofdm", n, pa=pa),
         4000,
@@ -466,7 +488,7 @@ def test_conditioned_cut_tracks_averaged_empirical_cut():
         rng=derive_rng(62, "an"),
         normalize=False,
     ).values[:, 0]
-    model = _averaged_model_cut("16-PSK", n, pa, rho, 400, derive_rng(63, "an"))
+    model = _averaged_model_cut("16-PSK", n, pa, 400, derive_rng(63, "an"))
     mc_db = to_db(mc / mc.max())
     model_db = to_db(model / model.max())
     mask = mc_db > -50.0

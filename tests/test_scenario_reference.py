@@ -21,7 +21,6 @@ import csv
 import json
 import math
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -53,10 +52,7 @@ def scenario_columns(name: str, out_dir: Path, trials: int = TRIALS) -> dict[str
     """``{file/column: values}`` of one scenario run at the reference settings."""
     config = ExperimentConfig(scenario=name, seed=SEED, trials=trials,
                               out_dir=str(out_dir), **OVERRIDES.get(name, {}))
-    with warnings.catch_warnings():
-        # lag_correlation warns when it clips negative estimates
-        warnings.simplefilter("ignore", UserWarning)
-        manifest = run_scenario(config)
+    manifest = run_scenario(config)
     columns: dict[str, list] = {}
     for fname in sorted(manifest.files):
         with open(out_dir / name / fname, encoding="utf-8", newline="") as fh:
