@@ -10,23 +10,23 @@ the phase denominator is the signal length itself.  Surfaces store squared
 magnitudes.
 
 The zero-Doppler cut (``K = 1``) is a plain cross-correlation, computed by
-FFT in O(N log N) (:func:`_xcorr`).  The Monte-Carlo averaging paths and the
-conditioned analytic models go through it.  For
-``K > 1`` the delayed copies ``s*(p - l)`` are the rows of a sliding-window
-view over the conjugate, extended by its own tail (periodic) or by ``N - 1``
-zeros on each side (aperiodic), so no index table is built.  The lag
-products are folded modulo ``K`` (or zero-padded when ``K > N``) before a
-length-``K`` FFT, which reproduces the direct sum exactly for any grid size.
+FFT in O(N log N) (:func:`_xcorr`).  For ``K > 1`` the delayed copies
+``s*(p - l)`` are the rows of a sliding-window view over the conjugate,
+extended by its own tail (periodic) or by ``N - 1`` zeros on each side
+(aperiodic), so no index table is built.  The lag products are folded modulo
+``K`` (or zero-padded when ``K > N``) before a length-``K`` FFT, which
+reproduces the direct sum exactly for any grid size.
 
-A full surface is built one block of lag rows at a time (:func:`_af_blocks`):
-each block holds about ``_BLOCK_CELLS`` lag products over all batch rows (at
-least one lag row), and is folded, transformed, scaled and written into the
-output before the next is formed.  :func:`paf` and :func:`aaf` square each
-block into the float surface, and :func:`average_af` squares and sums it
-over the chunk's trials, so no surface-sized complex array is held.  The
-working set is the output plus one block, never the whole lag-product tensor.
-The FFT runs per row and every other step is elementwise, so the blocks give
-the same bits as one pass over all lags.
+Every surface is built one block of lag rows at a time (:func:`_af_blocks`).
+At ``K = 1`` the one block is the FFT correlation; otherwise each block holds
+about ``_BLOCK_CELLS`` lag products over all batch rows (at least one lag
+row), and is folded, transformed, scaled and written into the output before
+the next is formed.  :func:`paf` and :func:`aaf` square each block into the
+float surface, and :func:`average_af` squares and sums it over the chunk's
+trials, so no surface-sized complex array is held.  The working set is the
+output plus one block, never the whole lag-product tensor.  The FFT runs per
+row and every other step is elementwise, so the blocks give the same bits as
+one pass over all lags.
 """
 
 from __future__ import annotations
@@ -215,11 +215,8 @@ def cross_af(
         raise ConfigError(f"shape mismatch {u.shape} vs {v.shape}")
     n = u.shape[-1]
     k = _doppler_bins(n, k_grid)
-    blocks = _af_blocks(u, v, k, mode)
-    if k == 1:
-        return next(blocks)[1]
     out = np.empty(u.shape[:-1] + (_n_lags(n, mode), k), _af_dtype(u, v))
-    for rows, block in blocks:
+    for rows, block in _af_blocks(u, v, k, mode):
         out[..., rows, :] = block
     return out
 
@@ -263,12 +260,10 @@ def zero_delay_cut(surface: AmbiguitySurface) -> np.ndarray:
 def _mc_chunk_size(n: int, mode: AfMode, k: int) -> int:
     """Trials per averaging chunk, from the problem geometry alone.
 
-    The formula once capped the lag-product tensor of every chunk.  It bounds
-    no memory for any ``K`` now: ``K = 1`` runs through the FFT correlation
-    and ``K > 1`` surfaces are built in lag blocks.  It stays unchanged
-    because the chunk sizes fix how many streams are spawned and how many
-    trials each draws, so it only pins the RNG stream layout (and it never
-    depends on the worker count)."""
+    The formula once capped the lag-product tensor of every chunk; the lag
+    blocks bound memory now.  It stays unchanged because the chunk sizes fix
+    how many streams are spawned and how many trials each draws, so it pins
+    the RNG stream layout (and never depends on the worker count)."""
     per_trial = _n_lags(n, mode) * max(n, k)
     return max(1, min(DEFAULT_CHUNK, 4_000_000 // per_trial))
 
@@ -304,15 +299,13 @@ def average_af(
         if np.shape(batch) != (sz, n):
             raise ConfigError(f"generator(rng, {sz}) returned shape {np.shape(batch)}, "
                               f"expected {(sz, n)}")
-        if k == 1:
-            part = np.sum(np.abs(cross_af(batch, None, 1, mode)) ** 2, axis=0)
-        else:
-            part = np.empty((_n_lags(n, mode), k), np.finfo(_af_dtype(batch)).dtype)
-            # np.sum(np.abs(a) ** 2, axis=0) of each block, squared in place:
-            # small-N chunks run many blocks, so each call counts
-            for rows, block in _af_blocks(batch, batch, k, mode):
-                mag2 = np.abs(block)
-                np.add.reduce(np.square(mag2, out=mag2), axis=0, out=part[rows])
+        part = np.empty((_n_lags(n, mode), k), np.finfo(_af_dtype(batch)).dtype)
+        # np.sum(np.abs(a) ** 2, axis=0) of each block, squared in place:
+        # small-N chunks run many blocks, so each call counts
+        for rows, block in _af_blocks(batch, batch, k, mode):
+            mag2 = np.abs(block)
+            np.add.reduce(np.square(mag2, out=mag2), axis=0, out=part[rows])
+        del block, mag2  # so the next chunk is drawn without them
         accum = part if accum is None else accum + part
     values = accum / trials
 

@@ -24,11 +24,12 @@ Hadamard), every lag ``l != 0`` has covariance ``(m4 - 2)/n`` and variance
     rho = (m4 - 2) / (n + m4 - 2).
 
 Single-carrier samples are the symbols themselves, so ``rho = 0``.  Every
-PSK and square QAM has ``m4 < 2``, so ``rho`` is negative, and the clip to
-``[0, 1]`` gives the weights of uncorrelated envelopes.  2-PSK is the one
-non-circular case (``E X^2 != 0``): its covariance also depends on
-``p + q``, and averaged over ``p`` it is ``-2/n`` at odd lags and 0 at even
-lags on OFDM.  It is never positive, so the clipped weights are the same.
+PSK and square QAM has ``m4 <= 7/5``, so ``rho <= 0`` always, and clipped
+to the model's ``[0, 1]`` the envelopes of every non-zero lag are those of
+independent samples (:func:`_clip_weights`).  2-PSK is the one non-circular
+case (``E X^2 != 0``): its covariance also depends on ``p + q``, and
+averaged over ``p`` it is ``-2/n`` at odd lags and 0 at even lags on OFDM.
+It is never positive either, so the weights are the same.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from .seeding import chunk_rngs
 from .signaling import BasisKind, ConstellationSpec, SignalingBasis, draw_symbols, synthesize
 
 _THETA_POINTS = 4096
-# correlations per block of the quadrature grid: about 0.5 MB per temporary
-_THETA_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -68,77 +67,45 @@ class ClipProbabilities:
         return abs(self.p_below_both + 2 * self.p_mixed + self.p_above_both - 1.0)
 
 
-def _below_integral(y: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over theta of exp(-y^2 [1 + (1-rho)/(1 + 2 sqrt(rho) sin t + rho)]).
-
-    Uniform-grid trapezoid on a smooth periodic integrand, evaluated for a
-    vector of rho values in blocks of rows.  Returns the means on the
-    ``_THETA_POINTS`` grid and on the doubled grid; the former are the even
-    points of the latter, so each integrand is evaluated once.
-    """
-    theta = np.linspace(-np.pi, np.pi, 2 * _THETA_POINTS, endpoint=False)
-    sin = np.sin(theta)[None, :]
-    coarse, fine = np.empty(rho.shape), np.empty(rho.shape)
-    for start in range(0, rho.size, _THETA_BLOCK_ROWS):
-        rows = slice(start, start + _THETA_BLOCK_ROWS)
-        r = rho[rows, None]
-        denom = 1.0 + 2.0 * np.sqrt(r) * sin + r
-        vals = np.exp(-(y * y) * (1.0 + (1.0 - r) / denom))
-        coarse[rows] = vals[:, ::2].mean(axis=1)
-        fine[rows] = vals.mean(axis=1)
-    return coarse, fine
-
-
-def _joint_below_vector(y: float, rho: np.ndarray) -> np.ndarray:
-    """``P(both samples below the threshold)`` for an array of lag
-    correlations, with a grid-doubling accuracy check.
-
-    Each distinct correlation is integrated once: lag grids repeat most of
-    their values (``|l|`` and ``min(l, n - l)``)."""
-    rho = np.asarray(rho, dtype=float)
-    if y <= 0:
-        raise ConfigError(f"normalized threshold must be positive, got {y}")
-    if np.any((rho < 0) | (rho > 1)):
-        raise ConfigError("lag correlation must lie in [0, 1]")
-    out = np.empty_like(rho)
-    exact = rho >= 1.0 - 1e-12
-    out[exact] = 1.0 - math.exp(-y * y)
-    rest = ~exact
-    if np.any(rest):
-        distinct, inverse = np.unique(rho[rest], return_inverse=True)
-        coarse, fine = _below_integral(y, distinct)
-        defect = float(np.max(np.abs(fine - coarse)))
-        if defect > 1e-9:
-            raise NumericError(
-                f"envelope-pair integral did not converge: grid-doubling "
-                f"changed the result by {defect:.3e} (y={y})"
-            )
-        out[rest] = 1.0 - 2.0 * math.exp(-y * y) + fine[inverse]
-    return out
-
-
 def joint_below_prob(y: float, rho: float) -> float:
     """Probability that a sample and its lag-``rho``-correlated partner both
-    stay below the clipping threshold ``y`` (envelopes jointly Rayleigh)."""
-    return float(_joint_below_vector(y, np.array([rho]))[0])
+    stay below the clipping threshold ``y`` (envelopes jointly Rayleigh).
+
+    A uniform-grid trapezoid, over theta, of the smooth periodic integrand
+    ``exp(-y^2 [1 + (1-rho)/(1 + 2 sqrt(rho) sin t + rho)])``; its mean on
+    the ``_THETA_POINTS`` grid (the even points) must match the doubled grid.
+    """
+    if not y > 0:
+        raise ConfigError(f"normalized threshold must be positive, got {y}")
+    if not 0.0 <= rho <= 1.0:
+        raise ConfigError(f"lag correlation must lie in [0, 1], got {rho}")
+    if rho >= 1.0 - 1e-12:
+        return 1.0 - math.exp(-y * y)
+    sin = np.sin(np.linspace(-np.pi, np.pi, 2 * _THETA_POINTS, endpoint=False))
+    vals = np.exp(-(y * y) * (1.0 + (1.0 - rho) / (1.0 + 2.0 * math.sqrt(rho) * sin + rho)))
+    fine = float(vals.mean())
+    defect = abs(fine - float(vals[::2].mean()))
+    if defect > 1e-9:
+        raise NumericError(
+            f"envelope-pair integral did not converge: grid-doubling "
+            f"changed the result by {defect:.3e} (y={y})"
+        )
+    return 1.0 - 2.0 * math.exp(-y * y) + fine
 
 
 def clip_probabilities(y: float, rho: float) -> ClipProbabilities:
     """All four pairwise clipping probabilities at one lag."""
     p_bb = joint_below_prob(y, rho)
     p_below = 1.0 - math.exp(-y * y)
-    p_mixed = p_below - p_bb
-    p_above_both = 1.0 - 2.0 * p_below + p_bb
-    return ClipProbabilities(p_below_both=p_bb, p_mixed=p_mixed, p_above_both=p_above_both)
+    return ClipProbabilities(p_bb, p_below - p_bb, 1.0 - 2.0 * p_below + p_bb)
 
 
 def lag_correlation(constellation: ConstellationSpec, basis: SignalingBasis) -> float:
     """Correlation of the squared envelopes ``|x(p)|^2`` and ``|x(p - l)|^2``
     at every lag ``l != 0``, in closed form: ``(m4 - 2) / (n + m4 - 2)``
     with ``m4 = E|X|^4`` of the unit-power constellation, and 0 on the
-    single-carrier basis (and without a non-zero lag, ``n = 1``).
-
-    Not clipped; :func:`_clip_weights` clips it to ``[0, 1]``.
+    single-carrier basis (and without a non-zero lag, ``n = 1``).  Never
+    positive for a PSK or square QAM (see the module docstring).
     """
     if basis.kind is BasisKind.SC_IDENTITY or basis.n < 2:
         return 0.0
@@ -246,16 +213,14 @@ def _phase_signal(u: np.ndarray) -> np.ndarray:
     return np.divide(u, magnitude, out=np.ones(u.shape, complex), where=magnitude != 0)
 
 
-def _clip_weights(cfg: PaConfig, constellation: ConstellationSpec, basis: SignalingBasis,
-                  mode: AfMode):
+def _clip_weights(cfg: PaConfig, n: int, mode: AfMode):
     """Per-lag weights (both-below, one-clipped, both-clipped) on the mode's
-    lag axis of ``basis.n`` samples.  Lag 0 has correlation 1; every other
-    lag has :func:`lag_correlation`, clipped to ``[0, 1]``."""
-    lags = _lags(basis.n, mode)
-    rho = np.clip(lag_correlation(constellation, basis), 0.0, 1.0)
+    lag axis of ``n`` samples.  Lag 0 pairs a sample with itself, so both are
+    below with ``p_b = 1 - e^{-y^2}``; every other lag correlates at most 0
+    (:func:`lag_correlation`), so its envelopes are independent: ``p_b^2``."""
     y = cfg.y
-    p_bb = _joint_below_vector(y, np.where(lags == 0, 1.0, rho))
     p_below = 1.0 - math.exp(-y * y)
+    p_bb = np.where(_lags(n, mode) == 0, p_below, p_below * p_below)
     return p_bb, p_below - p_bb, 1.0 - 2.0 * p_below + p_bb
 
 
@@ -280,24 +245,20 @@ def _conditioned_cut(x: np.ndarray, cfg: PaConfig, weights, mode: AfMode) -> np.
     ) / math.sqrt(x.shape[-1])
 
 
-def sel_zero_doppler_cut(
-    x: np.ndarray, cfg: PaConfig, constellation: ConstellationSpec, basis: SignalingBasis
-) -> np.ndarray:
+def sel_zero_doppler_cut(x: np.ndarray, cfg: PaConfig) -> np.ndarray:
     """Clipping-conditioned model of the aperiodic zero-Doppler cut.
 
-    Evaluates, for the pre-amplifier realization ``x`` of ``constellation``
-    symbols over ``basis`` (batches allowed on leading axes), the
-    probability-weighted combination of the undistorted autocorrelation, the
-    pair of one-sample-clipped cross sums, and the both-clipped phase sum
+    Evaluates, for the pre-amplifier realization ``x`` of unit-power PSK or
+    QAM symbols (batches allowed on leading axes), the probability-weighted
+    combination of the undistorted autocorrelation, the pair of
+    one-sample-clipped cross sums, and the both-clipped phase sum
     (:func:`_conditioned_cut`).  Lag axis: ``1-n..n-1``.
 
     Known faults: the one-clipped weight is doubled here, so the weights sum
     to ``p_bb + 4 p_mixed + p_above``, not 1; and the kernel's second cross
     sum lacks a conjugate (see :func:`_conditioned_cut`).
     """
-    if x.shape[-1] != basis.n:
-        raise ConfigError(f"frames of {x.shape[-1]} samples, basis of size {basis.n}")
-    p_bb, w_mixed, w_above = _clip_weights(cfg, constellation, basis, AfMode.APERIODIC)
+    p_bb, w_mixed, w_above = _clip_weights(cfg, x.shape[-1], AfMode.APERIODIC)
     return _conditioned_cut(x, cfg, (p_bb, 2.0 * w_mixed, w_above), AfMode.APERIODIC)
 
 
@@ -334,7 +295,7 @@ def sel_eisl(
     # the first child once drew the Monte-Carlo lag correlation; spawning
     # both keeps the frames' stream
     _, rng_mc = rng.spawn(2)
-    weights = _clip_weights(cfg, constellation, basis, mode)
+    weights = _clip_weights(cfg, n, mode)
     accum = np.zeros(weights[0].shape[0])
     for sz, r in chunk_rngs(rng_mc, trials, max(1, min(64, 2_000_000 // (4 * n)))):
         x = synthesize(basis, draw_symbols(constellation, (sz, n), r))

@@ -12,6 +12,7 @@ form survives only as a slow oracle in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class Target:
     doppler: float = 0.0
 
     def __post_init__(self):
-        if abs(self.b) <= 0:
-            raise ConfigError("target gain must be non-zero")
+        if not 0 < abs(self.b) < math.inf:
+            raise ConfigError(f"target gain must be non-zero and finite, got {self.b}")
         if self.delay < 0:
             raise ConfigError(f"target delay must be non-negative, got {self.delay}")
 
@@ -44,14 +45,14 @@ class ChannelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        if self.noise_var < 0:
-            raise ConfigError(f"noise variance must be non-negative, got {self.noise_var}")
+        if not 0 <= self.noise_var < math.inf:
+            raise ConfigError(f"noise variance must be finite and >= 0, got {self.noise_var}")
 
 
 def add_noise(signal: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. circular complex Gaussian noise of the given variance to a copy."""
-    if noise_var < 0:
-        raise ConfigError(f"noise variance must be non-negative, got {noise_var}")
+    if not 0 <= noise_var < math.inf:
+        raise ConfigError(f"noise variance must be finite and >= 0, got {noise_var}")
     out = signal.astype(np.result_type(signal, 1j))
     if noise_var > 0:
         _add_noise(out, noise_var, rng)

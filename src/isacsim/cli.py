@@ -8,6 +8,7 @@ success, 2 for configuration problems, 3 for numeric failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -20,11 +21,12 @@ from .experiments import (
     _pd_columns,
     _tx_generator,
     _write_csv,
+    calibrated_cfar,
     list_scenarios,
     periodogram_table,
     run_scenario,
 )
-from .pa import PaConfig, limiter_compression_power
+from .pa import PaConfig
 from .seeding import DEFAULT_SEED, derive_rng
 from .signaling import FrameConfig, parse_basis, parse_constellation
 
@@ -70,18 +72,13 @@ def _cmd_calibrate_cfar(args) -> int:
     return 0
 
 
-def _pa_from_args(args) -> PaConfig:
-    p1db = limiter_compression_power(1.0) if args.compression else None
-    return PaConfig(v_sat=1.0, ibo=10.0 ** (args.ibo_db / 10.0), p1db=p1db)
-
-
 def _pipeline_from_args(args, **fields) -> PdPipeline:
     """OFDM sensing chain of the ``pd-curve`` and ``periodogram`` commands."""
     return PdPipeline(
         constellation=parse_constellation(args.constellation),
         basis=parse_basis("ofdm", args.n),
         frame=FrameConfig(n=args.n, m=args.m, cp_len=args.cp),
-        pa=_pa_from_args(args),
+        pa=PaConfig.at_backoff_db(args.ibo_db, args.compression),
         targets=DEFAULT_TARGETS,
         linear=args.linear,
         **fields,
@@ -91,7 +88,7 @@ def _pipeline_from_args(args, **fields) -> PdPipeline:
 def _cmd_af_cut(args) -> int:
     const = parse_constellation(args.constellation)
     basis = parse_basis(args.basis, args.n)
-    pa = None if args.linear else _pa_from_args(args)
+    pa = None if args.linear else PaConfig.at_backoff_db(args.ibo_db, args.compression)
     gen = _tx_generator(const, basis, pa)
     mode = AfMode.PERIODIC if args.mode == "periodic" else AfMode.APERIODIC
     rng = derive_rng(args.seed, "cli/af-cut")
@@ -106,18 +103,14 @@ def _cmd_af_cut(args) -> int:
 
 def _cmd_pd_curve(args) -> int:
     try:
-        grid = [float(v) for v in args.snr_db_grid.split(",")]
-    except ValueError as exc:
+        grid = [_finite_float(v) for v in args.snr_db_grid.split(",")]
+    except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"bad --snr-db-grid {args.snr_db_grid!r}: {exc}") from exc
     rng = derive_rng(args.seed, "cli/pd-curve")
-    if args.factor is not None:
-        factor = args.factor
-    else:
-        # calibrated on cuts as long as the n-bin range cuts it detects on
-        factor = calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS,
-                                derive_rng(args.seed, "cli/pd-curve/cal"), cut_len=args.n)
-    pipeline = _pipeline_from_args(args, cfar=CfarConfig(factor=factor),
-                                   distortion_limited=args.distortion_limited)
+    # without --factor, calibrated on cuts as long as the n-bin range cuts it detects on
+    cfar = (CfarConfig(factor=args.factor) if args.factor is not None
+            else calibrated_cfar(derive_rng(args.seed, "cli/pd-curve/cal"), args.n))
+    pipeline = _pipeline_from_args(args, cfar=cfar, distortion_limited=args.distortion_limited)
     curve = pd_experiment(pipeline, grid, args.trials, rng, workers=args.workers)
     _write_csv(Path(args.out), _pd_columns(curve))
     print(f"wrote {args.out}")
@@ -132,8 +125,18 @@ def _cmd_periodogram(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float option: a finite number, never nan or inf."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _add_pa_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ibo-db", type=float, default=1.0, help="input back-off in dB")
+    p.add_argument("--ibo-db", type=_finite_float, default=1.0, help="input back-off in dB")
     p.add_argument("--compression", action=argparse.BooleanOptionalAction, default=True,
                    help="reference back-off to the 1 dB compression point")
     p.add_argument("--linear", action="store_true", help="bypass the clipper")
@@ -163,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate-cfar", help="calibrate the SO-CFAR threshold factor")
     p.add_argument("--window", type=int, default=16)
     p.add_argument("--guard", type=int, default=2)
-    p.add_argument("--pfa", type=float, default=1e-4)
+    p.add_argument("--pfa", type=_finite_float, default=1e-4)
     p.add_argument("--trials", type=int, default=DEFAULT_CAL_CELLS, help="cell tests")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_calibrate_cfar)
@@ -189,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--factor", type=float, help="skip calibration, use this factor")
+    p.add_argument("--factor", type=_finite_float, help="skip calibration, use this factor")
     p.add_argument("--distortion-limited", action="store_true")
     p.add_argument("--out", default="pd_curve.csv")
     _add_pa_args(p)
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--cp", type=int, default=16)
-    p.add_argument("--snr-db", type=float, default=20.0)
+    p.add_argument("--snr-db", type=_finite_float, default=20.0)
     p.add_argument("--n-per", type=int, default=None)
     p.add_argument("--m-per", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

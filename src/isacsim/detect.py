@@ -84,8 +84,8 @@ class CfarConfig:
             raise ConfigError(f"guard cells must be >= 0, got {self.guard}")
         if not 0.0 < self.p_fa < 1.0:
             raise ConfigError(f"target false-alarm probability must be in (0,1), got {self.p_fa}")
-        if self.factor is not None and self.factor <= 0:
-            raise ConfigError(f"threshold factor must be positive, got {self.factor}")
+        if self.factor is not None and not 0 < self.factor < math.inf:
+            raise ConfigError(f"threshold factor must be positive and finite, got {self.factor}")
 
 
 @dataclass

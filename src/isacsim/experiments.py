@@ -45,7 +45,6 @@ from .pa import (
     PaConfig,
     estimate_bussgang,
     kappa_gaussian,
-    limiter_compression_power,
     output_power_gaussian,
     sel_amplify,
 )
@@ -68,14 +67,14 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 #: ``key: (check, what the check asks for)`` of each scalar config field.
 _SCALAR_KEYS = {
     **dict.fromkeys(("seed", "trials", "workers", "n", "m", "cp_len", "n_per", "m_per"),
                     (_is_int, "an integer")),
-    "ibo_db": (_is_real, "a number"),
+    "ibo_db": (_is_real, "a finite number"),
     **dict.fromkeys(("scenario", "out_dir", "constellation", "basis"),
                     (lambda v: isinstance(v, str) and v != "", "a non-empty string")),
     "plots": (lambda v: isinstance(v, bool), "true or false"),
@@ -90,8 +89,8 @@ def _parse_targets(entries) -> tuple[Target, ...]:
         valid = (isinstance(t, dict) and {"b", "delay"} <= t.keys() <= {"b", "delay", "doppler"}
                  and _is_real(t["b"]) and _is_int(t["delay"]) and _is_real(t.get("doppler", 0.0)))
         if not valid:
-            raise ConfigError(f"each target needs a numeric b, an integer delay and an "
-                              f"optional numeric doppler, got {t!r}")
+            raise ConfigError(f"each target needs a finite b, an integer delay and an "
+                              f"optional finite doppler, got {t!r}")
         targets.append(Target(b=t["b"], delay=t["delay"], doppler=t.get("doppler", 0.0)))
     return tuple(targets)
 
@@ -142,7 +141,7 @@ class ExperimentConfig:
         if grid is not None:
             if (not isinstance(grid, (list, tuple)) or not grid
                     or not all(_is_real(v) for v in grid)):
-                raise ConfigError(f"snr_db_grid must be a non-empty list of numbers, got {grid!r}")
+                raise ConfigError(f"snr_db_grid must list one or more finite numbers, got {grid!r}")
             data["snr_db_grid"] = tuple(float(v) for v in grid)
         try:
             return cls(**data)
@@ -277,14 +276,9 @@ class RunContext:
         )
 
     def pa(self, ibo_db: float, compression: bool = True) -> PaConfig:
-        """Amplifier at the given back-off.
-
-        ``compression`` references the back-off to the 1 dB compression
-        point of the limiter; otherwise to the saturation power itself.
-        """
-        ibo = 10.0 ** (self.setting("ibo_db", ibo_db) / 10.0)
-        return PaConfig(v_sat=1.0, ibo=ibo,
-                        p1db=limiter_compression_power(1.0) if compression else None)
+        """Amplifier at the configured back-off, else at ``ibo_db``
+        (:meth:`~isacsim.pa.PaConfig.at_backoff_db`)."""
+        return PaConfig.at_backoff_db(self.setting("ibo_db", ibo_db), compression)
 
     def constellation(self, default: str) -> ConstellationSpec:
         return parse_constellation(self.config.constellation or default)
@@ -303,7 +297,7 @@ class RunContext:
         return np.asarray(self.setting("snr_db_grid", default))
 
     def cfar(self, frame: FrameConfig) -> CfarConfig:
-        """Default SO-CFAR with its factor calibrated on this run's streams.
+        """:func:`calibrated_cfar` on this run's streams.
 
         Only the scenarios that detect on the zero-Doppler range cut use it,
         and the calibration cuts are as long as that cut: ``n_per`` bins when
@@ -313,9 +307,14 @@ class RunContext:
         cut_len = self.setting("n_per", frame.n)
         if cut_len < frame.n:
             raise ConfigError(f"range grid of {cut_len} bins must cover the {frame.n} subcarriers")
-        factor = calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS, self.rng("cfar-calibration"),
-                                cut_len=cut_len)
-        return CfarConfig(factor=factor)
+        return calibrated_cfar(self.rng("cfar-calibration"), cut_len)
+
+
+def calibrated_cfar(rng: np.random.Generator, cut_len: int) -> CfarConfig:
+    """Default SO-CFAR with its factor calibrated on ``DEFAULT_CAL_CELLS``
+    cells of ``rng``, drawn as cuts of ``cut_len`` cells."""
+    return CfarConfig(factor=calibrate_cfar(CfarConfig(), DEFAULT_CAL_CELLS, rng,
+                                            cut_len=cut_len))
 
 
 def _tx_generator(constellation: ConstellationSpec, basis: SignalingBasis,
@@ -408,9 +407,9 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
         synthesize(basis, draw_symbols(const, n, r))
         for _, r in chunk_rngs(ctx.rng("conditioned"), cond_trials, 1)
     ])
-    # one batched call: the clip weights depend on (pa, const, basis) only;
-    # rows are summed one by one in trial order (np.sum would pair them differently)
-    cond = np.abs(sel_zero_doppler_cut(xs, pa, const, basis)) ** 2
+    # one batched call: the clip weights depend on (pa, n) only; rows are
+    # summed one by one in trial order (np.sum would pair them differently)
+    cond = np.abs(sel_zero_doppler_cut(xs, pa)) ** 2
     acc = np.zeros(2 * n - 1)
     for row in cond:
         acc += row

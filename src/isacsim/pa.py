@@ -39,7 +39,7 @@ def backoff_coefficient(p1db: float, ibo: float) -> float:
     boundary).  A coefficient above 1 would push the mean input power past
     the compression reference, which is rejected as a configuration error.
     """
-    if p1db <= 0 or ibo <= 0:
+    if not (0 < p1db < math.inf and 0 < ibo < math.inf):
         raise ConfigError(f"backoff inputs must be positive (p1db={p1db}, ibo={ibo})")
     alpha = math.sqrt(p1db / ibo)
     if alpha > 1.0 + 1e-12:
@@ -60,8 +60,8 @@ def limiter_compression_power(v_sat: float) -> float:
     the normalized clipping threshold come out as ``Y**2 = IBO / 10**0.1``
     (so an IBO of 1 dB puts ``Y`` exactly at 1).
     """
-    if v_sat <= 0:
-        raise ConfigError(f"saturation amplitude must be positive, got {v_sat}")
+    if not 0 < v_sat < math.inf:
+        raise ConfigError(f"saturation amplitude must be positive and finite, got {v_sat}")
     return v_sat * v_sat * 10.0 ** 0.1
 
 
@@ -80,13 +80,20 @@ class PaConfig:
     alpha: float = field(init=False)
 
     def __post_init__(self):
-        if self.v_sat <= 0:
-            raise ConfigError(f"saturation amplitude must be positive, got {self.v_sat}")
-        if self.ibo <= 0:
-            raise ConfigError(f"IBO must be a positive linear ratio, got {self.ibo}")
+        if not 0 < self.v_sat < math.inf:
+            raise ConfigError(f"saturation amplitude must be positive and finite, got {self.v_sat}")
+        if not 0 < self.ibo < math.inf:
+            raise ConfigError(f"IBO must be a positive, finite linear ratio, got {self.ibo}")
         p1db = self.v_sat**2 if self.p1db is None else self.p1db
         object.__setattr__(self, "p1db", p1db)
         object.__setattr__(self, "alpha", backoff_coefficient(p1db, self.ibo))
+
+    @classmethod
+    def at_backoff_db(cls, ibo_db: float, compression: bool = True) -> PaConfig:
+        """Unit-saturation amplifier at ``ibo_db`` of input back-off from the
+        limiter's 1 dB compression point (else from the saturation power)."""
+        return cls(v_sat=1.0, ibo=10.0 ** (ibo_db / 10.0),
+                   p1db=limiter_compression_power(1.0) if compression else None)
 
     @property
     def y(self) -> float:

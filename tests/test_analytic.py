@@ -25,7 +25,6 @@ from isacsim import ambiguity, analytic
 from isacsim.ambiguity import AfMode, _lags, cross_af
 from isacsim.analytic import (
     _clip_weights,
-    _joint_below_vector,
     bussgang_af_decompose,
     expected_zero_doppler_bussgang,
     sel_eisl,
@@ -66,27 +65,11 @@ def test_fully_correlated_pair_collapses_to_marginal():
         )
 
 
-def test_joint_below_vector_on_repeated_correlations_matches_per_value_loop():
-    # lag grids repeat their correlations; each distinct one is integrated
-    # once, and every entry must equal the value it gets on its own
-    distinct = np.linspace(0.0, 0.9, 17)
-    rho = np.concatenate([distinct, distinct[::-1], [1.0, 0.3, 0.3, 0.0]])
-    expected = np.array([joint_below_prob(1.1, float(r)) for r in rho])
-    np.testing.assert_array_equal(_joint_below_vector(1.1, rho), expected)
-
-
 def test_joint_below_prob_raises_when_grid_doubling_disagrees():
     # just below the exact-collapse cut-off the integrand is too sharply
     # peaked for the theta grid, and doubling the grid shows it
     with pytest.raises(NumericError, match="did not converge"):
         joint_below_prob(1.0, 0.999999)
-
-
-def test_joint_below_vector_memory_bounded_on_aperiodic_lags():
-    # 255 aperiodic lags on the doubled theta grid take 17 MB per temporary
-    # when integrated all at once
-    rho = np.linspace(0.0, 0.9, 128)[np.abs(np.arange(-127, 128))]
-    assert traced_peak_bytes(_joint_below_vector, 1.1, rho) < 4e6
 
 
 def test_weight_triple_at_unit_threshold():
@@ -168,20 +151,42 @@ def test_lag_correlation_matches_raw_monte_carlo(const_name, basis_name, n):
     assert z[worst] < 5.0, f"lag {worst + 1}: MC {rho_hat[worst]:.5f} vs closed form {rho:.5f}"
 
 
+@pytest.mark.parametrize("name", [*(f"{2 ** b}-PSK" for b in range(1, 11)),
+                                  *(f"{4 ** b}-QAM" for b in range(1, 6))])
+def test_lag_correlation_is_negative_for_every_psk_and_square_qam(name):
+    # the fact behind the closed-form clip weights: no PSK or square QAM up
+    # to order 1024 correlates its squared envelopes positively at any lag
+    const = parse_constellation(name)
+    for n in (2, 8, 64, 1024):
+        for basis in ("ofdm", "cdma"):
+            assert lag_correlation(const, parse_basis(basis, n)) < 0
+        assert lag_correlation(const, parse_basis("sc", n)) == 0
+
+
 def test_clip_weights_are_uncorrelated_for_every_psk_and_qam():
-    # the clipped correlation is 0 at every non-zero lag, so the weights
-    # there are the ones of independent envelopes
-    cfg = pa_limiter(0.0)
-    y = cfg.y
-    lone = clip_probabilities(y, 0.0)
-    for name in ("2-PSK", "8-PSK", "16-PSK", "4-QAM", "16-QAM", "64-QAM", "256-QAM"):
-        for basis in (parse_basis("ofdm", 8), parse_basis("cdma", 16), parse_basis("sc", 8)):
-            for mode in (AfMode.PERIODIC, AfMode.APERIODIC):
-                p_bb, w_mixed, w_above = _clip_weights(cfg, parse_constellation(name), basis, mode)
-                side = _lags(basis.n, mode) != 0
-                assert np.all(p_bb[side] == lone.p_below_both)
-                assert np.all(w_mixed[side] == lone.p_mixed)
-                assert np.all(w_above[side] == lone.p_above_both)
+    # the clipped correlation is 0 at every non-zero lag, so the closed-form
+    # weights there are the quadrature oracle's at rho = 0; lag 0 pairs a
+    # sample with itself, which is below-both exactly when it is below.
+    # Deep clipping at y = 1/3 and 1/2: v_sat = y at unit drive (alpha = 1)
+    cfgs = (*(PaConfig(v_sat=y, ibo=y**2) for y in (1 / 3, 1 / 2)),
+            pa_limiter(0.0), pa_limiter(6.0), pa_limiter(15.0))
+    assert len({cfg.y for cfg in cfgs}) == 5
+    for cfg in cfgs:
+        y = cfg.y
+        zero = clip_probabilities(y, 1.0)
+        for name in ("2-PSK", "8-PSK", "16-PSK", "4-QAM", "16-QAM", "64-QAM", "256-QAM"):
+            for basis in (parse_basis("ofdm", 8), parse_basis("cdma", 16), parse_basis("sc", 8)):
+                side = clip_probabilities(y, max(lag_correlation(parse_constellation(name), basis),
+                                                 0.0))
+                for mode in (AfMode.PERIODIC, AfMode.APERIODIC):
+                    weights = _clip_weights(cfg, basis.n, mode)
+                    lags = _lags(basis.n, mode)
+                    assert [w[lags == 0][0] for w in weights] == [
+                        1.0 - math.exp(-y * y), 0.0, zero.p_above_both]
+                    want = (side.p_below_both, side.p_mixed, side.p_above_both)
+                    for got, value in zip(weights, want):
+                        assert got.shape == lags.shape
+                        np.testing.assert_allclose(got[lags != 0], value, rtol=0, atol=1e-15)
 
 
 # ------------------------------------------------------ realization algebra
@@ -347,7 +352,7 @@ def _averaged_model_cut(const_name, n, pa, trials, rng):
     acc = np.zeros(2 * n - 1)
     for _ in range(trials):
         x = synthesize(basis, draw_symbols(const, (1, n), rng))[0]
-        acc += np.abs(sel_zero_doppler_cut(x, pa, const, basis)) ** 2
+        acc += np.abs(sel_zero_doppler_cut(x, pa)) ** 2
     return acc / trials
 
 
@@ -357,16 +362,9 @@ def test_conditioned_cut_negligible_clipping_is_linear():
     basis = parse_basis("ofdm", n)
     const = parse_constellation("16-QAM")
     x = synthesize(basis, draw_symbols(const, (1, n), derive_rng(43, "an")))[0]
-    model = sel_zero_doppler_cut(x, cfg, const, basis)
+    model = sel_zero_doppler_cut(x, cfg)
     lin = cross_af(cfg.alpha * x, k_grid=1, mode=AfMode.APERIODIC)[:, 0]
     np.testing.assert_allclose(model, lin, rtol=1e-6)
-
-
-def test_conditioned_cut_requires_matching_basis():
-    x = np.ones(8, dtype=complex)
-    const = parse_constellation("16-QAM")
-    with pytest.raises(ConfigError, match="frames of 8 samples, basis of size 16"):
-        sel_zero_doppler_cut(x, pa_limiter(0.0), const, parse_basis("ofdm", 16))
 
 
 def test_phase_signal_maps_exact_zero_to_one(monkeypatch):
@@ -382,38 +380,11 @@ def test_phase_signal_maps_exact_zero_to_one(monkeypatch):
     np.testing.assert_allclose(phi[~zero], np.exp(1j * np.angle(u[~zero])),
                                rtol=0, atol=4 * np.finfo(float).eps)
     # the conditioned cut of such a frame is the one the angle formula gives
-    const = parse_constellation("2-PSK")
-    cut = sel_zero_doppler_cut(x, cfg, const, basis)
+    cut = sel_zero_doppler_cut(x, cfg)
     monkeypatch.setattr(analytic, "_phase_signal", lambda v: np.exp(1j * np.angle(v)))
-    by_angle = sel_zero_doppler_cut(x, cfg, const, basis)
+    by_angle = sel_zero_doppler_cut(x, cfg)
     assert np.all(np.isfinite(cut))
     np.testing.assert_allclose(cut, by_angle, rtol=0, atol=1e-12 * np.abs(by_angle).max())
-
-
-@pytest.mark.parametrize("mode", [AfMode.PERIODIC, AfMode.APERIODIC])
-def test_clip_weights_match_pairwise_probabilities(mode, monkeypatch):
-    # lag 0 pairs a sample with itself, which is below-both exactly when it
-    # is below; every other lag reads lag_correlation, clipped to [0, 1]
-    n = 12
-    const, basis = parse_constellation("16-QAM"), parse_basis("ofdm", n)
-    lags = _lags(n, mode)
-    # deep clipping at y = 1/3 and 1/2: v_sat = y at unit drive (alpha = 1)
-    cfgs = (*(PaConfig(v_sat=y, ibo=y**2) for y in (1 / 3, 1 / 2)),
-            pa_limiter(0.0), pa_limiter(6.0))
-    assert len({cfg.y for cfg in cfgs}) == 4
-    for rho, clipped in ((0.37, 0.37), (-0.2, 0.0), (1.4, 1.0)):
-        monkeypatch.setattr(analytic, "lag_correlation", lambda c, b, rho=rho: rho)
-        for cfg in cfgs:
-            y = cfg.y
-            p_bb, w_mixed, w_above = _clip_weights(cfg, const, basis, mode)
-            assert p_bb.shape == lags.shape
-            want = clip_probabilities(y, clipped)
-            for lag, got in zip(lags, zip(p_bb, w_mixed, w_above)):
-                if lag == 0:
-                    assert got[0] == 1.0 - math.exp(-y * y)
-                    assert got[1] == 0.0
-                else:
-                    assert got == (want.p_below_both, want.p_mixed, want.p_above_both)
 
 
 def _written_out_conditioned_sum(x, cfg, rho, mode, mixed_scale):
@@ -450,7 +421,7 @@ def test_conditioned_models_equal_written_out_four_term_sums(n):
     rho = max(lag_correlation(const, basis), 0.0)
     x = synthesize(basis, draw_symbols(const, (3, n), derive_rng(91, "an", n)))
     want = _written_out_conditioned_sum(x, cfg, rho, AfMode.APERIODIC, 2.0)
-    got = sel_zero_doppler_cut(x, cfg, const, basis)
+    got = sel_zero_doppler_cut(x, cfg)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 

@@ -262,11 +262,11 @@ def test_csv_is_parseable(small_run):
             float(cell)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_distortion_power_without_clipping_reads_the_db_floor(tmp_path):
     # constant-envelope single-carrier 16-PSK frames below the saturation
     # level never clip, so their distortion power is 0 or rounding residue:
-    # the column reads the -100 dB floor, with no log10(0) warning or -inf
+    # the column reads the -100 dB floor, with no log10(0) warning (an error
+    # under the suite's filterwarnings) or -inf
     manifest = run_scenario(ExperimentConfig(scenario="fig-distortion-power", trials=20,
                                              basis="sc", out_dir=str(tmp_path)))
     (name,) = manifest.files
@@ -640,3 +640,91 @@ def test_cli_periodogram(tmp_path):
     assert code == 0
     rows = list(csv.reader(open(out, newline="")))
     assert len(rows) > 64 * 4
+
+
+# -------------------------------------------------------- non-finite numbers
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _config_case(key, settings):
+    """A ``run`` of fig-periodogram-pair, which declares every numeric
+    setting, with the config ``settings(value)``; JSON's ``NaN`` and
+    ``Infinity`` parse as floats."""
+    def argv(tmp_path, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"trials": 5, "out_dir": str(tmp_path),
+                                        **settings(value)}))
+        return ["run", "fig-periodogram-pair", "--config", str(cfg_file)]
+    return key, argv
+
+
+def _flag_case(command, args, flag):
+    """``command`` with quick ``args`` and ``flag=value``; a grid gets the
+    value as its second entry."""
+    def argv(tmp_path, value):
+        text = f"10,{value}" if flag == "--snr-db-grid" else str(value)
+        out = [] if command == "calibrate-cfar" else ["--out", str(tmp_path / "out.csv")]
+        return [command, *args, *out, f"{flag}={text}"]
+    return flag, argv
+
+
+#: ``(name the error must give, argv builder)`` for every numeric config
+#: field and every float option of the CLI.
+NON_FINITE_INPUTS = [
+    *(_config_case(key, lambda v, key=key: {key: v})
+      for key in ("seed", "trials", "workers", "n", "m", "cp_len", "n_per", "m_per", "ibo_db")),
+    _config_case("snr_db_grid", lambda v: {"snr_db_grid": [v]}),
+    _config_case("target", lambda v: {"targets": [{"b": v, "delay": 8}]}),
+    _config_case("target", lambda v: {"targets": [{"b": 0.5, "delay": v}]}),
+    _config_case("target", lambda v: {"targets": [{"b": 0.5, "delay": 8, "doppler": v}]}),
+    _flag_case("af-cut", ["--n", "16", "--trials", "10"], "--ibo-db"),
+    _flag_case("pd-curve", ["--m", "3", "--snr-db-grid", "10", "--trials", "10", "--factor", "13"],
+               "--ibo-db"),
+    _flag_case("pd-curve", ["--m", "3", "--snr-db-grid", "10", "--trials", "10"], "--factor"),
+    _flag_case("pd-curve", ["--m", "3", "--trials", "10", "--factor", "13"], "--snr-db-grid"),
+    _flag_case("periodogram", ["--m", "2"], "--ibo-db"),
+    _flag_case("periodogram", ["--m", "2"], "--snr-db"),
+    _flag_case("calibrate-cfar", ["--trials", "2000000"], "--pfa"),
+]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+@pytest.mark.parametrize("name, argv", NON_FINITE_INPUTS,
+                         ids=[f"{i}{name}" for i, (name, _) in enumerate(NON_FINITE_INPUTS)])
+def test_non_finite_number_exits_2(tmp_path, capsys, name, argv, value):
+    # float("nan") and float("inf") parse, and every range check written as
+    # x <= 0 lets NaN by; each input must end in exit 2 and write nothing
+    try:
+        code = main(argv(tmp_path, value))
+    except SystemExit as exc:  # argparse rejects an option's value itself
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and name in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+#: Library entry points that take a float, each with the non-finite values it
+#: rejects; a threshold of +inf is well defined (nothing clips).
+NON_FINITE_ARGUMENTS = {
+    "v_sat": (lambda v: isacsim.PaConfig(v_sat=v, ibo=1.0), NON_FINITE),
+    "ibo": (lambda v: isacsim.PaConfig(v_sat=1.0, ibo=v), NON_FINITE),
+    "p1db": (lambda v: isacsim.PaConfig(v_sat=1.0, ibo=2.0, p1db=v), NON_FINITE),
+    "ibo_db": (lambda v: isacsim.PaConfig.at_backoff_db(v), NON_FINITE),
+    "factor": (lambda v: isacsim.CfarConfig(factor=v), NON_FINITE),
+    "b": (lambda v: isacsim.Target(b=v, delay=3), NON_FINITE),
+    "noise_var": (lambda v: isacsim.ChannelConfig(targets=(), noise_var=v), NON_FINITE),
+    "add_noise": (lambda v: isacsim.add_noise(np.ones(4), v, np.random.default_rng(0)),
+                  NON_FINITE),
+    "y": (lambda v: isacsim.joint_below_prob(v, 0.5), (math.nan, -math.inf)),
+    "rho": (lambda v: isacsim.joint_below_prob(1.0, v), NON_FINITE),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, (_, values) in NON_FINITE_ARGUMENTS.items() for value in values
+])
+def test_library_rejects_non_finite_numbers(name, value):
+    with pytest.raises(ConfigError):
+        NON_FINITE_ARGUMENTS[name][0](value)
