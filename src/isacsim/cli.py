@@ -1,7 +1,7 @@
 """Command-line front end.
 
-dB-valued options are converted to linear quantities here, at the boundary;
-the library itself works in linear units throughout.  Exit codes: 0 on
+dB-valued options pass to the library as dB, which converts each to a power
+ratio through one checked conversion (``pa._power_ratio``).  Exit codes: 0 on
 success, 2 for configuration problems, 3 for numeric failures.
 """
 

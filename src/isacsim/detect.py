@@ -39,7 +39,7 @@ import numpy as np
 
 from .channel import ChannelConfig, Target, _apply_channel
 from .errors import CalibrationError, ConfigError
-from .pa import PaConfig, _limit, sel_amplify  # noqa: F401  (bench/test_bench.py patches it)
+from .pa import PaConfig, _limit, _power_ratio, sel_amplify  # noqa: F401 (bench wraps sel_amplify)
 from .radar import _division_filter, _range_cut, _require_nonzero
 from .seeding import chunk_seeds
 from .signaling import (
@@ -394,7 +394,7 @@ def pd_curves(jobs, trials: int, workers: int = 1) -> list[PdCurve]:
         if not any(t.delay == WEAK_BIN for t in pipeline.targets):
             raise ConfigError(f"no target sits at the weak bin {WEAK_BIN}")
         grids.append(np.asarray(snr_grid_db, dtype=float))
-        points += [_chunk_args(pipeline, 10.0 ** (snr_db / 10.0), trials, r)
+        points += [_chunk_args(pipeline, _power_ratio(snr_db, "snr_db"), trials, r)
                    for snr_db, r in zip(grids[-1], rng.spawn(grids[-1].size))]
     counts = iter(_map_chunks(_pd_chunk, [a for args in points for a in args], workers))
     hits = [sum(next(counts) for _ in args) for args in points]
@@ -414,8 +414,7 @@ def pd_experiment(pipeline: PdPipeline, snr_grid_db, trials: int, rng: np.random
 def noise_only_false_alarm_rate(pipeline: PdPipeline, snr_db: float, trials: int,
                                 rng: np.random.Generator, workers: int = 1) -> float:
     """Empirical per-cell false-alarm rate of the full chain with no targets."""
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    args = _chunk_args(replace(pipeline, targets=()), snr_linear, trials, rng)
+    args = _chunk_args(replace(pipeline, targets=()), _power_ratio(snr_db, "snr_db"), trials, rng)
     alarms = sum(_map_chunks(_fa_chunk, args, workers))
     n_per, _ = pipeline.grids()
     return alarms / (trials * n_per)

@@ -43,6 +43,7 @@ from .detect import (
 from .errors import ConfigError, IsacError
 from .pa import (
     PaConfig,
+    _power_ratio,
     estimate_bussgang,
     kappa_gaussian,
     output_power_gaussian,
@@ -135,6 +136,8 @@ class ExperimentConfig:
             check, wanted = _SCALAR_KEYS.get(key, (None, ""))
             if check is not None and not check(value):
                 raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+        if data.get("ibo_db") is not None:
+            _power_ratio(data["ibo_db"], "ibo_db")
         if data.get("targets") is not None:
             data["targets"] = _parse_targets(data["targets"])
         grid = data.get("snr_db_grid")
@@ -142,6 +145,8 @@ class ExperimentConfig:
             if (not isinstance(grid, (list, tuple)) or not grid
                     or not all(_is_real(v) for v in grid)):
                 raise ConfigError(f"snr_db_grid must list one or more finite numbers, got {grid!r}")
+            for v in grid:
+                _power_ratio(v, "snr_db_grid")
             data["snr_db_grid"] = tuple(float(v) for v in grid)
         try:
             return cls(**data)
@@ -371,8 +376,7 @@ def _n_sweep(ctx: RunContext, sizes: tuple[int, ...], cells: Callable) -> Column
 def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
     n = ctx.setting("n", 64)
     basis = ctx.basis(n)
-    lags = np.arange(n)
-    columns: Columns = [("lag", lags)]
+    columns: Columns = [("lag", np.arange(n))]
     for cname, label in _PSK_QAM:
         const = parse_constellation(cname)
         linear = _averaged_cut(ctx, const, basis, None, f"lin/{label}", normalize=True)
@@ -398,7 +402,6 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
     basis = ctx.basis(n)
     const = ctx.constellation("16-PSK")
     pa = ctx.pa(1.0)
-    lags = np.arange(1 - n, n)
 
     measured = _averaged_cut(ctx, const, basis, pa, "measured", AfMode.APERIODIC)
 
@@ -407,19 +410,15 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
         synthesize(basis, draw_symbols(const, n, r))
         for _, r in chunk_rngs(ctx.rng("conditioned"), cond_trials, 1)
     ])
-    # one batched call: the clip weights depend on (pa, n) only; rows are
-    # summed one by one in trial order (np.sum would pair them differently)
+    # one batched call: the clip weights depend on (pa, n) only
     cond = np.abs(sel_zero_doppler_cut(xs, pa)) ** 2
-    acc = np.zeros(2 * n - 1)
-    for row in cond:
-        acc += row
-    cond_avg = acc / cond_trials
+    cond_avg = cond.sum(axis=0) / cond_trials
 
     peak = measured.values[n - 1, 0]
     single = zero_doppler_cut(aaf(sel_amplify(xs[-1], pa), k_grid=1))
     single_cond = cond[-1]
     columns: Columns = [
-        ("lag", lags),
+        ("lag", np.arange(1 - n, n)),
         ("measured_avg_db", to_db(measured.values[:, 0] / peak)),
         ("conditioned_avg_db", to_db(cond_avg / cond_avg[n - 1])),
         ("single_measured_db", to_db(single / single[n - 1])),
@@ -462,8 +461,7 @@ def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
     n = ctx.setting("n", 64)
     basis = ctx.basis(n)
     pa = ctx.pa(1.0)
-    lags = np.arange(n)
-    columns: Columns = [("lag", lags)]
+    columns: Columns = [("lag", np.arange(n))]
     for cname, label in _PSK_QAM:
         const = parse_constellation(cname)
         stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}"))
@@ -478,8 +476,7 @@ def _scn_basis_comparison(ctx: RunContext, cname: str, tag: str) -> dict[str, Co
     n = ctx.setting("n", 64)
     const = parse_constellation(cname)
     pa = ctx.pa(1.0)
-    lags = np.arange(n)
-    columns: Columns = [("lag", lags)]
+    columns: Columns = [("lag", np.arange(n))]
     for kind, label in ((BasisKind.OFDM_DFT, "ofdm"), (BasisKind.SC_IDENTITY, "sc"),
                         (BasisKind.CDMA_HADAMARD, "cdma")):
         cut = _averaged_cut(ctx, const, SignalingBasis(kind, n), pa, label, normalize=True)
@@ -540,8 +537,7 @@ def _scn_zero_delay(ctx: RunContext) -> dict[str, Columns]:
     trials = ctx.trials()
     n = ctx.setting("n", 64)
     basis = ctx.basis(n)
-    bins = np.arange(n)
-    columns: Columns = [("doppler_bin", bins)]
+    columns: Columns = [("doppler_bin", np.arange(n))]
     for cname, clabel in _PSK_QAM:
         const = parse_constellation(cname)
         for ibo_db in (0.0, 8.0):
@@ -568,7 +564,7 @@ def periodogram_table(pipeline: PdPipeline, snr_db: float,
     normalized to its peak."""
     fc = pipeline.frame
     sym = draw_symbols(pipeline.constellation, (fc.m, fc.n), rng)
-    hhat = sense(pipeline, sym, 10.0 ** (snr_db / 10.0), rng)
+    hhat = sense(pipeline, sym, _power_ratio(snr_db, "snr_db"), rng)
     per = periodogram(hhat, pipeline.n_per, pipeline.m_per)
     dgrid, kgrid = np.meshgrid(per.delay_bins, per.doppler_bins, indexing="ij")
     return [
@@ -613,7 +609,7 @@ def _scn_cfar_example(ctx: RunContext) -> dict[str, Columns]:
         pipe = _pipeline(ctx, const, fc, targets, cfar, linear, limited)
         rng = ctx.rng(label)
         sym = draw_symbols(const, (fc.m, fc.n), rng)
-        hhat = sense(pipe, sym, 10.0 ** (snr_db / 10.0), rng)
+        hhat = sense(pipe, sym, _power_ratio(snr_db, "snr_db"), rng)
         cut = range_cut(hhat, pipe.grids()[0])
         report = so_cfar(cut, cfar)
         out[f"cfar_{label}.csv"] = [

@@ -32,11 +32,22 @@ from .signaling import (
 )
 
 
+def _power_ratio(db: float, name: str) -> float:
+    """``10 ** (db / 10)``, the power ratio of the dB setting ``name``; a
+    ``ConfigError`` when it underflows to 0 or does not fit a float."""
+    try:
+        if 0.0 < (ratio := 10.0 ** (float(db) / 10.0)) < math.inf:
+            return ratio
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} of {float(db)!r} dB has no power ratio in the float range")
+
+
 def backoff_coefficient(p1db: float, ibo: float) -> float:
     """Back-off coefficient ``alpha = sqrt(p1db / ibo)`` for a unit-power input.
 
-    ``ibo`` is a linear power ratio (dB conversion happens at the CLI
-    boundary).  A coefficient above 1 would push the mean input power past
+    ``ibo`` is a linear power ratio (:meth:`PaConfig.at_backoff_db` takes
+    dB).  A coefficient above 1 would push the mean input power past
     the compression reference, which is rejected as a configuration error.
     """
     if not (0 < p1db < math.inf and 0 < ibo < math.inf):
@@ -92,7 +103,7 @@ class PaConfig:
     def at_backoff_db(cls, ibo_db: float, compression: bool = True) -> PaConfig:
         """Unit-saturation amplifier at ``ibo_db`` of input back-off from the
         limiter's 1 dB compression point (else from the saturation power)."""
-        return cls(v_sat=1.0, ibo=10.0 ** (ibo_db / 10.0),
+        return cls(v_sat=1.0, ibo=_power_ratio(ibo_db, "ibo_db"),
                    p1db=limiter_compression_power(1.0) if compression else None)
 
     @property
@@ -281,22 +292,15 @@ def estimate_bussgang(
     # instead of faulting fresh ones in.
     work = np.empty(4 * (largest.stop - largest.start) * basis.n)
     blocks = []
-    cross = 0.0 + 0.0j
-    power = 0.0
     for sz, r in chunks:
-        # numpy's pairwise sum of a chunk adds its two halves last, so a chunk
-        # of one block or of two equal ones keeps the chunk-wide bits of kappa
-        chunk_cross = 0.0 + 0.0j
-        chunk_power = 0.0
         for rows in _row_blocks(sz, basis.n):
             shape = (rows.stop - rows.start, basis.n)
             x = synthesize(basis, draw_symbols(constellation, shape, r)).ravel()
-            moments = _block_moments(x, sel_amplify(x, cfg), work)
-            chunk_cross += moments[1]
-            chunk_power += moments[0]
-            blocks.append(moments)
-        cross += chunk_cross
-        power += chunk_power
+            blocks.append(_block_moments(x, sel_amplify(x, cfg), work))
+    power = cross = 0.0
+    for p, c, *_ in blocks:  # in draw order: sum() compensates floats from Python 3.12
+        power += p
+        cross += c
     kappa = cross / power
 
     d2_sum = 0.0

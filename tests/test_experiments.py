@@ -295,11 +295,15 @@ def test_cli_list_machine(capsys):
         assert len(line.split("\t")) >= 2
 
 
-def _last_line_in_fresh_interpreter(code: str) -> str:
+def _fresh_env(**overrides) -> dict:
+    """Environment of a child interpreter that imports this source tree."""
     src = str(Path(isacsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+def _last_line_in_fresh_interpreter(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
                           text=True, timeout=120, check=True)
     return proc.stdout.splitlines()[-1]
 
@@ -728,3 +732,73 @@ NON_FINITE_ARGUMENTS = {
 def test_library_rejects_non_finite_numbers(name, value):
     with pytest.raises(ConfigError):
         NON_FINITE_ARGUMENTS[name][0](value)
+
+
+# ------------------------------------------------------------ dB conversion
+
+#: ``(setting the error must name, CLI argv or (scenario, config))`` for dB
+#: values whose power ratio ``10 ** (dB / 10)`` overflows a float (4000 dB)
+#: or underflows to 0 (-4000 dB).
+OUT_OF_RANGE_DB = [
+    ("ibo_db", ["af-cut", "--n", "16", "--trials", "10", "--ibo-db", "4000"]),
+    ("snr_db", ["periodogram", "--m", "2", "--snr-db", "4000"]),
+    ("snr_db", ["periodogram", "--m", "2", "--snr-db", "-4000"]),
+    ("snr_db", ["pd-curve", "--m", "3", "--trials", "10", "--factor", "13",
+                "--snr-db-grid", "4000"]),
+    ("snr_db_grid", ("fig-cfar-example", {"snr_db_grid": [4000]})),
+    ("ibo_db", ("fig-zero-doppler-nocp", {"ibo_db": 4000})),
+    ("ibo_db", ("fig-pd-ceilings", {"ibo_db": 4000})),
+    ("snr_db_grid", ("fig-pd-curves", {"snr_db_grid": [4000]})),
+]
+
+
+@pytest.mark.parametrize("name, command", OUT_OF_RANGE_DB,
+                         ids=[f"{i}{name}" for i, (name, _) in enumerate(OUT_OF_RANGE_DB)])
+def test_db_value_without_float_power_ratio_exits_2(tmp_path, capsys, monkeypatch, name,
+                                                    command):
+    # the ratio used to raise OverflowError or ZeroDivisionError (exit 1), or
+    # to overflow with a warning into a noise-free run labelled 4000 dB
+    if isinstance(command, list):
+        assert main([*command, "--out", str(tmp_path / "out.csv")]) == 2
+    else:
+        scenario, settings = command
+
+        def monte_carlo(*args, **kwargs):
+            raise AssertionError("calibration or Monte-Carlo work started")
+
+        for fn in ("average_af", "chunk_rngs", "sense", "pd_curves", "calibrate_cfar"):
+            monkeypatch.setattr(experiments, fn, monte_carlo)
+        with pytest.raises(ConfigError, match=name):
+            run_scenario(ExperimentConfig.from_mapping(
+                {"scenario": scenario, "trials": 5, "out_dir": str(tmp_path), **settings}))
+        assert _run_with(tmp_path, scenario, settings) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and "4000" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_db_value_near_float_range_edge_runs(tmp_path):
+    # 300 dB is a power ratio of 1e30: extreme, but a float, so the rule
+    # above is the float range and not a narrower made-up limit
+    out = tmp_path / "per.csv"
+    assert main(["periodogram", "--m", "2", "--snr-db", "300", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+# ------------------------------------------------------------- BLAS threads
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # a BLAS-backed reduction (np.dot, np.vdot, @) splits its sum by thread,
+    # so its last bits follow OPENBLAS_NUM_THREADS; the benchmark pins one
+    # thread and cannot see that
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = _fresh_env(OPENBLAS_NUM_THREADS=threads)
+        for scenario, trials in (("fig-distortion-power", "12"), ("fig-zero-doppler-cp", "20")):
+            subprocess.run([sys.executable, "-m", "isacsim.cli", "run", scenario, "--trials",
+                            trials, "--out", str(out)], env=env, capture_output=True,
+                           timeout=300, check=True)
+        digests.append({p.relative_to(out): _sha256(p) for p in out.rglob("*.csv")})
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
