@@ -8,8 +8,8 @@ success, 2 for configuration problems, 3 for numeric failures.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .ambiguity import AfMode, average_af, to_db
@@ -18,6 +18,7 @@ from .errors import ConfigError, NumericError
 from .experiments import (
     DEFAULT_TARGETS,
     ExperimentConfig,
+    _is_real,
     _pd_columns,
     _tx_generator,
     _write_csv,
@@ -34,26 +35,19 @@ from .signaling import FrameConfig, parse_basis, parse_constellation
 def _cmd_list(args) -> int:
     for scn in list_scenarios():
         if args.machine:
-            print(f"{scn.name}\t{scn.default_trials}\t{scn.runtime_hint}\t{scn.description}")
+            print(f"{scn.name}\t{scn.default_trials}\t{scn.description}")
         else:
             print(f"{scn.name}")
             print(f"    {scn.description}")
-            print(f"    default trials: {scn.default_trials}   runtime: {scn.runtime_hint}")
+            print(f"    default trials: {scn.default_trials}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = ExperimentConfig()
-    config.scenario = args.scenario
-    for key, value in (("seed", args.seed), ("trials", args.trials), ("out_dir", args.out),
-                       ("workers", args.workers)):
-        if value is not None:
-            setattr(config, key, value)
-    if args.plots:
-        config.plots = True
+    config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    flags = {"scenario": args.scenario, "seed": args.seed, "trials": args.trials,
+             "out_dir": args.out, "workers": args.workers, "plots": args.plots}
+    config = replace(config, **{key: v for key, v in flags.items() if v is not None})
     manifest = run_scenario(config)
     out = Path(config.out_dir) / manifest.scenario
     print(f"scenario {manifest.scenario}: {len(manifest.files)} files in {out} "
@@ -128,7 +122,7 @@ def _cmd_periodogram(args) -> int:
 def _finite_float(text: str) -> float:
     """The type of every float option: a finite number, never nan or inf."""
     try:
-        if math.isfinite(value := float(text)):
+        if _is_real(value := float(text)):
             return value
     except ValueError:
         pass
@@ -160,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--out", help="output directory")
     p.add_argument("--workers", type=int)
-    p.add_argument("--plots", action="store_true", help="also render SVG quick-looks")
+    p.add_argument("--plots", action="store_true", default=None,
+                   help="also render SVG quick-looks")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("calibrate-cfar", help="calibrate the SO-CFAR threshold factor")

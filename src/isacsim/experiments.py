@@ -71,15 +71,23 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-#: ``key: (check, what the check asks for)`` of each scalar config field.
-_SCALAR_KEYS = {
+#: ``field: (check, what the check asks for)`` of every config field; a field
+#: whose default is ``None`` may also be ``None``, which leaves it unset.
+_FIELD_RULES = {
     **dict.fromkeys(("seed", "trials", "workers", "n", "m", "cp_len", "n_per", "m_per"),
                     (_is_int, "an integer")),
     "ibo_db": (_is_real, "a finite number"),
     **dict.fromkeys(("scenario", "out_dir", "constellation", "basis"),
                     (lambda v: isinstance(v, str) and v != "", "a non-empty string")),
     "plots": (lambda v: isinstance(v, bool), "true or false"),
+    "snr_db_grid": (lambda v: isinstance(v, tuple) and v != () and all(map(_is_real, v)),
+                    "a list of one or more finite numbers"),
+    "targets": (lambda v: isinstance(v, tuple) and all(isinstance(t, Target) for t in v),
+                "a tuple of Target"),
 }
+
+#: The least value of each bounded integer field.
+_LEAST = {"seed": 0, "trials": 1, "workers": 1, "n": 2}
 
 
 def _parse_targets(entries) -> tuple[Target, ...]:
@@ -96,17 +104,17 @@ def _parse_targets(entries) -> tuple[Target, ...]:
     return tuple(targets)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Run parameters; unset fields fall back to scenario defaults, and a set
     field outside ``RUN_CONTROL`` and the scenario's ``settings`` is an error.
 
-    dB-valued keys carry an explicit ``_db`` suffix; everything else is
-    linear.  ``targets`` entries are mappings with keys ``b`` (real
-    amplitude), ``delay`` (samples) and optional ``doppler``.
+    Every field is checked on construction, whatever builds the config, so a
+    bad value is a ``ConfigError`` before any work starts.  dB-valued keys
+    carry an explicit ``_db`` suffix; everything else is linear.
     """
 
-    scenario: str = ""
+    scenario: str | None = None
     seed: int = DEFAULT_SEED
     trials: int | None = None
     out_dir: str = "results"
@@ -123,35 +131,36 @@ class ExperimentConfig:
     n_per: int | None = None
     m_per: int | None = None
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            check, wanted = _FIELD_RULES[f.name]
+            if not (check(value) or (value is None and f.default is None)):
+                raise ConfigError(f"{f.name} must be {wanted}, got {value!r}")
+        for key, least in _LEAST.items():
+            value = getattr(self, key)
+            if value is not None and value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
+        if self.ibo_db is not None:
+            _power_ratio(self.ibo_db, "ibo_db")
+        if self.snr_db_grid is not None:
+            for v in self.snr_db_grid:
+                _power_ratio(v, "snr_db_grid")
+            object.__setattr__(self, "snr_db_grid", tuple(map(float, self.snr_db_grid)))
+
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        """The config of a JSON object: lists become tuples, and each ``targets``
+        mapping (keys ``b``, ``delay``, optional ``doppler``) a ``Target``."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        for key, value in data.items():
-            if value is None and cls.__dataclass_fields__[key].default is None:
-                continue
-            check, wanted = _SCALAR_KEYS.get(key, (None, ""))
-            if check is not None and not check(value):
-                raise ConfigError(f"{key} must be {wanted}, got {value!r}")
-        if data.get("ibo_db") is not None:
-            _power_ratio(data["ibo_db"], "ibo_db")
+        if isinstance(data.get("snr_db_grid"), list):
+            data["snr_db_grid"] = tuple(data["snr_db_grid"])
         if data.get("targets") is not None:
             data["targets"] = _parse_targets(data["targets"])
-        grid = data.get("snr_db_grid")
-        if grid is not None:
-            if (not isinstance(grid, (list, tuple)) or not grid
-                    or not all(_is_real(v) for v in grid)):
-                raise ConfigError(f"snr_db_grid must list one or more finite numbers, got {grid!r}")
-            for v in grid:
-                _power_ratio(v, "snr_db_grid")
-            data["snr_db_grid"] = tuple(float(v) for v in grid)
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -225,7 +234,6 @@ class Scenario:
     name: str
     description: str
     default_trials: int
-    runtime_hint: str
     runner: Callable[[RunContext], dict[str, Columns]]
     #: The config fields besides ``RUN_CONTROL`` that change the outputs; one
     #: the scenario sweeps, fixes in a file or column name, or ignores is not.
@@ -235,13 +243,11 @@ class Scenario:
 _REGISTRY: dict[str, Scenario] = {}
 
 
-def scenario(name: str, default_trials: int, runtime_hint: str, settings: tuple[str, ...],
-             description: str):
+def scenario(name: str, default_trials: int, settings: tuple[str, ...], description: str):
     """Register the decorated runner under ``name``; registration order is
     the order ``list_scenarios`` reports."""
     def register(runner: Callable[[RunContext], dict[str, Columns]]):
-        _REGISTRY[name] = Scenario(name, description, default_trials, runtime_hint, runner,
-                                   settings)
+        _REGISTRY[name] = Scenario(name, description, default_trials, runner, settings)
         return runner
 
     return register
@@ -270,10 +276,7 @@ class RunContext:
         return default if value is None else value
 
     def trials(self) -> int:
-        t = self.setting("trials", self.scenario.default_trials)
-        if t < 1:
-            raise ConfigError("trials must be positive")
-        return t
+        return self.setting("trials", self.scenario.default_trials)
 
     def frame(self, n: int = 64, m: int = 64, cp_len: int = 16) -> FrameConfig:
         return FrameConfig(
@@ -370,7 +373,7 @@ def _n_sweep(ctx: RunContext, sizes: tuple[int, ...], cells: Callable) -> Column
 # ---------------------------------------------------------------------------
 
 
-@scenario("fig-zero-doppler-cp", 10_000, "~1 min", ("basis", "n"),
+@scenario("fig-zero-doppler-cp", 10_000, ("basis", "n"),
           "Averaged zero-Doppler cuts, CP-OFDM N=64, 16-PSK/16-QAM, linear vs IBO 1/4 dB, "
           "with flat per-lag overlays from the measured clipping statistics")
 def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
@@ -393,7 +396,7 @@ def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
     return {"zero_doppler_cp.csv": columns}
 
 
-@scenario("fig-zero-doppler-nocp", 10_000, "~1 min", ("constellation", "basis", "n", "ibo_db"),
+@scenario("fig-zero-doppler-nocp", 10_000, ("constellation", "basis", "n", "ibo_db"),
           "Aperiodic zero-Doppler cuts without CP, 16-PSK IBO 1 dB: measured average, "
           "conditioned-expectation average, and one single-frame pair")
 def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
@@ -427,7 +430,7 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
     return {"zero_doppler_nocp.csv": columns}
 
 
-@scenario("fig-distortion-power", 1000, "~1 min", ("basis", "n"),
+@scenario("fig-distortion-power", 1000, ("basis", "n"),
           "Residual clipping-noise power vs IBO at N=1024 for 16-PSK/16-QAM/64-QAM plus "
           "the Gaussian closed form")
 def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
@@ -454,7 +457,7 @@ def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
     return {"distortion_power_vs_ibo.csv": columns}
 
 
-@scenario("fig-distortion-term-cut", 10_000, "~1 min", ("basis", "n", "ibo_db"),
+@scenario("fig-distortion-term-cut", 10_000, ("basis", "n", "ibo_db"),
           "Zero-Doppler cut of the isolated clipping-noise term, N=64, IBO 1 dB, "
           "16-PSK vs 16-QAM, with flat variance overlays")
 def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
@@ -484,15 +487,15 @@ def _scn_basis_comparison(ctx: RunContext, cname: str, tag: str) -> dict[str, Co
     return {f"basis_comparison_{tag}.csv": columns}
 
 
-scenario("fig-basis-comparison-psk", 10_000, "~1 min", ("n", "ibo_db"),
+scenario("fig-basis-comparison-psk", 10_000, ("n", "ibo_db"),
          "Averaged zero-Doppler cuts of OFDM vs single-carrier vs Hadamard spreading, "
          "16-PSK, IBO 1 dB")(lambda ctx: _scn_basis_comparison(ctx, "16-PSK", "psk16"))
-scenario("fig-basis-comparison-qam", 10_000, "~1 min", ("n", "ibo_db"),
+scenario("fig-basis-comparison-qam", 10_000, ("n", "ibo_db"),
          "Averaged zero-Doppler cuts of OFDM vs single-carrier vs Hadamard spreading, "
          "16-QAM, IBO 1 dB")(lambda ctx: _scn_basis_comparison(ctx, "16-QAM", "qam16"))
 
 
-@scenario("fig-eisl-vs-n", 4000, "~2 min", ("basis", "ibo_db"),
+@scenario("fig-eisl-vs-n", 4000, ("basis", "ibo_db"),
           "Expected integrated sidelobe level vs N (periodic lags), measured vs the "
           "conditioned clipping analysis, 16-PSK and 16-QAM at IBO 1 dB")
 def _scn_eisl_vs_n(ctx: RunContext) -> dict[str, Columns]:
@@ -506,7 +509,7 @@ def _scn_eisl_vs_n(ctx: RunContext) -> dict[str, Columns]:
     return {"eisl_vs_n.csv": _n_sweep(ctx, (16, 32, 64, 128), cells)}
 
 
-@scenario("fig-eislr-vs-n", 4000, "~2 min", ("basis", "ibo_db"),
+@scenario("fig-eislr-vs-n", 4000, ("basis", "ibo_db"),
           "EISL normalized by mainlobe energy vs N, with and without CP, "
           "16-PSK and 16-QAM at IBO 1 dB")
 def _scn_eislr_vs_n(ctx: RunContext) -> dict[str, Columns]:
@@ -520,7 +523,7 @@ def _scn_eislr_vs_n(ctx: RunContext) -> dict[str, Columns]:
     return {"eislr_vs_n.csv": _n_sweep(ctx, (16, 32, 64, 128), cells)}
 
 
-@scenario("fig-pslr-vs-n", 10_000, "~2 min", ("basis", "ibo_db"),
+@scenario("fig-pslr-vs-n", 10_000, ("basis", "ibo_db"),
           "Peak-sidelobe-to-mainlobe ratio vs N in {64,128,256}, 16-PSK and 16-QAM, IBO 1 dB")
 def _scn_pslr_vs_n(ctx: RunContext) -> dict[str, Columns]:
     def cells(n, basis, pa, const, label):
@@ -530,7 +533,7 @@ def _scn_pslr_vs_n(ctx: RunContext) -> dict[str, Columns]:
     return {"pslr_vs_n.csv": _n_sweep(ctx, (64, 128, 256), cells)}
 
 
-@scenario("fig-zero-delay", 10_000, "~1 min", ("basis", "n"),
+@scenario("fig-zero-delay", 10_000, ("basis", "n"),
           "Averaged zero-delay (Doppler) cuts at saturation back-offs 0 and 8 dB with "
           "conditioned-expectation overlays, 16-PSK and 16-QAM")
 def _scn_zero_delay(ctx: RunContext) -> dict[str, Columns]:
@@ -574,9 +577,8 @@ def periodogram_table(pipeline: PdPipeline, snr_db: float,
     ]
 
 
-@scenario("fig-periodogram-pair", 1, "<10 s",
-          ("constellation", "n", "m", "cp_len", "ibo_db", "snr_db_grid", "targets", "n_per",
-           "m_per"),
+@scenario("fig-periodogram-pair", 1, ("constellation", "n", "m", "cp_len", "ibo_db",
+                                      "snr_db_grid", "targets", "n_per", "m_per"),
           "Single-frame range-Doppler periodograms, linear vs clipped, two targets at "
           "20 dB SNR (long-format CSV)")
 def _scn_periodogram_pair(ctx: RunContext) -> dict[str, Columns]:
@@ -594,8 +596,8 @@ def _scn_periodogram_pair(ctx: RunContext) -> dict[str, Columns]:
     return out
 
 
-@scenario("fig-cfar-example", 1, "~30 s",
-          ("constellation", "n", "m", "cp_len", "ibo_db", "snr_db_grid", "targets", "n_per"),
+@scenario("fig-cfar-example", 1, ("constellation", "n", "m", "cp_len", "ibo_db",
+                                  "snr_db_grid", "targets", "n_per"),
           "Single-frame range cuts with the SO-CFAR threshold trace, linear vs "
           "distortion-limited")
 def _scn_cfar_example(ctx: RunContext) -> dict[str, Columns]:
@@ -662,8 +664,7 @@ def _pd_columns(curve) -> Columns:
     ]
 
 
-@scenario("fig-pd-curves", 1000, "~2 min",
-          ("n", "m", "cp_len", "snr_db_grid", "targets", "n_per"),
+@scenario("fig-pd-curves", 1000, ("n", "m", "cp_len", "snr_db_grid", "targets", "n_per"),
           "Weak-target detection probability vs SNR for 16-PSK/16-QAM under linear, "
           "IBO 1 dB, and distortion-limited operation (short M=3 frame, -20 dB target)")
 def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
@@ -688,8 +689,8 @@ def _scn_pd_curves(ctx: RunContext) -> dict[str, Columns]:
     return out
 
 
-@scenario("fig-pd-ceilings", 1000, "~2 min",
-          ("n", "m", "cp_len", "ibo_db", "snr_db_grid", "targets", "n_per"),
+@scenario("fig-pd-ceilings", 1000, ("n", "m", "cp_len", "ibo_db", "snr_db_grid", "targets",
+                                    "n_per"),
           "Distortion-limited detection plateaus for 16-PSK/16-QAM/64-QAM plus linear "
           "reference curves and the SNR projection of each plateau (short M=3 frame)")
 def _scn_pd_ceilings(ctx: RunContext) -> dict[str, Columns]:
@@ -742,14 +743,13 @@ def run_scenario(config: ExperimentConfig) -> RunManifest:
     if config.scenario not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise ConfigError(f"unknown scenario {config.scenario!r}; available: {known}")
-    if config.workers < 1:
-        raise ConfigError("workers must be >= 1")
     scn = _REGISTRY[config.scenario]
     unused = [f.name for f in fields(config) if f.name not in RUN_CONTROL + scn.settings
               and getattr(config, f.name) is not None]
     if unused:
         raise ConfigError(f"{scn.name} does not use {', '.join(unused)}; its settings are "
                           f"{', '.join(scn.settings)}")
+    plt = _pyplot() if config.plots else None
     ctx = RunContext(config, scn)
     start = time.monotonic()
     try:
@@ -771,22 +771,26 @@ def run_scenario(config: ExperimentConfig) -> RunManifest:
         path = out_dir / fname
         _write_csv(path, columns)
         manifest.files[fname] = _sha256(path)
-    if config.plots:
-        _render_plots(out_dir, list(tables))
+    if plt is not None:
+        _render_plots(plt, out_dir, list(tables))
     manifest.write(out_dir)
     return manifest
 
 
-def _render_plots(out_dir: Path, csv_names: list[str]) -> None:
+def _pyplot():
+    """``matplotlib.pyplot`` on the headless Agg backend, imported before a
+    ``plots`` run starts its work."""
     try:
         import matplotlib
 
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError as exc:
-        raise ConfigError(
-            "plot output needs matplotlib; install the 'plots' extra"
-        ) from exc
+        raise ConfigError("plot output needs matplotlib; install the 'plots' extra") from exc
+    return plt
+
+
+def _render_plots(plt, out_dir: Path, csv_names: list[str]) -> None:
     for name in csv_names:
         path = out_dir / name
         with open(path, encoding="utf-8", newline="") as fh:

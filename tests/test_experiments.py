@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -47,7 +48,6 @@ def test_registry_names():
     for s in scenarios:
         assert s.description
         assert s.default_trials >= 1
-        assert s.runtime_hint
 
 
 def test_unknown_scenario_lists_registry():
@@ -92,6 +92,25 @@ def test_snapshot_roundtrip():
     snap = cfg.snapshot()
     again = ExperimentConfig.from_mapping(snap)
     assert again.snapshot() == snap
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", 2.5), ("seed", -1), ("trials", True), ("trials", 0), ("workers", 0), ("n", 1),
+    ("plots", "yes"), ("ibo_db", math.inf), ("ibo_db", 4000), ("snr_db_grid", (math.nan,)),
+    ("snr_db_grid", [10.0]), ("targets", ({"b": 1.0, "delay": 4},)),
+])
+def test_direct_construction_checks_every_field(key, value):
+    # a config built in code passes the same checks as one read from JSON,
+    # when it is built: before run_scenario is called, so before any work
+    with pytest.raises(ConfigError, match=f"^{key} "):
+        ExperimentConfig(**{"scenario": "fig-zero-delay", "trials": 5, key: value})
+
+
+def test_config_fields_cannot_be_assigned():
+    cfg = ExperimentConfig(scenario="fig-zero-delay", trials=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.trials = 0
+    assert cfg.trials == 5
 
 
 def test_readme_config_field_list_matches_experiment_config():
@@ -290,9 +309,8 @@ def test_cli_list(capsys):
 def test_cli_list_machine(capsys):
     assert main(["list", "--machine"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == len(EXPECTED_SCENARIOS)
-    for line in lines:
-        assert len(line.split("\t")) >= 2
+    assert [line.split("\t") for line in lines] == [
+        [s.name, str(s.default_trials), s.description] for s in list_scenarios()]
 
 
 def _fresh_env(**overrides) -> dict:
@@ -440,10 +458,10 @@ def default_files():
     return {}
 
 
-def _run_with(tmp_path, scenario, settings):
+def _run_with(tmp_path, scenario, settings, flags=()):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"trials": 20, "out_dir": str(tmp_path), **settings}))
-    return main(["run", scenario, "--config", str(cfg_file)])
+    return main(["run", scenario, "--config", str(cfg_file), *flags])
 
 
 def _run_files(tmp_path, scenario, settings):
@@ -452,15 +470,18 @@ def _run_files(tmp_path, scenario, settings):
     return {p.name: _sha256(p) for p in run_dir.iterdir() if p.suffix == ".csv"}
 
 
-def _assert_rejected_before_work(tmp_path, capsys, monkeypatch, scenario, key, value):
+def _assert_rejected_before_work(tmp_path, capsys, monkeypatch, scenario, key, value,
+                                 flags=(), message=None):
+    """``run scenario --config {key: value} *flags`` exits 2 with ``message``
+    (by default the settings rule's) before any work, and writes nothing."""
     def monte_carlo(*args, **kwargs):
         raise AssertionError("Monte-Carlo work started")
 
     for name in ("average_af", "estimate_bussgang", "chunk_rngs", "sel_eisl", "sense",
                  "pd_curves", "calibrate_cfar"):
         monkeypatch.setattr(experiments, name, monte_carlo)
-    assert _run_with(tmp_path, scenario, {key: value}) == 2
-    assert f"{scenario} does not use {key};" in capsys.readouterr().err
+    assert _run_with(tmp_path, scenario, {key: value}, flags) == 2
+    assert (message or f"{scenario} does not use {key};") in capsys.readouterr().err
     assert not (tmp_path / scenario).exists()
 
 
@@ -555,6 +576,30 @@ def test_readme_settings_table_matches_scenario_declarations():
     rows = re.findall(r"^\| `(fig-[\w-]+)` \| ([^|]*) \|", readme, re.MULTILINE)
     assert [(name, tuple(re.findall(r"`(\w+)`", settings))) for name, settings in rows] == [
         (s.name, s.settings) for s in list_scenarios()]
+
+
+@pytest.mark.parametrize("scenario, key, value, flags, message", [
+    # one sample has no lags or Doppler bins to average: fig-zero-delay would
+    # write a one-row CSV of zeros
+    ("fig-zero-delay", "n", 1, (), "n must be >= 2"),
+    ("fig-distortion-power", "n", 1, (), "n must be >= 2"),
+    # rejected before its 4,000-trial Bussgang estimate, not by it
+    ("fig-distortion-term-cut", "n", 1, (), "n must be >= 2"),
+    ("fig-zero-doppler-cp", "n", 16, ("--trials", "0"), "trials must be >= 1"),
+    ("fig-pd-ceilings", "n", 64, ("--workers", "0"), "workers must be >= 1"),
+])
+def test_cli_run_out_of_range_field_exits_2(tmp_path, capsys, monkeypatch, scenario, key, value,
+                                            flags, message):
+    # run's flags go through the same checks as the config file's fields
+    _assert_rejected_before_work(tmp_path, capsys, monkeypatch, scenario, key, value, flags,
+                                 message)
+
+
+def test_cli_run_plots_without_matplotlib_exits_2_before_work(tmp_path, capsys, monkeypatch):
+    # a run that cannot plot must not leave CSVs without a manifest
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    _assert_rejected_before_work(tmp_path, capsys, monkeypatch, "fig-zero-doppler-cp", "n", 16,
+                                 ("--plots",), "plot output needs matplotlib")
 
 
 def test_pd_ceilings_starts_one_pool(tmp_path, monkeypatch):
