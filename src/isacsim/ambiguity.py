@@ -18,8 +18,9 @@ extended by its own tail (periodic) or by ``N - 1`` zeros on each side
 reproduces the direct sum exactly for any grid size.
 
 Every surface is built one block of lag rows at a time (:func:`_af_blocks`).
-At ``K = 1`` the one block is the FFT correlation; otherwise each block holds
-about ``_BLOCK_CELLS`` lag products over all batch rows (at least one lag
+At ``K = 1`` the one block is the FFT correlation; otherwise the lag rows are
+split by :func:`seeding.row_blocks`, so each block holds about
+``seeding.BLOCK_CELLS`` lag products over all batch rows (at least one lag
 row), and is folded, transformed, scaled and written into the output before
 the next is formed.  :func:`paf` and :func:`aaf` square each block into the
 float surface, and :func:`average_af` squares and sums it over the chunk's
@@ -38,10 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .seeding import DEFAULT_CHUNK, chunk_rngs
-
-#: Lag-product cells, over all batch rows, in one block of a full surface.
-_BLOCK_CELLS = 8_192
+from .seeding import DEFAULT_CHUNK, chunk_rngs, row_blocks
 
 
 class AfMode(Enum):
@@ -156,13 +154,6 @@ def _lag_products(u: np.ndarray, delayed: np.ndarray, lags: slice = slice(None))
     return np.multiply(u[..., None, :], prod, out=prod)
 
 
-def _lag_rows(n_rows: int, row_cells: int) -> list[slice]:
-    """Consecutive slices of ``n_rows`` lag rows, each about ``_BLOCK_CELLS``
-    cells (at least one row) when a row holds ``row_cells``; the last is ragged."""
-    step = max(1, _BLOCK_CELLS // row_cells)
-    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
-
-
 def _doppler_transform(prod: np.ndarray, k: int) -> np.ndarray:
     """Exact evaluation of ``sum_p prod(p) exp(-j 2 pi k p / K)`` for all bins."""
     n = prod.shape[-1]
@@ -186,15 +177,15 @@ def _af_blocks(u: np.ndarray, v: np.ndarray, k: int, mode: AfMode):
     whole lag axis.
 
     ``K = 1`` yields one block from the FFT correlation.  Otherwise the
-    delayed conjugate is built once, and each block of about
-    ``_BLOCK_CELLS`` lag products is formed, folded, transformed and scaled
+    delayed conjugate is built once, and each block of lag rows
+    (:func:`seeding.row_blocks`) is formed, folded, transformed and scaled
     row by row exactly as for the whole tensor."""
     scale = np.sqrt(u.shape[-1])
     if k == 1:
         yield slice(None), _xcorr(u, v, mode)[..., None] / scale
         return
     delayed = _delayed_conj(v, mode)
-    for rows in _lag_rows(delayed.shape[-2], u.size):
+    for rows in row_blocks(delayed.shape[-2], u.size):
         yield rows, _doppler_transform(_lag_products(u, delayed, rows), k) / scale
 
 

@@ -18,6 +18,7 @@ from .errors import ConfigError, NumericError
 from .experiments import (
     DEFAULT_TARGETS,
     ExperimentConfig,
+    _check_out_dir,
     _is_real,
     _pd_columns,
     _tx_generator,
@@ -79,7 +80,20 @@ def _pipeline_from_args(args, **fields) -> PdPipeline:
     )
 
 
+def _write_table(out: str, columns) -> int:
+    """``columns`` as CSV at ``out``, parents made; ``OSError`` is a ``ConfigError``."""
+    path = Path(out)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_csv(path, columns)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
+    print(f"wrote {out}")
+    return 0
+
+
 def _cmd_af_cut(args) -> int:
+    _check_out_dir(Path(args.out).parent)
     const = parse_constellation(args.constellation)
     basis = parse_basis(args.basis, args.n)
     pa = None if args.linear else PaConfig.at_backoff_db(args.ibo_db, args.compression)
@@ -87,36 +101,32 @@ def _cmd_af_cut(args) -> int:
     mode = AfMode.PERIODIC if args.mode == "periodic" else AfMode.APERIODIC
     rng = derive_rng(args.seed, "cli/af-cut")
     surf = average_af(gen, args.trials, k_grid=1, mode=mode, rng=rng)
-    _write_csv(Path(args.out), [
-        ("lag", surf.delays),
-        ("level_db", to_db(surf.values[:, 0])),
-    ])
-    print(f"wrote {args.out}")
-    return 0
+    return _write_table(args.out, [("lag", surf.delays),
+                                   ("level_db", to_db(surf.values[:, 0]))])
 
 
 def _cmd_pd_curve(args) -> int:
+    _check_out_dir(Path(args.out).parent)
     try:
         grid = [_finite_float(v) for v in args.snr_db_grid.split(",")]
     except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"bad --snr-db-grid {args.snr_db_grid!r}: {exc}") from exc
+    # a scenario config's checks of trials, workers and the grid, before the calibration
+    ExperimentConfig(trials=args.trials, workers=args.workers, snr_db_grid=tuple(grid))
     rng = derive_rng(args.seed, "cli/pd-curve")
     # without --factor, calibrated on cuts as long as the n-bin range cuts it detects on
     cfar = (CfarConfig(factor=args.factor) if args.factor is not None
             else calibrated_cfar(derive_rng(args.seed, "cli/pd-curve/cal"), args.n))
     pipeline = _pipeline_from_args(args, cfar=cfar, distortion_limited=args.distortion_limited)
     curve = pd_experiment(pipeline, grid, args.trials, rng, workers=args.workers)
-    _write_csv(Path(args.out), _pd_columns(curve))
-    print(f"wrote {args.out}")
-    return 0
+    return _write_table(args.out, _pd_columns(curve))
 
 
 def _cmd_periodogram(args) -> int:
+    _check_out_dir(Path(args.out).parent)
     pipeline = _pipeline_from_args(args, cfar=CfarConfig(), n_per=args.n_per, m_per=args.m_per)
     rng = derive_rng(args.seed, "cli/periodogram")
-    _write_csv(Path(args.out), periodogram_table(pipeline, args.snr_db, rng))
-    print(f"wrote {args.out}")
-    return 0
+    return _write_table(args.out, periodogram_table(pipeline, args.snr_db, rng))
 
 
 def _finite_float(text: str) -> float:

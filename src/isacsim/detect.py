@@ -41,7 +41,7 @@ from .channel import ChannelConfig, Target, _apply_channel
 from .errors import CalibrationError, ConfigError
 from .pa import PaConfig, _limit, _power_ratio, sel_amplify  # noqa: F401 (bench wraps sel_amplify)
 from .radar import _division_filter, _range_cut, _require_nonzero
-from .seeding import chunk_seeds
+from .seeding import chunk_seeds, row_blocks
 from .signaling import (
     BasisKind,
     ConstellationSpec,
@@ -58,10 +58,6 @@ _PD_CHUNK = 50
 DEFAULT_CAL_CELLS = 4_000_000
 #: Range bin of the weak target whose detection the Pd experiments score.
 WEAK_BIN = 8
-# cells per calibration draw: each float64 array of a block is about 0.5 MB,
-# and no calibration array grows with the cell count.  The size does not
-# change the factor.
-_CAL_BLOCK_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -150,10 +146,10 @@ def calibrate_cfar(
     ratios above it, so the smallest factor meeting the target is one order
     statistic of those ratios: the ``allowed + 1``-th largest, where
     ``allowed`` is the most alarms the target permits.  The cells are drawn
-    as ``ceil(trials / cut_len)`` cuts of ``cut_len`` cells, block by block,
-    and only the ratios that can still be among the ``allowed + 1`` largest
-    are kept: memory holds one block and at most ``2 (allowed + 1)`` ratios,
-    whatever the number of cells.
+    as ``ceil(trials / cut_len)`` cuts of ``cut_len`` cells, in the row
+    blocks of :func:`seeding.row_blocks`, and only the ratios that can still
+    be among the ``allowed + 1`` largest are kept: memory holds one block and
+    at most ``2 (allowed + 1)`` ratios, whatever the number of cells.
 
     ``trials`` counts cell tests; it must be large enough that the expected
     number of false alarms at the target probability is at least 100,
@@ -179,10 +175,10 @@ def calibrate_cfar(
     # ``keep`` largest ratios of all the cells drawn
     top, floor = np.empty(0), -np.inf
     # exponential draws are sequential, so the block size does not change the stream
-    batch = min(rows, max(1, _CAL_BLOCK_CELLS // cut_len))
-    block = np.empty((batch, cut_len))
-    for start in range(0, rows, batch):
-        cells = rng.standard_exponential(out=block[:min(batch, rows - start)])
+    blocks = row_blocks(rows, cut_len)
+    block = np.empty((blocks[0].stop, cut_len))
+    for part in blocks:
+        cells = rng.standard_exponential(out=block[:part.stop - part.start])
         cells /= _noise_levels(cells, cfg.window, cfg.guard)  # cell-to-noise ratios
         top = np.concatenate((top, cells[cells > floor]))
         if top.size > 2 * keep:

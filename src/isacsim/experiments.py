@@ -217,6 +217,14 @@ def _write_csv(path: Path, columns: Columns) -> None:
             writer.writerow([fmt(a[i]) for a in arrays])
 
 
+def _check_out_dir(directory: Path) -> None:
+    """A ``ConfigError`` unless the nearest existing ancestor of ``directory``
+    (itself included) is a directory; creates nothing."""
+    ancestor = next((p for p in (directory, *directory.parents) if p.exists()), directory)
+    if not ancestor.is_dir():
+        raise ConfigError(f"cannot write into {directory}: {ancestor} is not a directory")
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -749,6 +757,8 @@ def run_scenario(config: ExperimentConfig) -> RunManifest:
     if unused:
         raise ConfigError(f"{scn.name} does not use {', '.join(unused)}; its settings are "
                           f"{', '.join(scn.settings)}")
+    out_dir = Path(config.out_dir) / scn.name
+    _check_out_dir(out_dir)
     plt = _pyplot() if config.plots else None
     ctx = RunContext(config, scn)
     start = time.monotonic()
@@ -758,7 +768,6 @@ def run_scenario(config: ExperimentConfig) -> RunManifest:
         raise type(exc)(f"scenario {scn.name}: {exc}") from exc
     wallclock = time.monotonic() - start
 
-    out_dir = Path(config.out_dir) / scn.name
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         scenario=scn.name,

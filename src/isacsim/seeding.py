@@ -6,6 +6,10 @@ fixed-size chunks whose sub-streams come from ``Generator.spawn``, all
 through :func:`chunk_seeds`.  Partial results are always reduced in chunk
 order, so output is byte-identical regardless of how many workers process
 the chunks.
+
+Chunks fix the streams; blocks fix only the working set.  Every blocked
+kernel (AF lag blocks, Bussgang moments, CFAR calibration) walks its rows in
+the :func:`row_blocks` slices, and draws continue one stream across blocks.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ DEFAULT_SEED = 20260815
 #: Trials per reduction chunk.  Fixed (never derived from the worker count)
 #: so that serial and parallel runs visit identical sub-streams.
 DEFAULT_CHUNK = 64
+
+#: Cells per block of a blocked kernel: a block's arrays fit a 2 MB L2 cache.
+BLOCK_CELLS = 8_192
 
 
 def tag_code(tag: str) -> int:
@@ -64,3 +71,10 @@ def chunk_rngs(rng: np.random.Generator, trials: int,
     bit-generator type: the streams ``rng.spawn`` gives."""
     return [(size, np.random.Generator(type(rng.bit_generator)(seed)))
             for size, seed in chunk_seeds(rng, trials, chunk)]
+
+
+def row_blocks(rows: int, row_cells: int) -> list[slice]:
+    """Consecutive slices of ``rows`` rows of ``row_cells`` cells, each about
+    ``BLOCK_CELLS`` cells (at least one row); the last is ragged."""
+    step = max(1, BLOCK_CELLS // row_cells)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]

@@ -18,10 +18,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-#: Samples per block of a blocked Monte-Carlo draw: about 0.5 MB per complex
-#: temporary.
-_MC_BLOCK_CELLS = 32_768
-
 
 class Scheme(Enum):
     PSK = "psk"
@@ -144,17 +140,6 @@ def _draw_symbols_into(spec: ConstellationSpec, rng: np.random.Generator,
     """The symbols of ``draw_symbols(spec, out.shape, rng)``, written into ``out``."""
     idx = rng.integers(0, spec.order, size=out.shape)
     return spec.points().take(idx, out=out, mode="clip")  # "clip" writes unbuffered
-
-
-def _row_blocks(rows: int, n: int) -> list[slice]:
-    """Consecutive row slices of about ``_MC_BLOCK_CELLS`` samples that cover
-    ``rows`` frames of ``n`` samples, the last one ragged.
-
-    Bounded-integer draws continue one stream across calls, so drawing the
-    blocks in order gives the symbols of one :func:`draw_symbols` call.
-    """
-    step = max(1, _MC_BLOCK_CELLS // n)
-    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def synthesize(basis: SignalingBasis, symbols: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from isacsim import (
     zero_delay_cut,
     zero_doppler_cut,
 )
-from isacsim import ambiguity
+from isacsim import seeding
 from isacsim.ambiguity import AfMode, _delayed_conj, _lag_products, _mc_chunk_size, cross_af
 from isacsim.seeding import derive_rng
 
@@ -157,7 +157,7 @@ def test_cross_af_blocks_equal_full_tensor_bit_for_bit(dtype, block_cells, monke
     # the real block size, and one small enough that every case spans several
     # blocks; N=256 aperiodic has 511 lags, so its last block is ragged
     if block_cells is not None:
-        monkeypatch.setattr(ambiguity, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(seeding, "BLOCK_CELLS", block_cells)
     rng = derive_rng(16, "af")
     for n, batch in [(256, ()), (24, (3,)), (13, (2, 2))]:
         u, v = _random_pair(rng, batch + (n,), dtype)
@@ -176,7 +176,7 @@ def test_surfaces_equal_squared_full_tensor_bit_for_bit(dtype, block_cells, monk
     # paf/aaf square block by block what np.abs(cross_af(...)) ** 2 squared
     # whole; K=1 is the one FFT-correlation block
     if block_cells is not None:
-        monkeypatch.setattr(ambiguity, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(seeding, "BLOCK_CELLS", block_cells)
     rng = derive_rng(19, "af")
     for n, batch in [(256, ()), (24, (3,))]:
         u, _ = _random_pair(rng, batch + (n,), dtype)

@@ -21,7 +21,7 @@ from isacsim import (
     synthesize,
     to_db,
 )
-from isacsim import ambiguity, analytic
+from isacsim import analytic, seeding
 from isacsim.ambiguity import AfMode, _lags, cross_af
 from isacsim.analytic import (
     _clip_weights,
@@ -215,7 +215,7 @@ def test_four_term_split_equals_whole_array_evaluation_bit_for_bit(block_cells, 
     # N=256 aperiodic spans several blocks at the real size, with a ragged
     # last one; the small size splits every case, batch axes included
     if block_cells is not None:
-        monkeypatch.setattr(ambiguity, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(seeding, "BLOCK_CELLS", block_cells)
     cfg = pa_limiter(0.0)
     rng = derive_rng(77, "an")
     for n, batch, k, mode, kappa in [

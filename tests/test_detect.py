@@ -25,7 +25,7 @@ from isacsim import (
     so_cfar,
     synthesize,
 )
-from isacsim import detect
+from isacsim import detect, seeding
 from isacsim.detect import (
     PdPipeline,
     _noise_levels,
@@ -185,9 +185,9 @@ def test_calibration_blocks_match_single_block():
     # the order statistic of the streamed candidates equals that of all the
     # ratios drawn at once: with a ragged last block (1e5 cells), with more
     # candidates than a block holds (P_fa 0.5 keeps 500,001 ratios), and with
-    # a tail compacted six times over 62 blocks (4e6 cells at 1e-4)
+    # a tail compacted six times over 489 blocks (4e6 cells at 1e-4)
     cut_len = 64
-    batch = detect._CAL_BLOCK_CELLS // cut_len
+    batch = seeding.BLOCK_CELLS // cut_len
     for cfg, trials, seed in ((CfarConfig(p_fa=1e-3), 100_000, 11),
                               (CfarConfig(p_fa=0.5), 1_000_000, 12),
                               (CfarConfig(), 4_000_000, 13)):
@@ -207,7 +207,7 @@ def test_blockwise_standard_exponential_equals_one_exponential_draw():
     rows, cut_len = 2500, 64
     expected = derive_rng(14, "cal").exponential(1.0, size=(rows, cut_len))
     rng = derive_rng(14, "cal")
-    block = np.empty((detect._CAL_BLOCK_CELLS // cut_len, cut_len))
+    block = np.empty((seeding.BLOCK_CELLS // cut_len, cut_len))
     assert rows > len(block) and rows % len(block) != 0  # last block is ragged
     got = [rng.standard_exponential(out=block[:min(len(block), rows - start)]).copy()
            for start in range(0, rows, len(block))]
@@ -216,7 +216,7 @@ def test_blockwise_standard_exponential_equals_one_exponential_draw():
 
 def test_calibration_memory_does_not_grow_with_cells():
     # holding every ratio of 4e6 cells takes 32 MB; the streamed calibration
-    # keeps one 65,536-cell block and the 401 largest ratios
+    # keeps one 8,192-cell block and the 401 largest ratios
     peak = traced_peak_bytes(calibrate_cfar, CfarConfig(), 4_000_000, derive_rng(7, "cal"))
     assert peak < 4e6
 

@@ -602,6 +602,15 @@ def test_cli_run_plots_without_matplotlib_exits_2_before_work(tmp_path, capsys, 
                                  ("--plots",), "plot output needs matplotlib")
 
 
+def test_cli_run_out_on_existing_file_exits_2_before_work(tmp_path, capsys, monkeypatch):
+    # the whole scenario used to run before the output directory failed
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    _assert_rejected_before_work(tmp_path, capsys, monkeypatch, "fig-cfar-example", "n", 64,
+                                 ("--out", str(taken)), f"{taken} is not a directory")
+    assert taken.read_text() == ""
+
+
 def test_pd_ceilings_starts_one_pool(tmp_path, monkeypatch):
     # all six curves share one pool map
     starts = []
@@ -640,6 +649,18 @@ def test_cli_af_cut(tmp_path, capsys):
     assert len(rows) > 32
 
 
+def test_cli_af_cut_out_under_file_exits_2_before_work(tmp_path, capsys, monkeypatch):
+    # the cut used to be averaged before the write failed with a traceback
+    def average_af(*args, **kwargs):
+        raise AssertionError("Monte-Carlo work started")
+
+    monkeypatch.setattr(cli, "average_af", average_af)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["af-cut", "--n", "16", "--trials", "10", "--out", str(taken / "x.csv")]) == 2
+    assert f"{taken} is not a directory" in capsys.readouterr().err
+
+
 def test_cli_af_cut_rejects_bad_constellation(tmp_path):
     out = tmp_path / "cut.csv"
     assert main(["af-cut", "--constellation", "8-QAM", "--out", str(out)]) == 2
@@ -672,12 +693,21 @@ def test_cli_pd_curve(tmp_path, capsys):
     ["--workers", "0"],
     ["--workers", "-3"],
     ["--snr-db-grid", "10,abc"],
+    ["--trials", "0"],
+    ["--snr-db-grid", "4000"],
 ])
-def test_cli_pd_curve_bad_arguments_exit_2(tmp_path, flags):
+def test_cli_pd_curve_bad_arguments_exit_2(tmp_path, monkeypatch, flags):
+    # rejected with or without --factor, and before the 4e6-cell calibration
+    # that a run without it starts with
+    def calibration(*args, **kwargs):
+        raise AssertionError("CFAR calibration started")
+
+    monkeypatch.setattr(cli, "calibrated_cfar", calibration)
     argv = ["pd-curve", "--m", "3", "--snr-db-grid", "10", "--trials", "10",
-            "--factor", "13.0", "--out", str(tmp_path / "pd.csv")]
-    assert main(argv + flags) == 2
-    assert not (tmp_path / "pd.csv").exists()
+            "--out", str(tmp_path / "pd.csv")]
+    for factor in ([], ["--factor", "13.0"]):
+        assert main(argv + factor + flags) == 2
+        assert not (tmp_path / "pd.csv").exists()
 
 
 def test_cli_periodogram(tmp_path):
@@ -689,6 +719,12 @@ def test_cli_periodogram(tmp_path):
     assert code == 0
     rows = list(csv.reader(open(out, newline="")))
     assert len(rows) > 64 * 4
+
+
+def test_cli_periodogram_makes_missing_out_directories(tmp_path):
+    out = tmp_path / "new" / "dir" / "map.csv"
+    assert main(["periodogram", "--m", "2", "--out", str(out)]) == 0
+    assert len(list(csv.reader(open(out, newline="")))) > 64 * 2
 
 
 # -------------------------------------------------------- non-finite numbers

@@ -23,6 +23,7 @@ from isacsim import (
     snr_eff,
     synthesize,
 )
+from isacsim import seeding
 from isacsim.seeding import chunk_seeds, derive_rng
 
 from conftest import pa_compression, pa_limiter, traced_peak_bytes
@@ -340,13 +341,19 @@ def _replayed_bussgang(cfg, basis, const, trials, rng):
     return kappa, d2 / (trials * basis.n), d4 / (trials * basis.n), clipped
 
 
-@pytest.mark.parametrize("n, trials", [(64, 150), (64, 4000), (256, 150), (1024, 150)])
+@pytest.mark.parametrize("n, trials, block_cells", [
+    pytest.param(n, trials, cells, id=f"{n}-{trials}" + (f"-{cells}" if cells else ""))
+    for cells in (None, 1_000) for n, trials in ((64, 150), (64, 4000), (256, 150), (1024, 150))
+])
 @pytest.mark.parametrize("name", ["16-PSK", "16-QAM", "64-QAM"])
-def test_one_pass_bussgang_matches_replayed_two_pass(n, trials, name):
-    # 150 trials end in a ragged chunk, and at n = 1024 a chunk is two blocks;
-    # the block moments shifted to the pooled kappa must give the replayed
-    # residual sums to 1e-12.  At 10 dB a short run may clip no sample, and
-    # its residual is rounding noise (see the test below)
+def test_one_pass_bussgang_matches_replayed_two_pass(n, trials, name, block_cells, monkeypatch):
+    # 150 trials end in a ragged chunk, and at n = 1024 a chunk is eight
+    # blocks, or 64 one-row blocks at the small size; the block moments
+    # shifted to the pooled kappa must give the replayed residual sums to
+    # 1e-12.  At 10 dB a short run may clip no sample, and its residual is
+    # rounding noise (see the test below)
+    if block_cells is not None:
+        monkeypatch.setattr(seeding, "BLOCK_CELLS", block_cells)
     basis, const = parse_basis("ofdm", n), parse_constellation(name)
     for i, ibo_db in enumerate((0.0, 4.0, 10.0)):
         cfg = pa_limiter(ibo_db)
@@ -379,7 +386,7 @@ def test_one_pass_bussgang_without_clipping(basis_name, name, ibo_db):
 
 
 def test_estimate_bussgang_memory_does_not_grow_with_trials():
-    # one pass over 32-row blocks; the replay design peaked at 6.7 MB on its
+    # one pass over 8-row blocks; the replay design peaked at 6.7 MB on its
     # 64-row chunk arrays, and a design that held chunks for a second pass
     # would grow with the trial count
     cfg, basis, const = pa_limiter(0.0), parse_basis("ofdm", 1024), parse_constellation("16-QAM")

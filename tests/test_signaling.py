@@ -16,8 +16,8 @@ from isacsim import (
     parse_constellation,
     synthesize,
 )
-from isacsim.seeding import derive_rng
-from isacsim.signaling import _hadamard_unitary, _row_blocks
+from isacsim.seeding import derive_rng, row_blocks
+from isacsim.signaling import _hadamard_unitary
 
 
 # ---------------------------------------------------------------- parsing
@@ -97,7 +97,7 @@ def test_draw_symbols_in_row_blocks_equals_one_draw(name):
     # the blocked Monte-Carlo draws rely on bounded-integer draws continuing
     # one stream from call to call, also across calls of odd length
     spec = parse_constellation(name)
-    for rows, n, splits in ((1000, 48, [(r.stop - r.start) for r in _row_blocks(1000, 48)]),
+    for rows, n, splits in ((1000, 48, [(r.stop - r.start) for r in row_blocks(1000, 48)]),
                             (10, 5, [1, 2, 4, 3])):
         assert len(set(splits)) > 1 and sum(splits) == rows
         whole = draw_symbols(spec, (rows, n), derive_rng(4, "sig", rows))
