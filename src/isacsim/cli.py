@@ -80,6 +80,13 @@ def _pipeline_from_args(args, **fields) -> PdPipeline:
     )
 
 
+def _check_out_file(out: str) -> None:
+    """Reject ``out`` before any work: a directory, or a parent :func:`_check_out_dir` rejects."""
+    if (path := Path(out)).is_dir():
+        raise ConfigError(f"cannot write {out}: it is a directory")
+    _check_out_dir(path.parent)
+
+
 def _write_table(out: str, columns) -> int:
     """``columns`` as CSV at ``out``, parents made; ``OSError`` is a ``ConfigError``."""
     path = Path(out)
@@ -93,7 +100,7 @@ def _write_table(out: str, columns) -> int:
 
 
 def _cmd_af_cut(args) -> int:
-    _check_out_dir(Path(args.out).parent)
+    _check_out_file(args.out)
     const = parse_constellation(args.constellation)
     basis = parse_basis(args.basis, args.n)
     pa = None if args.linear else PaConfig.at_backoff_db(args.ibo_db, args.compression)
@@ -106,7 +113,7 @@ def _cmd_af_cut(args) -> int:
 
 
 def _cmd_pd_curve(args) -> int:
-    _check_out_dir(Path(args.out).parent)
+    _check_out_file(args.out)
     try:
         grid = [_finite_float(v) for v in args.snr_db_grid.split(",")]
     except argparse.ArgumentTypeError as exc:
@@ -123,7 +130,7 @@ def _cmd_pd_curve(args) -> int:
 
 
 def _cmd_periodogram(args) -> int:
-    _check_out_dir(Path(args.out).parent)
+    _check_out_file(args.out)
     pipeline = _pipeline_from_args(args, cfar=CfarConfig(), n_per=args.n_per, m_per=args.m_per)
     rng = derive_rng(args.seed, "cli/periodogram")
     return _write_table(args.out, periodogram_table(pipeline, args.snr_db, rng))

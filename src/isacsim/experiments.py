@@ -478,7 +478,7 @@ def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
         stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}"))
         surf = _averaged_cut(ctx, const, basis, pa, f"mc/{label}", kappa=stats.kappa)
         columns.append((f"mc_{label}_db", to_db(surf.values[:, 0], floor=-200.0)))
-        level = 10.0 * math.log10(stats.sigma_d2**2)
+        level = 10.0 * math.log10(max(stats.sigma_d2**2, 1e-20))  # the mc column's floor
         columns.append((f"analytic_{label}_db", np.full(n, level)))
     return {"distortion_term_cut.csv": columns}
 

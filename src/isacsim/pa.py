@@ -6,12 +6,13 @@ the input back-off (IBO): the back-off coefficient ``alpha`` scales a
 unit-power input so its mean power sits ``IBO`` below the 1 dB compression
 reference power.
 
-The clipped output decomposes into a scaled replica of the input plus a
-statistically uncorrelated distortion term.  ``estimate_bussgang`` measures
-that decomposition by Monte Carlo on the actual (constellation, basis) pair,
-drawing each frame once and merging per-block moments at the pooled scale;
-``kappa_gaussian`` is the Gaussian-input closed form kept as an independent
-oracle.
+The clipped output decomposes into a scaled replica of the input plus an
+uncorrelated distortion term, ``s = kappa x + d``.  The limiter keeps the
+phase, so ``s = g x`` with the real radial gain ``g = min(alpha, v_sat / |x|)``,
+and ``kappa`` is real; this radial form holds only for a phase-preserving
+limiter.  ``estimate_bussgang`` measures the decomposition by Monte Carlo on
+the actual (constellation, basis) pair from real sums of ``|x|^2`` and ``g``;
+``kappa_gaussian`` is the Gaussian-input closed form kept as an oracle.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ class BussgangStats:
     """Measured linearization statistics of the amplified signal.
 
     ``kappa`` relates the unit-power input to the output (so it tends to
-    ``alpha`` for a linear amplifier); ``sigma_d2`` is the mean distortion
+    ``alpha`` for a linear amplifier); it is real, held as a ``complex`` with
+    a zero imaginary part.  ``sigma_d2`` is the mean distortion
     power and ``d4`` its fourth moment, both estimated alongside ``kappa``.
     """
 
@@ -205,54 +207,46 @@ def snr_eff(snr0: float, sdr_value: float) -> float:
     return snr0 / (1.0 + snr0 / sdr_value)
 
 
-def _block_moments(x, s, work):
-    """Sums of one block of input ``x`` and output ``s`` about the block's own
-    linear scale ``kb = C / P``, where ``P = sum |x|^2`` and
-    ``C = sum conj(x) s``.
+def _block_moments(x, cfg, work):
+    """Real sums of one block of input ``x`` about its own linear scale ``kb``.
 
-    With ``q = |x|^2``, ``d = s - kb x``, ``a = |d|^2`` and ``u = conj(x) d``
-    the tuple is ``(P, C, kb, sum a, sum a^2, sum a q, sum q^2, sum u^2,
-    sum a u, sum q u)``; the last five are what :func:`_shifted_d_sums` needs
-    to move the two ``d`` sums to another scale.  Both arguments are flat and
-    both are overwritten.  ``work`` is a float buffer of at least
-    ``4 * x.size`` values.
+    The phase-preserving limiter, and only it, gives ``s = g x`` with the real
+    radial gain ``g = min(alpha, v_sat / |x|)``, ``alpha`` at ``x = 0``.  With
+    ``q = |x|^2``, ``P = sum q``, ``C = sum conj(x) s = sum g q`` and
+    ``kb = C / P``, the residual ``d = s - kb x`` is ``e x`` for ``e = g - kb``;
+    ``u = e q`` and ``a = e u = |d|^2`` are real.  The tuple is ``(P, C, kb,
+    sum a, sum a^2, sum a q, sum q^2, sum a u, sum q u)``; the last five are
+    what :func:`_shifted_d_sums` needs to move the two ``d`` sums to another
+    scale.  ``x`` is flat and overwritten; ``work`` has ``3 * x.size`` floats or more.
     """
     size = x.size
-    u = work[:2 * size].view(complex)
-    q, a = work[2 * size:4 * size].reshape(2, size)
-    c = complex(np.multiply(np.conjugate(x, out=u), s, out=u).sum())
-    p = float(np.square(np.abs(x, out=q), out=q).sum())
+    q, g, a = work[:3 * size].reshape(3, size)
+    np.add(np.square(x.real, out=q), np.square(x.imag, out=g), out=q)
+    with np.errstate(divide="ignore"):  # v_sat / 0 is inf, and the gain alpha
+        np.divide(cfg.v_sat, np.sqrt(q, out=g), out=g)
+    np.minimum(g, cfg.alpha, out=g)
+    u, products = x.view(float).reshape(2, size)  # x is spent: its buffer takes u and the products
+    c = float(np.multiply(g, q, out=a).sum())
+    p = float(q.sum())
     kb = c / p
-    d = np.subtract(s, np.multiply(x, kb, out=u), out=s)
-    np.multiply(np.conjugate(x, out=u), d, out=u)
-    products = x.view(float)[:size]  # x is spent: its buffer takes the products
-    np.add(np.square(d.real, out=a), np.square(d.imag, out=products), out=a)
-
-    def real_sum(w, v):
-        return float(np.multiply(w, v, out=products).sum())
-
-    def complex_sum(w, v):
-        return complex(np.multiply(w, v, out=x).sum())
-
-    mixed = (complex_sum(u, u), complex_sum(a, u), complex_sum(q, u))
-    return (p, c, kb, float(a.sum()), real_sum(a, a), real_sum(a, q), real_sum(q, q), *mixed)
+    e = np.subtract(g, kb, out=g)
+    a = np.multiply(e, np.multiply(e, q, out=u), out=a)
+    mixed = [float(np.multiply(w, v, out=products).sum())
+             for w, v in ((a, a), (a, q), (q, q), (a, u), (q, u))]
+    return (p, c, kb, float(a.sum()), *mixed)
 
 
 def _shifted_d_sums(moments, kappa):
     """``sum |d|^2`` and ``sum |d|^4`` of one block for ``d = s - kappa x``.
 
-    With ``delta = kappa - kb`` the residual is ``d_b - delta x``, so
-    ``|d|^2 = a - 2 Re(conj(delta) u) + |delta|^2 q``.  ``sum u = C - kb P``
-    vanishes, which leaves the first sum without a cross term; the square
-    gives the second from the block's mixed sums.
+    With the real ``delta = kappa - kb`` the residual is ``(e - delta) x``:
+    ``|d|^2 = a - 2 delta u + delta^2 q``, whose ``sum u = C - kb P`` vanishes,
+    and ``|d|^4 = (e - delta)^4 q^2``, whose binomial terms are the mixed sums.
     """
-    p, _, kb, a1, a2, aq, qq, uu, au, qu = moments
+    p, _, kb, a1, a2, aq, qq, au, qu = moments
     delta = kappa - kb
-    dc = delta.conjugate()
-    m = abs(delta) ** 2
-    d2 = a1 + m * p
-    d4 = (a2 + m * m * qq + 4.0 * m * aq + 2.0 * (dc * dc * uu).real
-          - 4.0 * (dc * au).real - 4.0 * m * (dc * qu).real)
+    d2 = a1 + delta * delta * p
+    d4 = a2 - 4.0 * delta * au + 6.0 * delta**2 * aq - 4.0 * delta**3 * qu + delta**4 * qq
     return d2, d4
 
 
@@ -266,44 +260,43 @@ def estimate_bussgang(
     """Monte-Carlo estimate of the linearization statistics, in one pass.
 
     Trials are split into fixed-size chunks, each with its own derived
-    sub-stream.  A chunk's frames are drawn, synthesized and amplified in the
-    row blocks of :func:`seeding.row_blocks`, whose draws continue the chunk's
-    stream, and each block is reduced to a tuple of moments about its own
-    linear scale (:func:`_block_moments`).  ``kappa`` is the ratio of the
-    summed cross- and self-moments; the tuples are then shifted to it and
-    summed in block order (:func:`_shifted_d_sums`), which gives the
-    distortion power and fourth moment of ``s - kappa x`` without drawing
-    any frame twice.  The fixed order keeps the result independent of
-    scheduling, and no array grows with ``trials``.
+    sub-stream.  A chunk's frames are drawn and synthesized in the row blocks
+    of :func:`seeding.row_blocks`, whose draws continue the chunk's stream.
+    :func:`sel_amplify` keeps the phase, so its output is ``g x`` with the
+    real radial gain ``g = min(alpha, v_sat / |x|)``; valid only for that
+    limiter, this reduces each block to real sums of ``|x|^2`` and ``g``
+    about its own linear scale (:func:`_block_moments`).  ``kappa``, real, is
+    the ratio of the summed cross- and self-moments; the tuples are then
+    shifted to it and summed in block order (:func:`_shifted_d_sums`), which
+    gives the distortion power and fourth moment of ``s - kappa x`` without
+    drawing any frame twice.  The fixed order keeps the result independent
+    of scheduling, and no array grows with ``trials``.
     """
     if trials < 1:
         raise ConfigError("at least one trial required")
     chunks = chunk_rngs(rng, trials)
-    # One work allocation for every block: freeing it raises glibc's dynamic
-    # mmap and trim thresholds, so later calls reuse heap pages.  With glibc
-    # 2.36 at n = 1024 and 150 trials a repeated call faults in no page, 128
-    # with a work array per block, and 1,782 with the mmap threshold pinned.
-    work = np.empty(4 * row_blocks(chunks[0][0], basis.n)[0].stop * basis.n)
+    # One work allocation for every block.  With glibc 2.36 at n = 1024 and
+    # 150 trials a repeated call faults in no page, nor with a work array per
+    # block, and 49 with the mmap threshold pinned.
+    work = np.empty(3 * row_blocks(chunks[0][0], basis.n)[0].stop * basis.n)
     blocks = []
     for sz, r in chunks:
         for rows in row_blocks(sz, basis.n):
             shape = (rows.stop - rows.start, basis.n)
             x = synthesize(basis, draw_symbols(constellation, shape, r)).ravel()
-            blocks.append(_block_moments(x, sel_amplify(x, cfg), work))
+            blocks.append(_block_moments(x, cfg, work))
     power = cross = 0.0
     for p, c, *_ in blocks:  # in draw order: sum() compensates floats from Python 3.12
         power += p
         cross += c
     kappa = cross / power
 
-    d2_sum = 0.0
-    d4_sum = 0.0
+    d2_sum = d4_sum = 0.0
     for moments in blocks:
         d2, d4 = _shifted_d_sums(moments, kappa)
         d2_sum += d2
         d4_sum += d4
     count = trials * basis.n
-    sigma_d2 = d2_sum / count
-    d4 = d4_sum / count
+    sigma_d2, d4 = d2_sum / count, d4_sum / count
 
-    return BussgangStats(kappa=kappa, sigma_d2=sigma_d2, sdr=sdr(sigma_d2, cfg), d4=d4)
+    return BussgangStats(kappa=complex(kappa), sigma_d2=sigma_d2, sdr=sdr(sigma_d2, cfg), d4=d4)

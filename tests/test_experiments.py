@@ -560,6 +560,16 @@ def test_cli_run_non_ofdm_basis_on_sensing_scenario_exits_2(tmp_path, capsys, mo
     _assert_rejected_before_work(tmp_path, capsys, monkeypatch, scenario, "basis", basis)
 
 
+def test_distortion_term_cut_floors_a_zero_distortion_power(tmp_path):
+    # single-carrier 16-PSK keeps a unit envelope, which IBO 1 dB puts at the
+    # clip level: the limiter acts linearly and the measured distortion power
+    # can be exactly 0, whose level used to raise a math domain error
+    assert _run_with(tmp_path, "fig-distortion-term-cut", {"basis": "sc"}) == 0
+    with open(tmp_path / "fig-distortion-term-cut" / "distortion_term_cut.csv", newline="") as fh:
+        levels = [float(row["analytic_psk_db"]) for row in csv.DictReader(fh)]
+    assert all(math.isfinite(v) and v >= -200.0 for v in levels)
+
+
 @pytest.mark.parametrize("scenario", ["fig-periodogram-pair", "fig-cfar-example"])
 def test_single_frame_scenario_rejects_several_snr_values(tmp_path, capsys, calibration_cut_lens,
                                                           scenario):
@@ -659,6 +669,27 @@ def test_cli_af_cut_out_under_file_exits_2_before_work(tmp_path, capsys, monkeyp
     taken.write_text("")
     assert main(["af-cut", "--n", "16", "--trials", "10", "--out", str(taken / "x.csv")]) == 2
     assert f"{taken} is not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["af-cut", "--n", "16", "--trials", "10"], ("average_af",)),
+    (["pd-curve", "--m", "3", "--snr-db-grid", "10", "--trials", "10"],
+     ("calibrated_cfar", "pd_experiment")),
+    (["periodogram", "--m", "2"], ("periodogram_table",)),
+], ids=["af-cut", "pd-curve", "periodogram"])
+def test_cli_out_on_existing_directory_exits_2_before_work(tmp_path, capsys, monkeypatch, argv,
+                                                           work):
+    # the cut, curve or map used to be computed before the write failed
+    def monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte-Carlo work started")
+
+    for name in work:
+        monkeypatch.setattr(cli, name, monte_carlo)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert main(argv + ["--out", str(taken)]) == 2
+    assert f"cannot write {taken}: it is a directory" in capsys.readouterr().err
+    assert not any(taken.iterdir())
 
 
 def test_cli_af_cut_rejects_bad_constellation(tmp_path):

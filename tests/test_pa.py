@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isacsim import (
@@ -24,7 +25,8 @@ from isacsim import (
     synthesize,
 )
 from isacsim import seeding
-from isacsim.seeding import chunk_seeds, derive_rng
+from isacsim.pa import _block_moments, _shifted_d_sums
+from isacsim.seeding import chunk_rngs, chunk_seeds, derive_rng
 
 from conftest import pa_compression, pa_limiter, traced_peak_bytes
 
@@ -361,10 +363,60 @@ def test_one_pass_bussgang_matches_replayed_two_pass(n, trials, name, block_cell
         kappa, sigma_d2, d4, clipped = _replayed_bussgang(cfg, basis, const, trials,
                                                           derive_rng(38, "bg", i))
         assert abs(st.kappa - kappa) <= 1e-12 * abs(kappa)
+        assert st.kappa.imag == 0.0
         assert st.sigma_d2 >= 0.0 and st.d4 >= 0.0
         if clipped or ibo_db < 10.0:
             assert abs(st.sigma_d2 - sigma_d2) <= 1e-12 * sigma_d2
             assert abs(st.d4 - d4) <= 1e-12 * d4
+
+
+@pytest.mark.parametrize("ibo_db", [0.0, 4.0])
+def test_one_pass_bussgang_with_exact_zero_samples(ibo_db):
+    # 4-QAM at n = 4 synthesizes samples that are exactly 0, where the radial
+    # gain v_sat / |x| divides by zero; the gain there is alpha, with no warning
+    cfg, basis, const = pa_limiter(ibo_db), parse_basis("ofdm", 4), parse_constellation("4-QAM")
+    frames = [synthesize(basis, draw_symbols(const, (rows, basis.n), r))
+              for rows, r in chunk_rngs(derive_rng(41, "bg"), 150)]
+    assert sum(np.count_nonzero(x == 0) for x in frames) > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        st = estimate_bussgang(cfg, basis, const, 150, derive_rng(41, "bg"))
+    kappa, sigma_d2, d4, clipped = _replayed_bussgang(cfg, basis, const, 150, derive_rng(41, "bg"))
+    assert clipped
+    assert st.kappa.imag == 0.0
+    assert abs(st.kappa - kappa) <= 1e-12 * abs(kappa)
+    assert abs(st.sigma_d2 - sigma_d2) <= 1e-12 * sigma_d2
+    assert abs(st.d4 - d4) <= 1e-12 * d4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(st.one_of(st.just(0j), st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e3)),
+               min_size=1, max_size=64),
+    v_sat=st.floats(0.1, 3.0),
+    drive=st.floats(1.0, 100.0),
+    shift=st.floats(-0.5, 0.5),
+)
+def test_block_moments_match_direct_sums_over_amplified_block(x, v_sat, drive, shift):
+    # P, C and the residual sums of one block, at its own scale kb and shifted
+    # to kb + shift, against sums over the complex output of sel_amplify.  A
+    # residual sum cancels where the clipping is slight, so its tolerance is
+    # 1e-12 of the same sum over |s| + |kappa x|, the size of its terms
+    cfg = PaConfig(v_sat=v_sat, ibo=drive * v_sat**2)
+    x = np.asarray(x, dtype=complex)
+    assume(np.any(x != 0))
+    s = sel_amplify(x, cfg)
+    moments = _block_moments(x.copy(), cfg, np.empty(3 * x.size))
+    p, c, kb = moments[:3]
+    cross = complex(np.sum(np.conj(x) * s))
+    assert abs(p - np.sum(np.abs(x) ** 2)) <= 1e-12 * p
+    assert abs(c - cross.real) <= 1e-12 * c and abs(cross.imag) <= 1e-12 * c
+    for kappa in (kb, kb + shift):
+        d = np.abs(s - kappa * x)
+        scale = np.abs(s) + abs(kappa) * np.abs(x)
+        d2, d4 = _shifted_d_sums(moments, kappa)
+        assert abs(d2 - np.sum(d**2)) <= 1e-12 * np.sum(scale**2)
+        assert abs(d4 - np.sum(d**4)) <= 1e-12 * np.sum(scale**4)
 
 
 @pytest.mark.parametrize("basis_name, name, ibo_db", [
