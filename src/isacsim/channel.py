@@ -8,6 +8,10 @@ out naturally: the head of a delayed symbol picks up the tail of its
 predecessor, exactly as the banded two-term per-symbol convolution would
 produce it, at O(targets * samples) cost.  The explicit per-symbol matrix
 form survives only as a slow oracle in the tests.
+
+:func:`apply_channel` is the time-domain propagation model.  The sensing
+chain of ``detect`` applies the same channel per subcarrier instead, and
+the tests check it against this function.
 """
 
 from __future__ import annotations
@@ -55,21 +59,25 @@ def add_noise(signal: np.ndarray, noise_var: float, rng: np.random.Generator) ->
         raise ConfigError(f"noise variance must be finite and >= 0, got {noise_var}")
     out = signal.astype(np.result_type(signal, 1j))
     if noise_var > 0:
-        _add_noise(out, noise_var, rng)
+        scale = np.sqrt(noise_var / 2.0)
+        for part in (out.real, out.imag):  # every real part is drawn first
+            z = rng.standard_normal(out.shape)
+            part += np.multiply(scale, z, out=z)
     return out
 
 
-def _add_noise(out: np.ndarray, noise_var: float, rng: np.random.Generator,
-               draw: np.ndarray | None = None) -> None:
-    """Add the noise of :func:`add_noise` to the complex array ``out`` itself.
+def _check_delays(targets: tuple[Target, ...], n: int, cp_len: int) -> None:
+    """Reject a delay past the prefix, behind which a symbol would not see a
+    circular channel, or, when there is none, past the symbol itself."""
+    reach, span = (cp_len, "cyclic prefix") if cp_len else (n, "symbol")
+    for t in targets:
+        if t.delay >= reach:
+            raise ConfigError(f"target delay {t.delay} reaches past the {reach}-sample {span}")
 
-    Each part's standard normals are drawn into ``draw``, a float array of
-    ``out``'s shape, or into a new array when it is None.
-    """
-    scale = np.sqrt(noise_var / 2.0)
-    for part in (out.real, out.imag):  # every real part is drawn first
-        z = rng.standard_normal(out.shape, out=draw)
-        part += np.multiply(scale, z, out=z)
+
+def _symbol_gains(t: Target, n: int, m: int, block: int) -> np.ndarray:
+    """The target's gain on each of ``m`` symbols of ``block`` samples."""
+    return t.b * np.exp(1j * (2.0 * np.pi * block / n) * t.doppler * np.arange(m))
 
 
 def apply_channel(
@@ -86,49 +94,15 @@ def apply_channel(
     shape.  In CP mode every delay must fit inside the prefix so that, after
     CP removal, each symbol sees a purely circular channel.
     """
-    return _apply_channel(frames, cfg, n, rng, _new_array)
-
-
-def _new_array(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A fresh array for each ``buffer`` request of :func:`_apply_channel`."""
-    return np.empty(shape, dtype)
-
-
-def _apply_channel(frames: np.ndarray, cfg: ChannelConfig, n: int, rng: np.random.Generator,
-                   buffer) -> np.ndarray:
-    """:func:`apply_channel` without allocating: ``buffer(name, shape,
-    dtype)`` gives the C-contiguous arrays it works in, one per name (the
-    received frames, each later target's echo and the noise draw)."""
     m, block = frames.shape[-2:]
-    cp_len = block - n
-    for t in cfg.targets:
-        if cp_len > 0 and t.delay >= cp_len:
-            raise ConfigError(
-                f"target delay {t.delay} reaches past the cyclic prefix "
-                f"({cp_len} samples); lengthen the CP or drop the target"
-            )
-        if t.delay >= block:
-            raise ConfigError(
-                f"target delay {t.delay} exceeds the per-symbol block of {block} samples"
-            )
+    _check_delays(cfg.targets, n, block - n)
     serial = frames.reshape(frames.shape[:-2] + (m * block,))
-    out = buffer("received", frames.shape, np.result_type(frames, 1j))
+    out = np.zeros(frames.shape, np.result_type(frames, 1j))
     received = out.reshape(serial.shape)
-    # zero up to the first target's delay; that target writes every later sample
-    received[..., :cfg.targets[0].delay if cfg.targets else None] = 0
-    symbol_phase_step = 2.0 * np.pi * block / n
-    for i, t in enumerate(cfg.targets):
-        gain = t.b if t.doppler == 0 else np.repeat(
-            t.b * np.exp(1j * symbol_phase_step * t.doppler * np.arange(m)), block)[t.delay:]
-        delayed = serial[..., :m * block - t.delay]
-        if i == 0:
-            np.multiply(gain, delayed, out=received[..., t.delay:])
-        else:
-            echo = buffer("echo", delayed.shape, np.result_type(gain, delayed))
-            received[..., t.delay:] += np.multiply(gain, delayed, out=echo)
-    if cfg.noise_var > 0:
-        _add_noise(out, cfg.noise_var, rng, buffer("noise", out.shape, float))
-    return out
+    for t in cfg.targets:
+        gain = t.b if t.doppler == 0 else np.repeat(_symbol_gains(t, n, m, block), block)[t.delay:]
+        received[..., t.delay:] += gain * serial[..., :m * block - t.delay]
+    return add_noise(out, cfg.noise_var, rng)
 
 
 # The benchmark tracer (bench/spans.py) still looks this name up.

@@ -12,6 +12,8 @@ range grid leave it, and ``noise_only_false_alarm_rate`` measures the chain.
 ``sense`` is the one sensing chain, batched over OFDM frames (its division
 filter is a receiver for OFDM only): synthesize, amplify, attach the prefix,
 propagate through the targets plus noise, and divide by the known reference.
+It runs per subcarrier, as the prefix makes the channel circular;
+``channel.apply_channel`` is the time-domain model it is tested against.
 ``pd_experiment`` runs it per batch of trials, takes the zero-Doppler range
 cut of each estimate's periodogram, and asks whether the weak target's bin
 beats the CFAR threshold.  The quoted SNR is the ratio of unclipped mean
@@ -22,10 +24,7 @@ the counts do not depend on the worker count.  A Pd curve spawns the chunk
 seed sequences of every SNR point up front and sends all of its chunks to
 one process pool, where each chunk builds its own generator; ``pd_curves``
 sends the chunks of several curves to one pool.  The pool takes the chunks
-in tasks of consecutive chunks (one task when serial).  Each task draws its
-symbols and runs the transmitter, the channel, the receiver and the range
-cut in one set of buffers, so its chunks do not allocate those arrays afresh
-and a forked worker's speed does not depend on the heap it inherits.  The pool itself is
+in tasks of consecutive chunks (one task when serial).  The pool itself is
 imported only when a run starts one.
 """
 
@@ -34,21 +33,21 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelConfig, Target, _apply_channel
+from .channel import Target, _check_delays, _symbol_gains
 from .errors import CalibrationError, ConfigError
 from .pa import PaConfig, _limit, _power_ratio, sel_amplify  # noqa: F401 (bench wraps sel_amplify)
-from .radar import _division_filter, _range_cut, _require_nonzero
+from .radar import _range_cut, _require_nonzero
 from .seeding import chunk_seeds, row_blocks
 from .signaling import (
     BasisKind,
     ConstellationSpec,
     FrameConfig,
     SignalingBasis,
-    _add_cp,
-    _draw_symbols_into,
+    _unitary_dft,
     _unitary_idft,
 )
 
@@ -91,8 +90,10 @@ class DetectionReport:
     detected_bins: np.ndarray
 
 
-def _noise_levels(cuts: np.ndarray, window: int, guard: int) -> np.ndarray:
-    """Smallest-of noise estimate per cell, batched over leading axes.
+def _noise_levels(cuts: np.ndarray, window: int, guard: int,
+                  cells: range | None = None) -> np.ndarray:
+    """Smallest-of noise estimate per cell, batched over leading axes, of
+    every cell or only of ``cells`` (the same bits either way).
 
     Sides whose full training window does not fit inside the cut are
     unavailable; a cell with one available side uses it alone.
@@ -102,18 +103,23 @@ def _noise_levels(cuts: np.ndarray, window: int, guard: int) -> np.ndarray:
         raise ConfigError(
             f"cut of {length} cells is too short for window {window} + guard {guard}"
         )
-    cs = np.zeros(cuts.shape[:-1] + (length + 1,))
-    np.cumsum(cuts, axis=-1, out=cs[..., 1:])
+    lo, hi = (0, length) if cells is None else (cells.start, cells.stop)
+    reach = guard + window
+    stop = min(length, hi + reach)  # no window of a cell before ``hi`` reaches further
+    cs = np.zeros(cuts.shape[:-1] + (stop + 1,))
+    np.cumsum(cuts[..., :stop], axis=-1, out=cs[..., 1:])
     # means[..., j] averages cells j .. j + window - 1
     means = cs[..., window:] - cs[..., :-window]
     means /= window
-    reach = guard + window
-    inner = length - 2 * reach  # cells with both windows
+    # cells before ``both`` have only the lagging window, cells from ``last`` only the leading one
+    both = min(max(lo, reach), hi)
+    last = max(min(hi, length - reach), both)
     lag = means[..., guard + 1:]  # lag[..., i] is the lagging window of cell i
-    noise = np.empty(cuts.shape)
-    noise[..., :reach] = lag[..., :reach]
-    np.minimum(means[..., :inner], lag[..., reach:], out=noise[..., reach:reach + inner])
-    noise[..., reach + inner:] = means[..., inner:length - reach]
+    noise = np.empty(cuts.shape[:-1] + (hi - lo,))
+    noise[..., :both - lo] = lag[..., lo:both]
+    np.minimum(means[..., both - reach:last - reach], lag[..., both:last],
+               out=noise[..., both - lo:last - lo])
+    noise[..., last - lo:] = means[..., last - reach:hi - reach]
     return noise
 
 
@@ -220,6 +226,7 @@ class PdPipeline:
         if self.basis != SignalingBasis(BasisKind.OFDM_DFT, self.frame.n):
             raise ConfigError(f"the sensing chain needs an OFDM basis of the frame's n="
                               f"{self.frame.n}, got {self.basis.kind.value} of n={self.basis.n}")
+        _check_delays(self.targets, self.frame.n, self.frame.cp_len)
 
     def grids(self) -> tuple[int, int]:
         return (
@@ -261,15 +268,12 @@ def sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
         raise ConfigError(
             f"symbol length {sym.shape[-1]} does not match basis size {pipeline.basis.n}")
     _require_nonzero(sym)
-    return _sense(pipeline, sym, snr_linear, rng, _Buffers())
+    return np.swapaxes(_sense(pipeline, sym, 1.0 / sym, snr_linear, rng, _Buffers()), -1, -2)
 
 
 class _Buffers:
-    """Work arrays of the sensing chain, by name, reused from chunk to chunk.
-
-    Each array grows to the largest shape asked of it, so chunks of any
-    geometry share one allocation per name.
-    """
+    """Work arrays of the sensing chain by name, reused from chunk to chunk:
+    each grows to the largest shape asked of it."""
 
     def __init__(self):
         self._flat: dict[str, np.ndarray] = {}
@@ -283,55 +287,101 @@ class _Buffers:
         return flat[:size].reshape(shape)
 
 
-def _sense(pipeline: PdPipeline, sym: np.ndarray, snr_linear: float,
+@lru_cache(maxsize=16)
+def _response(targets: tuple[Target, ...], n: int, m: int, block: int) -> np.ndarray:
+    """The circular channel's gain G (m, n) on subcarrier k of symbol m:
+    ``sum_t b_t e^{j 2 pi doppler_t block m / n} e^{-j 2 pi k delay_t / n}``."""
+    k = np.arange(n)
+    g = np.zeros((m, n), complex)
+    for t in targets:
+        g += _symbol_gains(t, n, m, block)[:, None] * np.exp(-2j * np.pi * (k * t.delay % n) / n)
+    g.flags.writeable = False
+    return g
+
+
+def _sense(pipeline: PdPipeline, sym: np.ndarray, recip: np.ndarray, snr_linear: float,
            rng: np.random.Generator, buffers: _Buffers) -> np.ndarray:
-    """:func:`sense` of non-zero symbols of the basis' length, in ``buffers``."""
-    fc = pipeline.frame
-    pa = pipeline.pa
-    # synthesized, scaled and limited in one buffer
-    x = _unitary_idft(sym, buffers.get("tx", sym.shape, np.result_type(sym, 1j)))
-    tx = np.multiply(pa.alpha, x, out=x)
-    if not pipeline.linear:
-        _limit(tx, pa, np.abs(tx, out=buffers.get("envelope", tx.shape, tx.real.dtype)))
-    frames = buffers.get("frames", tx.shape[:-1] + (fc.block_len,), tx.dtype)
-    _add_cp(tx, fc.cp_len, frames)
+    """The estimates of :func:`sense` as (..., m, n) rows, from non-zero
+    symbols and their reciprocals ``recip``, in ``buffers``.
+
+    The prefix makes the channel circular: symbol m's received window has the
+    DFT ``G[m] S[m] + N[m]``, with S that of the sent frame (``alpha X`` when
+    linear) and N that of the window's noise, cut from the normals that
+    :func:`channel.apply_channel` draws for the whole frame.  Without one, a
+    delayed symbol's head holds its predecessor's tail, and N takes the
+    difference from the circular form.
+    """
+    fc, pa = pipeline.frame, pipeline.pa
+    n, cp = fc.n, fc.cp_len
+    late = [t for t in pipeline.targets if t.delay] if cp == 0 else []
+    dtype = np.result_type(sym, 1j)
+    if not pipeline.linear or late:
+        # synthesized, scaled and limited in one buffer
+        tx = _unitary_idft(sym, buffers.get("tx", sym.shape, dtype))
+        tx *= pa.alpha
+        if not pipeline.linear:
+            _limit(tx, pa, np.abs(tx, out=buffers.get("envelope", sym.shape, tx.real.dtype)))
+    rows = buffers.get("rows", sym.shape, dtype)
+    if pipeline.linear:
+        np.multiply(pa.alpha, sym, out=rows)
+    else:
+        _unitary_dft(tx, rows)
+    rows *= _response(pipeline.targets, n, fc.m, fc.block_len)
     noise_var = 0.0 if pipeline.distortion_limited else pa.alpha**2 / snr_linear
-    chan = ChannelConfig(targets=pipeline.targets, noise_var=noise_var)
-    rx = _apply_channel(frames, chan, fc.n, rng, buffers.get)
-    return _division_filter(rx, sym, fc.cp_len, buffers.get("freq", sym.shape, rx.dtype))
+    if noise_var > 0 or late:
+        window = buffers.get("window", sym.shape, dtype)
+        if noise_var > 0:
+            draw = buffers.get("draw", sym.shape[:-1] + (fc.block_len,), float)
+            for part in (window.real, window.imag):  # every real part is drawn first
+                np.multiply(math.sqrt(noise_var / 2.0), rng.standard_normal(out=draw)[..., cp:],
+                            out=part)
+        else:
+            window.fill(0)
+        for t in late:  # r_m[:d] += b g(m) (tx_{m-1} - tx_m)[n-d:], with tx_{-1} = 0
+            tail = tx[..., n - t.delay:]
+            step = -tail
+            step[..., 1:, :] += tail[..., :-1, :]
+            window[..., :t.delay] += _symbol_gains(t, n, fc.m, fc.block_len)[:, None] * step
+        rows += _unitary_dft(window, window)
+    rows *= recip
+    return rows
 
 
-def _detections(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
-                seed: np.random.SeedSequence, buffers: _Buffers) -> np.ndarray:
-    """SO-CFAR decisions on the zero-Doppler periodogram range cuts of a
-    batch of trials drawn from ``Generator(bit_generator(seed))``."""
-    fc, cfar = pipeline.frame, pipeline.cfar
+def _cuts(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
+          seed: np.random.SeedSequence, buffers: _Buffers) -> np.ndarray:
+    """Zero-Doppler periodogram range cuts of a batch of trials drawn from
+    ``Generator(bit_generator(seed))``."""
+    fc, points = pipeline.frame, pipeline.constellation.points()
     n_per, _ = pipeline.grids()
     rng = np.random.Generator(bit_generator(seed))
-    sym = _draw_symbols_into(pipeline.constellation, rng,
-                             buffers.get("sym", (count, fc.m, fc.n)))
-    cuts = _range_cut(_sense(pipeline, sym, snr_linear, rng, buffers), n_per,
-                      buffers.get("sums", (count, fc.n)), buffers.get("delay", (count, n_per)),
-                      buffers.get("cuts", (count, n_per), float))
-    return cuts > cfar.factor * _noise_levels(cuts, cfar.window, cfar.guard)
+    # the draws of draw_symbols
+    idx = rng.integers(0, pipeline.constellation.order, size=(count, fc.m, fc.n))
+    sym = points.take(idx, out=buffers.get("sym", idx.shape), mode="clip")  # "clip": unbuffered
+    recip = (1.0 / points).take(idx, out=buffers.get("recip", idx.shape), mode="clip")
+    rows = _sense(pipeline, sym, recip, snr_linear, rng, buffers)
+    return _range_cut(np.swapaxes(rows, -1, -2), n_per)
 
 
 def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
               seed: np.random.SeedSequence, buffers: _Buffers) -> int:
-    decisions = _detections(pipeline, snr_linear, count, bit_generator, seed, buffers)
+    """Trials of the batch whose weak-target cells beat the SO-CFAR threshold."""
+    cuts = _cuts(pipeline, snr_linear, count, bit_generator, seed, buffers)
     n_per, _ = pipeline.grids()
     scale = n_per // pipeline.frame.n
-    center = WEAK_BIN * scale
-    tolerance = 1 if scale > 1 else 0
-    lo = max(0, center - tolerance)
-    hi = min(n_per, center + tolerance + 1)
-    return int(np.count_nonzero(decisions[:, lo:hi].any(axis=1)))
+    center, tolerance = WEAK_BIN * scale, 1 if scale > 1 else 0
+    cells = range(max(0, center - tolerance), min(n_per, center + tolerance + 1))
+    cfar = pipeline.cfar
+    noise = _noise_levels(cuts, cfar.window, cfar.guard, cells)
+    hits = cuts[:, cells.start:cells.stop] > cfar.factor * noise
+    return int(np.count_nonzero(hits.any(axis=1)))
 
 
 def _fa_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
               seed: np.random.SeedSequence, buffers: _Buffers) -> int:
-    return int(np.count_nonzero(
-        _detections(pipeline, snr_linear, count, bit_generator, seed, buffers)))
+    """SO-CFAR alarms over every cell of the batch's cuts."""
+    cuts = _cuts(pipeline, snr_linear, count, bit_generator, seed, buffers)
+    cfar = pipeline.cfar
+    return int(np.count_nonzero(cuts > cfar.factor * _noise_levels(cuts, cfar.window, cfar.guard)))
 
 
 def _chunk_args(pipeline: PdPipeline, snr_linear: float, trials: int,
@@ -366,11 +416,8 @@ def _run_task(fn, args: list[tuple]) -> list[int]:
 
 
 def _map_chunks(fn, args: list[tuple], workers: int) -> list[int]:
-    """``fn(*a, buffers)`` for every chunk in ``args``, in order, on one pool.
-
-    The chunks go out in tasks of consecutive chunks, and each task runs on
-    buffers of its own.
-    """
+    """``fn(*a, buffers)`` for every chunk in ``args``, in order, on one pool
+    that takes them in tasks of consecutive chunks, each on buffers of its own."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers == 1:

@@ -39,20 +39,13 @@ def division_filter(
             f"frames {received.shape} with a {cp_len}-sample prefix"
         )
     _require_nonzero(reference_symbols)
-    return _division_filter(received, reference_symbols, cp_len)
+    freq_rows = _unitary_dft(received[..., cp_len:])
+    return np.swapaxes(np.divide(freq_rows, reference_symbols, out=freq_rows), -1, -2)
 
 
 def _require_nonzero(reference_symbols: np.ndarray) -> None:
     if np.any(reference_symbols == 0):
         raise NumericError("reference symbols contain an exact zero; cannot divide")
-
-
-def _division_filter(received: np.ndarray, reference_symbols: np.ndarray, cp_len: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`division_filter` without its checks; the frequency rows, shape
-    (..., m, n), go into ``out`` when it is given."""
-    freq_rows = _unitary_dft(received[..., cp_len:], out)
-    return np.swapaxes(np.divide(freq_rows, reference_symbols, out=freq_rows), -1, -2)
 
 
 def range_cut(hhat: np.ndarray, n_per: int) -> np.ndarray:
@@ -68,15 +61,12 @@ def range_cut(hhat: np.ndarray, n_per: int) -> np.ndarray:
     return _range_cut(hhat, n_per)
 
 
-def _range_cut(hhat: np.ndarray, n_per: int, sums: np.ndarray | None = None,
-               delay: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`range_cut` without its check.  The symbol sums (..., n), the
-    delay transform (..., n_per) and the cut go into ``sums``, ``delay`` and
-    ``out`` when they are given."""
+def _range_cut(hhat: np.ndarray, n_per: int) -> np.ndarray:
+    """:func:`range_cut` without its check."""
     n, m = hhat.shape[-2:]
-    delay = np.fft.ifft(hhat.sum(axis=-1, out=sums), n=n_per, axis=-1, out=delay)
+    delay = np.fft.ifft(hhat.sum(axis=-1), n=n_per, axis=-1)
     delay *= n_per
-    cut = np.abs(delay, out=out)
+    cut = np.abs(delay)
     return np.divide(np.square(cut, out=cut), n * m, out=cut)
 
 

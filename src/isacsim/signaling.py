@@ -130,16 +130,10 @@ def _hadamard_unitary(n: int) -> np.ndarray:
 def draw_symbols(spec: ConstellationSpec, n, rng: np.random.Generator) -> np.ndarray:
     """Draw symbols uniformly from the constellation.
 
-    ``n`` may be an int or a shape tuple.
+    ``n`` may be an int or a shape tuple.  The draw is that of the indices
+    ``rng.integers(0, spec.order, size=n)`` into ``spec.points()``.
     """
-    return _draw_symbols_into(spec, rng, np.empty(n, spec.points().dtype))
-
-
-def _draw_symbols_into(spec: ConstellationSpec, rng: np.random.Generator,
-                       out: np.ndarray) -> np.ndarray:
-    """The symbols of ``draw_symbols(spec, out.shape, rng)``, written into ``out``."""
-    idx = rng.integers(0, spec.order, size=out.shape)
-    return spec.points().take(idx, out=out, mode="clip")  # "clip" writes unbuffered
+    return spec.points().take(rng.integers(0, spec.order, size=n))
 
 
 def synthesize(basis: SignalingBasis, symbols: np.ndarray) -> np.ndarray:
@@ -190,12 +184,7 @@ def add_cp(signal: np.ndarray, cp_len: int) -> np.ndarray:
     n = signal.shape[-1]
     if cp_len < 0 or cp_len > n:
         raise ConfigError(f"CP length must be in [0, {n}], got {cp_len}")
-    return _add_cp(signal, cp_len)
-
-
-def _add_cp(signal: np.ndarray, cp_len: int, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`add_cp` without its check, into ``out`` when it is given."""
-    return np.concatenate((signal[..., signal.shape[-1] - cp_len:], signal), axis=-1, out=out)
+    return np.concatenate((signal[..., n - cp_len:], signal), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from isacsim import (
 )
 from isacsim import detect, seeding
 from isacsim.detect import (
+    WEAK_BIN,
     PdPipeline,
     _noise_levels,
     noise_only_false_alarm_rate,
@@ -34,6 +35,8 @@ from isacsim.detect import (
     wilson_halfwidth,
 )
 from isacsim.experiments import DEFAULT_TARGETS
+from isacsim.pa import _power_ratio
+from isacsim.radar import range_cut
 from isacsim.seeding import derive_rng
 
 from conftest import pa_compression, traced_peak_bytes
@@ -111,12 +114,18 @@ def _noise_levels_loop(cut, window, guard):
     extra=st.integers(0, 40),
     batch=st.lists(st.integers(1, 3), max_size=2),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
-def test_noise_levels_match_per_cell_loop(window, guard, extra, batch, seed):
+def test_noise_levels_match_per_cell_loop(window, guard, extra, batch, seed, data):
     length = 2 * (window + guard) + 2 + extra
     cuts = np.random.default_rng(seed).exponential(size=(*batch, length))
     got = _noise_levels(cuts, window, guard)
     assert got.shape == cuts.shape
+    # the levels of a run of cells alone, from the same sums, are the same bits
+    lo = data.draw(st.integers(0, length - 1))
+    cells = range(lo, data.draw(st.integers(lo + 1, length)))
+    assert np.array_equal(_noise_levels(cuts, window, guard, cells),
+                          got[..., cells.start:cells.stop])
     for idx in np.ndindex(*batch):
         # each running sum is off by at most length * eps * (sum of the cut)
         atol = 2 * length * np.finfo(float).eps * cuts[idx].sum()
@@ -298,28 +307,120 @@ def test_sense_batch_matches_frame_loop(linear):
     np.testing.assert_allclose(batch, loop, atol=1e-12)
 
 
+#: Agreement of the frequency-domain chain with the time-domain layers,
+#: relative to the largest estimate: the scenario references' REL_TOL.
+CHAIN_RTOL = 1e-12
+
+
+def _layer_chain(pipe, sym, snr, rng):
+    """The estimates of ``sense`` from the public time-domain layers:
+    synthesize, amplify (or scale), attach the prefix, propagate, divide."""
+    fc, pa = pipe.frame, pipe.pa
+    x = synthesize(pipe.basis, sym)
+    tx = pa.alpha * x if pipe.linear else sel_amplify(x, pa)
+    noise_var = 0.0 if pipe.distortion_limited else pa.alpha**2 / snr
+    rx = apply_channel(add_cp(tx, fc.cp_len), ChannelConfig(pipe.targets, noise_var), fc.n, rng)
+    return division_filter(rx, sym, fc.cp_len)
+
+
+def _assert_chain_matches_layers(pipe, sym, snr, seed):
+    want = _layer_chain(pipe, sym, snr, np.random.default_rng(seed))
+    got = sense(pipe, sym, snr, np.random.default_rng(seed))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=0, atol=CHAIN_RTOL * np.abs(want).max())
+
+
 # the chain is OFDM-only; test_pipeline_rejects_a_basis_that_is_not_ofdm
 # checks that other bases are rejected
-@pytest.mark.parametrize("basis", ["ofdm"])
-@pytest.mark.parametrize("linear", [True, False])
-def test_sense_equals_the_public_layer_chain(basis, linear):
-    # the buffered chain gives the bits of the public functions it replaces,
-    # with noise and a second, Doppler-shifted target writing its echo
-    pipe = replace(_pipeline("16-QAM", None, linear=linear), basis=parse_basis(basis, 64),
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)], ids=["frame", "batch5", "batch2x3"])
+@pytest.mark.parametrize("linear,dl", [(True, False), (False, False), (False, True)],
+                         ids=["linear", "clipped", "distortion-limited"])
+@pytest.mark.parametrize("cp_len", [0, 16])
+def test_sense_equals_the_public_layer_chain(cp_len, linear, dl, batch):
+    # the per-subcarrier chain gives the estimates of the public time-domain
+    # functions, with noise and a second, Doppler-shifted target; without a
+    # prefix, each delayed symbol's head carries its predecessor's tail
+    pipe = replace(_pipeline("16-QAM", None, linear=linear, dl=dl),
+                   frame=FrameConfig(n=64, m=3, cp_len=cp_len),
                    targets=(Target(b=1.0, delay=4), Target(b=0.3, delay=8, doppler=0.2)))
-    sym = draw_symbols(pipe.constellation, (5, 3, 64), derive_rng(104, "det"))
-    snr = 10.0
-    x = synthesize(pipe.basis, sym)
-    pa = pipe.pa
-    tx = pa.alpha * x if linear else sel_amplify(x, pa)
-    chan = ChannelConfig(targets=pipe.targets, noise_var=pa.alpha**2 / snr)
-    rx = apply_channel(add_cp(tx, 16), chan, 64, derive_rng(105, "det"))
-    want = division_filter(rx, sym, 16)
-    got = sense(pipe, sym, snr, derive_rng(105, "det"))
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    sym = draw_symbols(pipe.constellation, (*batch, 3, 64), derive_rng(104, "det"))
+    _assert_chain_matches_layers(pipe, sym, 10.0, 105)
     with pytest.raises(ConfigError, match="symbol length"):
-        sense(pipe, sym[..., :32], snr, derive_rng(105, "det"))
+        sense(pipe, sym[..., :32], 10.0, derive_rng(105, "det"))
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_sense_keeps_single_precision(linear):
+    pipe = _pipeline("16-QAM", None, linear=linear)
+    sym = draw_symbols(pipe.constellation, (2, 3, 64), derive_rng(106, "det"))
+    want = sense(pipe, sym, 10.0, derive_rng(107, "det"))
+    got = sense(pipe, sym.astype(np.complex64), 10.0, derive_rng(107, "det"))
+    assert got.dtype == np.complex64
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+
+
+@st.composite
+def _chain_cases(draw):
+    n = draw(st.integers(1, 24))
+    delays = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    cp_len = draw(st.just(0) | st.integers(max(delays) + 1, n))
+    targets = tuple(Target(b=draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0)),
+                           delay=d, doppler=draw(st.just(0.0) | st.floats(-2.0, 2.0)))
+                    for d in delays)
+    linear, dl = draw(st.sampled_from([(True, False), (False, False), (False, True)]))
+    pipe = replace(_pipeline("16-QAM", None, linear=linear, dl=dl), basis=parse_basis("ofdm", n),
+                   frame=FrameConfig(n=n, m=draw(st.integers(1, 4)), cp_len=cp_len),
+                   targets=targets)
+    return pipe, draw(st.integers(0, 2**32 - 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_chain_cases())
+def test_sense_equals_the_public_layer_chain_at_any_geometry(case):
+    pipe, seed = case
+    fc = pipe.frame
+    sym = draw_symbols(pipe.constellation, (2, fc.m, fc.n), np.random.default_rng(seed + 1))
+    _assert_chain_matches_layers(pipe, sym, 10.0, seed)
+
+
+def test_pipeline_rejects_a_delay_past_the_prefix():
+    # the chain's per-subcarrier channel holds only inside the prefix
+    with pytest.raises(ConfigError, match="past the 16-sample cyclic prefix"):
+        replace(_pipeline("16-QAM", None), targets=(Target(b=1.0, delay=16),))
+    with pytest.raises(ConfigError, match="past the 64-sample symbol"):
+        replace(_pipeline("16-QAM", None), frame=FrameConfig(n=64, m=3),
+                targets=(Target(b=1.0, delay=64),))
+
+
+def _layer_chain_hits(pipe, snr_db, trials, rng):
+    """Trials whose weak-target cells beat the SO-CFAR threshold, from the
+    time-domain layer chain and ``so_cfar`` on the chunk streams of
+    ``pd_experiment`` at one SNR point."""
+    n_per, _ = pipe.grids()
+    scale = n_per // pipe.frame.n
+    tolerance = 1 if scale > 1 else 0
+    cells = slice(WEAK_BIN * scale - tolerance, WEAK_BIN * scale + tolerance + 1)
+    hits = 0
+    for size, r in seeding.chunk_rngs(rng, trials, detect._PD_CHUNK):
+        sym = draw_symbols(pipe.constellation, (size, pipe.frame.m, pipe.frame.n), r)
+        cuts = range_cut(_layer_chain(pipe, sym, _power_ratio(snr_db, "snr_db"), r), n_per)
+        hits += sum(bool(so_cfar(cut, pipe.cfar).decisions[cells].any()) for cut in cuts)
+    return hits
+
+
+@pytest.mark.parametrize("n_per", [64, 128])  # scored cells 8, and 15 to 17
+@pytest.mark.parametrize("linear,dl", [(True, False), (False, False), (False, True)],
+                         ids=["linear", "ibo1", "distortion-limited"])
+def test_pd_counts_equal_the_time_domain_layer_chain(linear, dl, n_per):
+    # 120 trials run as chunks of 50, 50 and 20 at each point
+    pipe = replace(_pipeline("16-QAM", FROZEN_FACTOR, linear=linear, dl=dl), n_per=n_per,
+                   targets=(Target(b=1.0, delay=4), Target(b=0.1, delay=8, doppler=0.1)))
+    grid, trials = [10.0, 14.0], 120
+    curve = pd_experiment(pipe, grid, trials, derive_rng(13, "det"))
+    want = [_layer_chain_hits(pipe, snr_db, trials, r)
+            for snr_db, r in zip(grid, derive_rng(13, "det").spawn(len(grid)))]
+    assert 0 < sum(want) < len(grid) * trials
+    assert curve.pd.tolist() == [h / trials for h in want]
 
 
 @pytest.mark.parametrize("basis", ["sc", "cdma"])
