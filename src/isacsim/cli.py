@@ -22,7 +22,7 @@ from .experiments import (
     _is_real,
     _pd_columns,
     _tx_generator,
-    _write_csv,
+    _write_tables,
     calibrated_cfar,
     list_scenarios,
     periodogram_table,
@@ -88,13 +88,9 @@ def _check_out_file(out: str) -> None:
 
 
 def _write_table(out: str, columns) -> int:
-    """``columns`` as CSV at ``out``, parents made; ``OSError`` is a ``ConfigError``."""
+    """``columns`` as CSV at ``out`` through :func:`experiments._write_tables`."""
     path = Path(out)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(path, columns)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from exc
+    _write_tables(path.parent, {path.name: columns})
     print(f"wrote {out}")
     return 0
 

@@ -40,7 +40,7 @@ import numpy as np
 from .channel import Target, _check_delays, _symbol_gains
 from .errors import CalibrationError, ConfigError
 from .pa import PaConfig, _limit, _power_ratio, sel_amplify  # noqa: F401 (bench wraps sel_amplify)
-from .radar import _range_cut, _require_nonzero
+from .radar import _require_nonzero, range_cut
 from .seeding import chunk_seeds, row_blocks
 from .signaling import (
     BasisKind,
@@ -206,9 +206,10 @@ class PdPipeline:
 
     ``pa`` holds the amplifier operating point; ``linear`` bypasses the
     clipper while keeping the same ``alpha`` scaling, so linear and
-    nonlinear runs are compared at matched transmit power.  A Pd experiment
-    needs a target at delay ``WEAK_BIN``; detection succeeds when its bin
-    (within one bin, for zero-padded grids) beats the threshold.
+    nonlinear runs are compared at matched transmit power.  The periodogram
+    grid (``n_per`` x ``m_per``, default the frame's) must cover the frame.  A
+    Pd experiment needs a target at delay ``WEAK_BIN``; detection succeeds
+    when one of the :meth:`scored_cells` beats the threshold.
     """
 
     constellation: ConstellationSpec
@@ -227,12 +228,24 @@ class PdPipeline:
             raise ConfigError(f"the sensing chain needs an OFDM basis of the frame's n="
                               f"{self.frame.n}, got {self.basis.kind.value} of n={self.basis.n}")
         _check_delays(self.targets, self.frame.n, self.frame.cp_len)
+        n_per, m_per = self.grids()
+        if n_per < self.frame.n or m_per < self.frame.m:
+            raise ConfigError(f"range-Doppler grid ({n_per} x {m_per}) must cover the frame "
+                              f"({self.frame.n} x {self.frame.m})")
 
     def grids(self) -> tuple[int, int]:
         return (
             self.frame.n if self.n_per is None else self.n_per,
             self.frame.m if self.m_per is None else self.m_per,
         )
+
+    def scored_cells(self) -> range:
+        """The range bins a Pd run scores: ``WEAK_BIN``, or on a zero-padded
+        grid every bin within one bin of the weak target's delay, which the
+        periodogram puts at bin ``WEAK_BIN * n_per / n``."""
+        n, (n_per, _) = self.frame.n, self.grids()
+        reach = n if n_per > n else 0  # the bins b with |b n - WEAK_BIN n_per| <= reach
+        return range(-((reach - WEAK_BIN * n_per) // n), (WEAK_BIN * n_per + reach) // n + 1)
 
 
 @dataclass
@@ -359,17 +372,14 @@ def _cuts(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: ty
     sym = points.take(idx, out=buffers.get("sym", idx.shape), mode="clip")  # "clip": unbuffered
     recip = (1.0 / points).take(idx, out=buffers.get("recip", idx.shape), mode="clip")
     rows = _sense(pipeline, sym, recip, snr_linear, rng, buffers)
-    return _range_cut(np.swapaxes(rows, -1, -2), n_per)
+    return range_cut(np.swapaxes(rows, -1, -2), n_per)
 
 
 def _pd_chunk(pipeline: PdPipeline, snr_linear: float, count: int, bit_generator: type,
               seed: np.random.SeedSequence, buffers: _Buffers) -> int:
     """Trials of the batch whose weak-target cells beat the SO-CFAR threshold."""
     cuts = _cuts(pipeline, snr_linear, count, bit_generator, seed, buffers)
-    n_per, _ = pipeline.grids()
-    scale = n_per // pipeline.frame.n
-    center, tolerance = WEAK_BIN * scale, 1 if scale > 1 else 0
-    cells = range(max(0, center - tolerance), min(n_per, center + tolerance + 1))
+    cells = pipeline.scored_cells()
     cfar = pipeline.cfar
     noise = _noise_levels(cuts, cfar.window, cfar.guard, cells)
     hits = cuts[:, cells.start:cells.stop] > cfar.factor * noise

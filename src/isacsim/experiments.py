@@ -217,6 +217,22 @@ def _write_csv(path: Path, columns: Columns) -> None:
             writer.writerow([fmt(a[i]) for a in arrays])
 
 
+def _write_tables(directory: Path, tables: dict[str, Columns],
+                  manifest: RunManifest | None = None) -> None:
+    """Each ``name: columns`` table as the CSV ``directory / name``, parents
+    made, then ``manifest`` with the CSVs' checksums when given; an
+    ``OSError`` is a ``ConfigError``."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, columns in tables.items():
+            _write_csv(directory / name, columns)
+        if manifest is not None:
+            manifest.files.update((name, _sha256(directory / name)) for name in tables)
+            manifest.write(directory)
+    except OSError as exc:
+        raise ConfigError(f"cannot write into {directory}: {exc}") from exc
+
+
 def _check_out_dir(directory: Path) -> None:
     """A ``ConfigError`` unless the nearest existing ancestor of ``directory``
     (itself included) is a directory; creates nothing."""
@@ -265,7 +281,7 @@ def scenario(name: str, default_trials: int, settings: tuple[str, ...], descript
 #: detection chain scores.
 DEFAULT_TARGETS = (Target(b=1.0, delay=4), Target(b=10.0 ** -0.5, delay=WEAK_BIN))
 
-_PSK_QAM = (("16-PSK", "psk"), ("16-QAM", "qam"))
+_PSK_QAM = ((parse_constellation("16-PSK"), "psk"), (parse_constellation("16-QAM"), "qam"))
 
 
 class RunContext:
@@ -291,10 +307,10 @@ class RunContext:
             n=self.setting("n", n), m=self.setting("m", m), cp_len=self.setting("cp_len", cp_len)
         )
 
-    def pa(self, ibo_db: float, compression: bool = True) -> PaConfig:
-        """Amplifier at the configured back-off, else at ``ibo_db``
-        (:meth:`~isacsim.pa.PaConfig.at_backoff_db`)."""
-        return PaConfig.at_backoff_db(self.setting("ibo_db", ibo_db), compression)
+    def pa(self) -> PaConfig:
+        """Amplifier at the configured back-off from the limiter's 1 dB
+        compression point, else at 1 dB (:meth:`~isacsim.pa.PaConfig.at_backoff_db`)."""
+        return PaConfig.at_backoff_db(self.setting("ibo_db", 1.0))
 
     def constellation(self, default: str) -> ConstellationSpec:
         return parse_constellation(self.config.constellation or default)
@@ -312,18 +328,11 @@ class RunContext:
     def snr_grid(self, default: np.ndarray) -> np.ndarray:
         return np.asarray(self.setting("snr_db_grid", default))
 
-    def cfar(self, frame: FrameConfig) -> CfarConfig:
-        """:func:`calibrated_cfar` on this run's streams.
-
-        Only the scenarios that detect on the zero-Doppler range cut use it,
-        and the calibration cuts are as long as that cut: ``n_per`` bins when
-        configured, else the frame's ``n``.  An ``n_per`` below ``n``, which
-        the range cut would reject, is rejected before the calibration.
-        """
-        cut_len = self.setting("n_per", frame.n)
-        if cut_len < frame.n:
-            raise ConfigError(f"range grid of {cut_len} bins must cover the {frame.n} subcarriers")
-        return calibrated_cfar(self.rng("cfar-calibration"), cut_len)
+    def cfar(self, pipeline: PdPipeline) -> CfarConfig:
+        """:func:`calibrated_cfar` on this run's streams, on cuts as long as the
+        range cut of ``pipeline``, which has checked its grid: a bad grid is
+        rejected before the calibration."""
+        return calibrated_cfar(self.rng("cfar-calibration"), pipeline.grids()[0])
 
 
 def calibrated_cfar(rng: np.random.Generator, cut_len: int) -> CfarConfig:
@@ -366,11 +375,10 @@ def _n_sweep(ctx: RunContext, sizes: tuple[int, ...], cells: Callable) -> Column
     which they first appear.
     """
     rows: dict[str, list[float]] = {}
+    pa = ctx.pa()
     for n in sizes:
         basis = ctx.basis(n)
-        pa = ctx.pa(1.0)
-        for cname, label in _PSK_QAM:
-            const = parse_constellation(cname)
+        for const, label in _PSK_QAM:
             for column, value in cells(n, basis, pa, const, label).items():
                 rows.setdefault(column, []).append(value)
     return [("n", np.array(sizes)), *((k, np.array(v)) for k, v in rows.items())]
@@ -388,12 +396,11 @@ def _scn_zero_doppler_cp(ctx: RunContext) -> dict[str, Columns]:
     n = ctx.setting("n", 64)
     basis = ctx.basis(n)
     columns: Columns = [("lag", np.arange(n))]
-    for cname, label in _PSK_QAM:
-        const = parse_constellation(cname)
+    for const, label in _PSK_QAM:
         linear = _averaged_cut(ctx, const, basis, None, f"lin/{label}", normalize=True)
         columns.append((f"linear_{label}", to_db(linear.values[:, 0])))
         for ibo_db in (1.0, 4.0):
-            pa = ctx.pa(ibo_db)
+            pa = PaConfig.at_backoff_db(ibo_db)
             cut = _averaged_cut(ctx, const, basis, pa, f"ibo{ibo_db:g}/{label}", normalize=True)
             columns.append((f"nonlinear_{label}_ibo{ibo_db:g}", to_db(cut.values[:, 0])))
             stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}/{ibo_db:g}"))
@@ -412,7 +419,7 @@ def _scn_zero_doppler_nocp(ctx: RunContext) -> dict[str, Columns]:
     n = ctx.setting("n", 64)
     basis = ctx.basis(n)
     const = ctx.constellation("16-PSK")
-    pa = ctx.pa(1.0)
+    pa = ctx.pa()
 
     measured = _averaged_cut(ctx, const, basis, pa, "measured", AfMode.APERIODIC)
 
@@ -446,18 +453,13 @@ def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
     n = ctx.setting("n", 1024)
     basis = ctx.basis(n)
     ibo_grid = np.arange(0.0, 10.5, 1.0)
-    columns: Columns = [("ibo_db", ibo_grid)]
-    gaussian = np.empty(ibo_grid.size)
-    for i, ibo_db in enumerate(ibo_grid):
-        pa = ctx.pa(ibo_db, compression=False)
-        y = pa.y
-        gaussian[i] = output_power_gaussian(y) - kappa_gaussian(y) ** 2
-    columns.append(("analytic_gaussian_db", 10.0 * np.log10(gaussian)))
+    pas = [PaConfig.at_backoff_db(ibo_db, compression=False) for ibo_db in ibo_grid]
+    gaussian = np.array([output_power_gaussian(pa.y) - kappa_gaussian(pa.y) ** 2 for pa in pas])
+    columns: Columns = [("ibo_db", ibo_grid), ("analytic_gaussian_db", 10.0 * np.log10(gaussian))]
     for cname, label in (("16-PSK", "psk16"), ("16-QAM", "qam16"), ("64-QAM", "qam64")):
         const = parse_constellation(cname)
         vals = np.empty(ibo_grid.size)
-        for i, ibo_db in enumerate(ibo_grid):
-            pa = ctx.pa(ibo_db, compression=False)
+        for i, (ibo_db, pa) in enumerate(zip(ibo_grid, pas)):
             stats = estimate_bussgang(pa, basis, const, trials,
                                       ctx.rng(f"{label}/ibo{ibo_db:g}"))
             vals[i] = stats.sigma_d2 / pa.alpha**2
@@ -471,10 +473,9 @@ def _scn_distortion_power(ctx: RunContext) -> dict[str, Columns]:
 def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
     n = ctx.setting("n", 64)
     basis = ctx.basis(n)
-    pa = ctx.pa(1.0)
+    pa = ctx.pa()
     columns: Columns = [("lag", np.arange(n))]
-    for cname, label in _PSK_QAM:
-        const = parse_constellation(cname)
+    for const, label in _PSK_QAM:
         stats = estimate_bussgang(pa, basis, const, 4000, ctx.rng(f"buss/{label}"))
         surf = _averaged_cut(ctx, const, basis, pa, f"mc/{label}", kappa=stats.kappa)
         columns.append((f"mc_{label}_db", to_db(surf.values[:, 0], floor=-200.0)))
@@ -486,7 +487,7 @@ def _scn_distortion_term_cut(ctx: RunContext) -> dict[str, Columns]:
 def _scn_basis_comparison(ctx: RunContext, cname: str, tag: str) -> dict[str, Columns]:
     n = ctx.setting("n", 64)
     const = parse_constellation(cname)
-    pa = ctx.pa(1.0)
+    pa = ctx.pa()
     columns: Columns = [("lag", np.arange(n))]
     for kind, label in ((BasisKind.OFDM_DFT, "ofdm"), (BasisKind.SC_IDENTITY, "sc"),
                         (BasisKind.CDMA_HADAMARD, "cdma")):
@@ -549,10 +550,9 @@ def _scn_zero_delay(ctx: RunContext) -> dict[str, Columns]:
     n = ctx.setting("n", 64)
     basis = ctx.basis(n)
     columns: Columns = [("doppler_bin", np.arange(n))]
-    for cname, clabel in _PSK_QAM:
-        const = parse_constellation(cname)
+    for const, clabel in _PSK_QAM:
         for ibo_db in (0.0, 8.0):
-            pa = ctx.pa(ibo_db, compression=False)
+            pa = PaConfig.at_backoff_db(ibo_db, compression=False)
             acc = np.zeros(n)
             acc_cond = np.zeros(n)
             for sz, r in chunk_rngs(ctx.rng(f"{clabel}/ibo{ibo_db:g}"), trials, 256):
@@ -599,7 +599,7 @@ def _scn_periodogram_pair(ctx: RunContext) -> dict[str, Columns]:
     snr_db = ctx.snr_db(20.0)
     out: dict[str, Columns] = {}
     for label, linear in (("linear", True), ("nonlinear", False)):
-        pipe = _pipeline(ctx, const, fc, targets, CfarConfig(), linear, limited=False)
+        pipe = _pipeline(ctx, const, fc, targets, linear, limited=False)
         out[f"periodogram_{label}.csv"] = periodogram_table(pipe, snr_db, ctx.rng(label))
     return out
 
@@ -613,10 +613,11 @@ def _scn_cfar_example(ctx: RunContext) -> dict[str, Columns]:
     const = ctx.constellation("16-QAM")
     targets = ctx.setting("targets", DEFAULT_TARGETS)
     snr_db = ctx.snr_db(15.0)
-    cfar = ctx.cfar(fc)
+    pipes = {label: _pipeline(ctx, const, fc, targets, linear, limited)
+             for label, linear, limited in (("linear", True, False), ("nonlinear", False, True))}
+    cfar = ctx.cfar(pipes["linear"])
     out: dict[str, Columns] = {}
-    for label, linear, limited in (("linear", True, False), ("nonlinear", False, True)):
-        pipe = _pipeline(ctx, const, fc, targets, cfar, linear, limited)
+    for label, pipe in pipes.items():
         rng = ctx.rng(label)
         sym = draw_symbols(const, (fc.m, fc.n), rng)
         hhat = sense(pipe, sym, _power_ratio(snr_db, "snr_db"), rng)
@@ -632,14 +633,14 @@ def _scn_cfar_example(ctx: RunContext) -> dict[str, Columns]:
 
 
 def _pipeline(ctx: RunContext, const: ConstellationSpec, fc: FrameConfig,
-              targets: tuple[Target, ...], cfar: CfarConfig, linear: bool,
-              limited: bool) -> PdPipeline:
+              targets: tuple[Target, ...], linear: bool, limited: bool) -> PdPipeline:
+    """The run's sensing chain with an uncalibrated default CFAR."""
     return PdPipeline(
         constellation=const,
         basis=parse_basis("ofdm", fc.n),
         frame=fc,
-        pa=ctx.pa(1.0),
-        cfar=cfar,
+        pa=ctx.pa(),
+        cfar=CfarConfig(),
         targets=targets,
         linear=linear,
         distortion_limited=limited,
@@ -652,14 +653,15 @@ def _pd_curves(ctx: RunContext, specs: dict[str, tuple]) -> dict[str, PdCurve]:
     """Weak-target Pd of each ``name: (constellation, snr_grid_db, tag, linear, limited)``
     spec, all on one pool."""
     frame = ctx.frame(m=3)
-    cfar = ctx.cfar(frame)
     # Weak reflector 20 dB below the strong one.  Together with the short
     # detection frame this keeps the distortion-limited ceilings of the QAM
     # constellations measurably below 1 so the upper detection limits are
     # visible in the curves; at the full frame every plateau saturates.
     targets = ctx.setting("targets", (Target(b=1.0, delay=4), Target(b=0.1, delay=WEAK_BIN)))
-    jobs = [(_pipeline(ctx, parse_constellation(cname), frame, targets, cfar, linear, limited),
+    jobs = [(_pipeline(ctx, parse_constellation(cname), frame, targets, linear, limited),
              grid, ctx.rng(tag)) for cname, grid, tag, linear, limited in specs.values()]
+    cfar = ctx.cfar(jobs[0][0])
+    jobs = [(replace(pipe, cfar=cfar), grid, rng) for pipe, grid, rng in jobs]
     return dict(zip(specs, pd_curves(jobs, ctx.trials(), ctx.config.workers)))
 
 
@@ -768,7 +770,6 @@ def run_scenario(config: ExperimentConfig) -> RunManifest:
         raise type(exc)(f"scenario {scn.name}: {exc}") from exc
     wallclock = time.monotonic() - start
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         scenario=scn.name,
         seed=config.seed,
@@ -776,13 +777,9 @@ def run_scenario(config: ExperimentConfig) -> RunManifest:
         wallclock_s=round(wallclock, 3),
         config=config.snapshot(),
     )
-    for fname, columns in tables.items():
-        path = out_dir / fname
-        _write_csv(path, columns)
-        manifest.files[fname] = _sha256(path)
+    _write_tables(out_dir, tables, manifest)
     if plt is not None:
         _render_plots(plt, out_dir, list(tables))
-    manifest.write(out_dir)
     return manifest
 
 

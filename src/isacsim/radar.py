@@ -55,15 +55,9 @@ def range_cut(hhat: np.ndarray, n_per: int) -> np.ndarray:
     the delay transform is taken, on ``n_per`` bins.  Batched over leading
     axes.
     """
-    if n_per < hhat.shape[-2]:
-        raise ConfigError(
-            f"range grid of {n_per} bins must cover the {hhat.shape[-2]} subcarriers")
-    return _range_cut(hhat, n_per)
-
-
-def _range_cut(hhat: np.ndarray, n_per: int) -> np.ndarray:
-    """:func:`range_cut` without its check."""
     n, m = hhat.shape[-2:]
+    if n_per < n:
+        raise ConfigError(f"range grid of {n_per} bins must cover the {n} subcarriers")
     delay = np.fft.ifft(hhat.sum(axis=-1), n=n_per, axis=-1)
     delay *= n_per
     cut = np.abs(delay)

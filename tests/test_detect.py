@@ -423,6 +423,30 @@ def test_pd_counts_equal_the_time_domain_layer_chain(linear, dl, n_per):
     assert curve.pd.tolist() == [h / trials for h in want]
 
 
+@pytest.mark.parametrize("grid", [{"n_per": 48}, {"m_per": 2}])
+def test_pipeline_rejects_a_grid_smaller_than_the_frame(grid):
+    # a 48-bin range grid under 64 subcarriers folds the weak target's bin
+    # onto bin 0, and every Pd run on it used to read 0
+    with pytest.raises(ConfigError, match="must cover the frame"):
+        replace(_pipeline("16-QAM", FROZEN_FACTOR), **grid)
+
+
+@pytest.mark.parametrize("n_per, cells", [(64, {8}), (96, {11, 12, 13}), (100, {12, 13}),
+                                          (128, {15, 16, 17})])
+def test_scored_cells_are_within_one_bin_of_the_weak_targets_bin(n_per, cells):
+    # the periodogram puts delay 8 at bin 8 n_per / 64
+    assert set(replace(_pipeline("16-QAM", FROZEN_FACTOR), n_per=n_per).scored_cells()) == cells
+
+
+def test_pd_on_a_padded_grid_scores_the_weak_target_not_the_strong_ones_skirt():
+    # at n_per = 96 the weak target sits at bin 12; bin 8, which a scale of
+    # n_per // n used to score, is the skirt of the strong target at bin 6
+    pipe = replace(_pipeline("16-QAM", FROZEN_FACTOR, linear=True), n_per=96,
+                   targets=(Target(b=1.0, delay=4), Target(b=1e-6, delay=WEAK_BIN)))
+    curve = pd_experiment(pipe, [16.0], 200, derive_rng(14, "det"))
+    assert curve.pd[0] <= 0.1
+
+
 @pytest.mark.parametrize("basis", ["sc", "cdma"])
 def test_pipeline_rejects_a_basis_that_is_not_ofdm(basis):
     # the division filter undoes the channel only for OFDM frames

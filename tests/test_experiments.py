@@ -621,6 +621,13 @@ def test_cli_run_out_on_existing_file_exits_2_before_work(tmp_path, capsys, monk
     assert taken.read_text() == ""
 
 
+def test_cli_run_write_failure_exits_2(tmp_path, capsys, calibration_cut_lens):
+    # a CSV path taken by a directory used to end in an IsADirectoryError traceback
+    (tmp_path / "fig-cfar-example" / "cfar_linear.csv").mkdir(parents=True)
+    assert main(["run", "fig-cfar-example", "--out", str(tmp_path)]) == 2
+    assert "cannot write into" in capsys.readouterr().err
+
+
 def test_pd_ceilings_starts_one_pool(tmp_path, monkeypatch):
     # all six curves share one pool map
     starts = []
